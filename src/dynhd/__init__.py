@@ -16,8 +16,7 @@ from .data import (NormalizationStats, SyntheticSpec, apply_normalizer,
                    split, write_csv)
 from .encoder import (encode, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
-from .inference import (TopKResult, cosine_similarity, perturb_model,
-                        predict_topk, score_all, topk_accuracy)
+from .inference import cosine_similarity, perturb_model, topk_accuracy
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, LabeledSample, RegenPlan, ValidationReport,
                     load_model, save_model, validate_dataset)
@@ -28,16 +27,16 @@ from .trainer import (EpochRecord, RoundRecord, TrainConfig, TrainReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassModel", "Dataset", "EncoderState", "EpochRecord", "LabeledSample",
-    "NormalizationStats", "REGEN_STRATEGIES", "RegenPlan", "RoundRecord",
-    "SyntheticSpec", "TRAIN_STRATEGIES", "TopKResult", "TrainConfig",
-    "TrainReport", "UniformStream", "ValidationReport", "adaptive_epoch",
-    "apply_normalizer", "cosine_similarity", "domain_models",
-    "domain_variance", "encode", "encode_batch", "fit_normalizer",
-    "init_encoder", "initial_pass", "leave_one_domain_out", "load_csv",
-    "load_dataset", "load_model", "make_blobs", "misleading_scores",
-    "perturb_model", "predict_topk", "reencode_dims", "regenerate_dims",
-    "remap_labels", "save_dataset", "save_model", "score_all",
+    "ClassModel", "Dataset", "EncoderState", "EpochRecord",
+    "LabeledSample", "NormalizationStats", "REGEN_STRATEGIES",
+    "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
+    "TrainConfig", "TrainReport", "UniformStream", "ValidationReport",
+    "adaptive_epoch", "apply_normalizer", "cosine_similarity",
+    "domain_models", "domain_variance", "encode", "encode_batch",
+    "fit_normalizer", "init_encoder", "initial_pass",
+    "leave_one_domain_out", "load_csv", "load_dataset", "load_model",
+    "make_blobs", "misleading_scores", "perturb_model", "reencode_dims",
+    "regenerate_dims", "remap_labels", "save_dataset", "save_model",
     "select_domain_variant", "select_insignificant", "select_misleading",
     "split", "topk_accuracy", "train", "validate_dataset",
     "variance_over_classes", "write_csv",

@@ -27,18 +27,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoder import encode_batch
-from .inference import model_scores, ranked_classes, row_norms, vec_norm
+from .inference import model_scores, ranked_classes, row_norms
 from .model import ClassModel, Dataset, EncoderState, RegenPlan
 
 
 def _unit_rows(classes: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; zero rows stay zero."""
-    out = classes.copy()
-    for i in range(out.shape[0]):
-        norm = vec_norm(out[i])
-        if norm > 0.0:
-            out[i] /= norm
-    return out
+    norms = row_norms(classes)[:, None]
+    return classes / np.where(norms > 0.0, norms, 1.0)
 
 
 def _plan_size(rate: float, dim: int) -> int:
@@ -81,16 +77,14 @@ def misleading_scores(m: ClassModel, e: EncoderState, train: Dataset,
     if m.n_classes < 2:
         return scores
     unit = _unit_rows(m.classes)
-    class_norms = row_norms(m.classes)
-    for i in range(len(train)):
+    sims = model_scores(m.classes, row_norms(m.classes), encodings,
+                        row_norms(encodings)[:, None])
+    top2 = ranked_classes(sims)[:, :2]
+    # A true class ranked second is a top-1 miss; add rows in sample order.
+    for i in np.flatnonzero(top2[:, 1] == train.labels):
         h = encodings[i]
-        sims = model_scores(m.classes, class_norms, h, vec_norm(h))
-        top2 = ranked_classes(sims)[:2]
-        y = int(train.labels[i])
-        pred = int(top2[0])
-        if pred == y or int(top2[1]) != y:
-            continue
-        scores += np.abs(h - unit[y]) - np.abs(h - unit[pred])
+        scores += (np.abs(h - unit[train.labels[i]])
+                   - np.abs(h - unit[top2[i, 0]]))
     return scores
 
 

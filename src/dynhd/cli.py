@@ -27,10 +27,10 @@ from .analysis import (domain_variance, misleading_scores,
 from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
                    make_blobs, remap_labels, split, write_csv)
 from .encoder import encode_batch, init_encoder
-from .inference import model_scores, perturb_model, row_norms, topk_accuracy
-from .model import (REGEN_STRATEGIES, ClassModel, Dataset, EncoderState,
-                    atomic_write_text, load_model, save_model,
-                    validate_dataset)
+from .inference import (model_scores, perturb_model, row_norms, topk_accuracy,
+                        topk_hits)
+from .model import (REGEN_STRATEGIES, ClassModel, Dataset, atomic_write_text,
+                    load_model, save_model, validate_dataset)
 from .trainer import TrainConfig, domain_models, train
 
 EXIT_OK = 0
@@ -118,21 +118,6 @@ def _load_eval_data(cfg: dict, model: ClassModel,
     return ds
 
 
-def _top1_hits(classes: np.ndarray, encodings: np.ndarray,
-               labels: np.ndarray) -> float:
-    """Top-1 accuracy over pre-encoded queries; prediction ties resolve to
-    the lowest class index, matching predict_topk."""
-    class_norms = row_norms(classes)
-    query_norms = row_norms(encodings)
-    hits = 0
-    for i in range(encodings.shape[0]):
-        scores = model_scores(classes, class_norms, encodings[i],
-                              query_norms[i])
-        if int(np.argmax(scores)) == int(labels[i]):
-            hits += 1
-    return hits / encodings.shape[0]
-
-
 # --------------------------------------------------------------------------
 # train
 
@@ -143,6 +128,11 @@ TRAIN_SCHEMA = {
     "shuffle": False, "normalize": False, "valid_fraction": 0.2,
     "split_seed": None, "data": None, "out": "model.json",
 }
+
+# JSON types the train settings must have; int excludes bool.
+TRAIN_TYPES = {"shuffle": bool, "normalize": bool,
+               **dict.fromkeys(("dim", "epochs_per_round", "rounds",
+                                "patience", "seed", "split_seed"), int)}
 
 DATA_CSV_SCHEMA = {"csv": None, "label_column": "label",
                    "domain_column": None}
@@ -187,12 +177,16 @@ def cmd_train(args, config: dict, emitter: Emitter) -> int:
                           {"seed": args.seed, "out": args.out})
     if merged["split_seed"] is None:
         merged["split_seed"] = merged["seed"]
+    for key, kind in TRAIN_TYPES.items():
+        if type(merged[key]) is not kind:
+            raise ValueError(f"train: {key} must be a JSON "
+                             f"{kind.__name__}, got {merged[key]!r}")
     ds, merged["data"] = _load_train_data(merged["data"])
 
     vf = float(merged["valid_fraction"])
     if not 0.0 < vf < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
-    train_ds, valid_ds = split(ds, [1.0 - vf, vf], int(merged["split_seed"]))
+    train_ds, valid_ds = split(ds, [1.0 - vf, vf], merged["split_seed"])
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("split produced an empty train or validation set")
 
@@ -203,13 +197,11 @@ def cmd_train(args, config: dict, emitter: Emitter) -> int:
         valid_ds = apply_normalizer(stats, valid_ds)
 
     cfg = TrainConfig(
-        dim=int(merged["dim"]), eta=float(merged["eta"]),
-        epochs_per_round=int(merged["epochs_per_round"]),
-        rounds=int(merged["rounds"]),
+        dim=merged["dim"], eta=float(merged["eta"]),
+        epochs_per_round=merged["epochs_per_round"], rounds=merged["rounds"],
         regen_rate=float(merged["regen_rate"]),
-        strategy=str(merged["strategy"]),
-        patience=int(merged["patience"]), seed=int(merged["seed"]),
-        shuffle=bool(merged["shuffle"]))
+        strategy=str(merged["strategy"]), patience=merged["patience"],
+        seed=merged["seed"], shuffle=merged["shuffle"])
     cfg.validate()
 
     emitter.record({"type": "config", "command": "train", "config": merged})
@@ -351,7 +343,9 @@ def cmd_dropsweep(args, config: dict, emitter: Emitter) -> int:
             queries = encodings.copy()
             classes[:, idx] = 0.0
             queries[:, idx] = 0.0
-            acc = _top1_hits(classes, queries, ds.labels)
+            scores = model_scores(classes, row_norms(classes), queries,
+                                  row_norms(queries)[:, None])
+            acc = topk_hits(scores, ds.labels, 1) / len(ds)
             emitter.record({
                 "experiment": "dropsweep", "order": order,
                 "fraction": fraction, "dropped": count,
@@ -386,10 +380,13 @@ def cmd_noisesweep(args, config: dict, emitter: Emitter) -> int:
     enc, model, stats = load_model(merged["model"])
     ds = _load_eval_data(merged, model, stats)
     encodings = encode_batch(enc, ds.features)
+    query_norms = row_norms(encodings)[:, None]
     for i, q in enumerate(q_list):
         t0 = time.perf_counter()
         noisy = perturb_model(model, q, magnitude, base_seed + i)
-        acc = _top1_hits(noisy.classes, encodings, ds.labels)
+        scores = model_scores(noisy.classes, row_norms(noisy.classes),
+                              encodings, query_norms)
+        acc = topk_hits(scores, ds.labels, 1) / len(ds)
         emitter.record({
             "experiment": "noisesweep", "q": q, "magnitude": magnitude,
             "noise_seed": base_seed + i, "metric": "top1_accuracy",
@@ -435,12 +432,11 @@ def cmd_bench(args, config: dict, emitter: Emitter) -> int:
         encode_times.append(time.perf_counter() - t0)
 
     class_norms = row_norms(classes)
-    query_norms = row_norms(encodings)
+    query_norms = row_norms(encodings)[:, None]
     score_times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        for i in range(batch):
-            model_scores(classes, class_norms, encodings[i], query_norms[i])
+        model_scores(classes, class_norms, encodings, query_norms)
         score_times.append(time.perf_counter() - t0)
 
     emitter.record({

@@ -42,6 +42,17 @@ class NormalizationStats:
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be 1-D arrays of equal length")
 
+    def check(self, n: int) -> None:
+        """Raise ValueError unless the stats cover n features with finite
+        means and finite, positive stds."""
+        if self.mean.shape != (n,):
+            raise ValueError(f"normalizer has {self.mean.shape[0]} features, "
+                             f"expected {n}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()
+                and (self.std > 0.0).all()):
+            raise ValueError("normalizer means must be finite and its stds "
+                             "finite and positive")
+
 
 def fit_normalizer(train: Dataset) -> NormalizationStats:
     if len(train) == 0:

@@ -1,18 +1,20 @@
 """Similarity scoring, top-k prediction, accuracy metrics, and the
 hardware-noise perturbation harness.
 
+``model_scores`` is the one scorer: training, validation, eval, the sweeps
+and the misleading detector call it on one encoding or on a batch, and a
+batch scores bit-identically to its rows scored one at a time.
+
 Conventions shared across the package:
 
 - cosine similarity with a zero vector is 0 (keeps scoring total while
   classes are still empty during training);
 - rank ties break toward the lower class index;
-- norms are always sqrt(dot(v, v)) per row, so cached and fresh norms agree
-  bit-for-bit.
+- norms are always sqrt(dot(v, v)) per row (``vecdot`` for a matrix), so
+  cached, fresh and batched norms agree bit-for-bit.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,27 +27,30 @@ def vec_norm(v: np.ndarray) -> float:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.array([vec_norm(row) for row in m])
+    return np.sqrt(np.vecdot(m, m))
 
 
 def model_scores(classes: np.ndarray, class_norms: np.ndarray,
-                 h: np.ndarray, h_norm: float) -> np.ndarray:
-    """Cosine scores of h against every class row; zero norms score 0."""
-    dots = classes @ h
+                 h: np.ndarray, h_norm) -> np.ndarray:
+    """Cosine scores of h (D,) or of each row of h (N, D) against every
+    class row; ``h_norm`` is a scalar or an (N, 1) column.  Zero norms
+    score 0."""
+    dots = np.matvec(classes, h)
     denom = class_norms * h_norm
     return np.divide(dots, denom, out=np.zeros_like(dots),
                      where=denom > 0.0)
 
 
 def ranked_classes(scores: np.ndarray) -> np.ndarray:
-    """Class indices by descending score, ties toward the lower index."""
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
+    """Class indices by descending score along the last axis, ties toward
+    the lower index."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
-class TopKResult(NamedTuple):
-    labels: np.ndarray  # (k,) class indices, descending similarity
-    scores: np.ndarray  # (k,) matching similarity scores
-    k: int
+def topk_hits(scores: np.ndarray, labels: np.ndarray, k: int) -> int:
+    """Number of rows of (N, L) scores whose label ranks in the top k."""
+    return int(np.count_nonzero(ranked_classes(scores)[:, :k]
+                                == labels[:, None]))
 
 
 def cosine_similarity(a: Hypervector, b: Hypervector) -> float:
@@ -59,24 +64,6 @@ def cosine_similarity(a: Hypervector, b: Hypervector) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
-def score_all(m: ClassModel, h: Hypervector) -> np.ndarray:
-    """Per-class cosine similarities, in model label order."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (m.dim,):
-        raise ValueError(f"hypervector must have shape ({m.dim},), "
-                         f"got {h.shape}")
-    return model_scores(m.classes, row_norms(m.classes), h, vec_norm(h))
-
-
-def predict_topk(m: ClassModel, h: Hypervector, k: int) -> TopKResult:
-    """The k most similar classes, descending; k=1 is argmax prediction."""
-    if not 1 <= k <= m.n_classes:
-        raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
-    scores = score_all(m, h)
-    order = ranked_classes(scores)[:k]
-    return TopKResult(order, scores[order], k)
-
-
 def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset,
                   k: int) -> float:
     """Fraction of samples whose true label is among the top-k classes."""
@@ -84,13 +71,12 @@ def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset,
         raise ValueError("test dataset must be non-empty")
     if list(test.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
+    if not 1 <= k <= m.n_classes:
+        raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
     encodings = encode_batch(e, test.features)
-    hits = 0
-    for i in range(len(test)):
-        result = predict_topk(m, encodings[i], k)
-        if int(test.labels[i]) in result.labels:
-            hits += 1
-    return hits / len(test)
+    scores = model_scores(m.classes, row_norms(m.classes), encodings,
+                          row_norms(encodings)[:, None])
+    return topk_hits(scores, test.labels, k) / len(test)
 
 
 def perturb_model(m: ClassModel, q: float, magnitude: float,
@@ -103,8 +89,8 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if magnitude < 0.0:
-        raise ValueError("magnitude must be non-negative")
+    if not 0.0 <= magnitude < np.inf:
+        raise ValueError("magnitude must be non-negative and finite")
     out = m.copy()
     total = m.classes.size
     count = int(np.floor(q * total))

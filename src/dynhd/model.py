@@ -280,17 +280,17 @@ def load_model(path: str):
         classes = np.asarray(doc["classes"],
                              dtype=np.float64).reshape(len(labels), dim)
         model = ClassModel(classes, labels)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model file {path}: {exc}") from exc
-    encoder.check()
-    model.check()
-    normalizer = None
-    if "normalizer" in doc:
-        from .data import NormalizationStats  # deferred: data imports model
+        normalizer = None
+        if "normalizer" in doc:
+            from .data import NormalizationStats  # deferred: data imports model
 
-        normalizer = NormalizationStats(
-            mean=np.asarray(doc["normalizer"]["mean"], dtype=np.float64),
-            std=np.asarray(doc["normalizer"]["std"], dtype=np.float64))
+            normalizer = NormalizationStats(doc["normalizer"]["mean"],
+                                            doc["normalizer"]["std"])
+            normalizer.check(n)
+        encoder.check()
+        model.check()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from exc
     return encoder, model, normalizer
 
 

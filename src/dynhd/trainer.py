@@ -35,7 +35,7 @@ from .analysis import (domain_variance, misleading_scores,
                        select_misleading)
 from .data import remap_labels
 from .encoder import encode_batch, init_encoder, reencode_dims, regenerate_dims
-from .inference import model_scores, row_norms, vec_norm
+from .inference import model_scores, row_norms, topk_hits, vec_norm
 from .model import ClassModel, Dataset, EncoderState, RegenPlan, TRAIN_STRATEGIES
 from .rng import check_seed
 
@@ -57,8 +57,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if self.epochs_per_round < 1:
             raise ValueError("epochs_per_round must be at least 1")
         if self.rounds < 0:
@@ -135,8 +135,8 @@ def adaptive_epoch(m: ClassModel, e: EncoderState, train: Dataset,
     Updates ``m`` in place and returns it with the epoch accuracy (the
     fraction predicted correctly before each update).
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     if m.dim != e.dim:
         raise ValueError("model and encoder dimensionality differ")
     if list(train.label_names) != list(m.labels):
@@ -178,7 +178,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     train_encs = encode_batch(enc, train_ds.features)
     valid_encs = encode_batch(enc, valid_ds.features)
     train_norms = row_norms(train_encs)
-    valid_norms = row_norms(valid_encs)
+    valid_norms = row_norms(valid_encs)[:, None]
     labels = train_ds.labels
     model = ClassModel(_accumulate(train_encs, labels, train_ds.n_classes),
                        list(train_ds.label_names))
@@ -204,8 +204,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                 segment, epoch, acc, (time.perf_counter() - t0) * 1e3))
 
         t0 = time.perf_counter()
-        val_acc = _top1_accuracy(model.classes, class_norms, valid_encs,
-                                 valid_norms, valid_ds.labels)
+        val_scores = model_scores(model.classes, class_norms, valid_encs,
+                                  valid_norms)
+        val_acc = topk_hits(val_scores, valid_ds.labels, 1) / len(valid_ds)
         if val_acc > best_val + EARLY_STOP_MIN_DELTA:
             best_val = val_acc
             stale = 0
@@ -228,7 +229,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                     valid_encs[i] = reencode_dims(enc, valid_ds.features[i],
                                                   valid_encs[i], plan)
                 train_norms = row_norms(train_encs)
-                valid_norms = row_norms(valid_encs)
+                valid_norms = row_norms(valid_encs)[:, None]
         report.rounds.append(RoundRecord(
             segment, val_acc, regen_indices,
             (time.perf_counter() - t0) * 1e3))
@@ -268,18 +269,6 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
         class_norms[y] = vec_norm(classes[y])
         class_norms[pred] = vec_norm(classes[pred])
     return correct / order.shape[0]
-
-
-def _top1_accuracy(classes: np.ndarray, class_norms: np.ndarray,
-                   encodings: np.ndarray, sample_norms: np.ndarray,
-                   labels: np.ndarray) -> float:
-    hits = 0
-    for i in range(encodings.shape[0]):
-        scores = model_scores(classes, class_norms, encodings[i],
-                              sample_norms[i])
-        if int(np.argmax(scores)) == int(labels[i]):
-            hits += 1
-    return hits / encodings.shape[0]
 
 
 def domain_models(e: EncoderState, train: Dataset,

@@ -144,6 +144,35 @@ class TestMisleadingScores:
             want += np.abs(h - unit[y]) - np.abs(h - unit[ranked[0]])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_equals_per_sample_reference_exactly(self):
+        # one sample at a time, as a per-row scorer visits them; a zero
+        # class row and a duplicated row (exact score ties) included
+        rng = np.random.Generator(np.random.Philox(key=57))
+        e = init_encoder(8, 4, 32)
+        feats = rng.standard_normal((60, 4))
+        labels = rng.integers(0, 5, size=60)
+        names = ["a", "b", "c", "d", "f"]
+        classes = rng.standard_normal((5, 32))
+        classes[3] = 0.0
+        classes[4] = classes[0]
+        got = misleading_scores(model_from_rows(classes, names), e,
+                                Dataset(feats, labels, names))
+
+        norms = np.array([math.sqrt(np.dot(c, c)) for c in classes])
+        unit = np.array([c / n if n > 0.0 else c
+                         for c, n in zip(classes, norms)])
+        want = np.zeros(32)
+        for h, y in zip(encode_batch(e, feats), labels):
+            dots = classes @ h
+            denom = norms * math.sqrt(np.dot(h, h))
+            sims = np.divide(dots, denom, out=np.zeros_like(dots),
+                             where=denom > 0.0)
+            top2 = np.lexsort((np.arange(5), -sims))[:2]
+            if top2[0] != y and top2[1] == y:
+                want += np.abs(h - unit[y]) - np.abs(h - unit[top2[0]])
+        assert np.any(want != 0.0)
+        assert np.array_equal(got, want)
+
     def test_class_scale_invariance(self):
         rng = np.random.Generator(np.random.Philox(key=41))
         e = init_encoder(7, 3, 16)

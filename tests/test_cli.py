@@ -126,6 +126,25 @@ class TestTrain:
         code, _, _ = run(["train", "--config", str(config)])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("shuffle", "false"), ("normalize", 1), ("dim", 16.7),
+        ("epochs_per_round", "2"), ("rounds", 1.0), ("patience", True),
+        ("seed", 3.5), ("split_seed", "7"),
+    ])
+    def test_wrongly_typed_value_rejected(self, workdir, tmp_path, key,
+                                          value):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({
+            "dim": 64, "data": {"csv": str(workdir["data_csv"])},
+            key: value,
+        }))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert f"train: {key} must be" in err
+
     def test_synthetic_inline_data(self, tmp_path):
         config = tmp_path / "synth_train.json"
         config.write_text(json.dumps({
@@ -187,6 +206,22 @@ class TestEval:
         code, _, _ = run(["eval", "--model", str(workdir["model"]),
                           "--data", str(other)])
         assert code == 2
+
+    @pytest.mark.parametrize("edit", [
+        {"mean": [0.0] * 5, "std": [1.0] * 5},
+        {"std": [1.0] * 5 + [float("nan")]},
+        {"std": [1.0] * 5 + [0.0]},
+    ])
+    def test_inconsistent_normalizer_rejected(self, workdir, tmp_path, edit):
+        doc = json.loads(workdir["model"].read_text())
+        doc["normalizer"].update(edit)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert f"malformed model file {edited}: normalizer" in err
 
     def test_mirror_writes_record_stream(self, workdir, tmp_path):
         mirror = tmp_path / "records.jsonl"
@@ -326,6 +361,16 @@ class TestNoisesweep:
         assert code == 0
         assert [rec["q"] for rec in records] == [0.0, 0.05, 0.2]
         assert [rec["noise_seed"] for rec in records] == [40, 41, 42]
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf"])
+    def test_non_finite_magnitude_rejected(self, workdir, magnitude):
+        code, records, err = run(["noisesweep", "--model",
+                                  str(workdir["model"]),
+                                  "--data", str(workdir["data_csv"]),
+                                  "--q", "0,0.1", "--magnitude", magnitude])
+        assert code == 2
+        assert records == []
+        assert "magnitude" in err
 
     def test_deterministic_across_runs(self, workdir):
         argv = ["noisesweep", "--model", str(workdir["model"]),

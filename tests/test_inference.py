@@ -1,11 +1,12 @@
-"""Cosine scoring, top-k prediction, accuracy, and noise perturbation."""
+"""Cosine scoring, top-k ranking, accuracy, and noise perturbation."""
 
 import numpy as np
 import pytest
 
 from dynhd.encoder import encode, init_encoder
-from dynhd.inference import (cosine_similarity, perturb_model, predict_topk,
-                             score_all, topk_accuracy)
+from dynhd.inference import (cosine_similarity, model_scores, perturb_model,
+                             ranked_classes, row_norms, topk_accuracy,
+                             topk_hits, vec_norm)
 from dynhd.model import ClassModel, Dataset
 
 
@@ -37,22 +38,37 @@ class TestCosineSimilarity:
             cosine_similarity(np.zeros(3), np.zeros(4))
 
 
+def class_scores(m, h):
+    """Scores of one encoding against every class of m."""
+    h = np.asarray(h, dtype=np.float64)
+    return model_scores(m.classes, row_norms(m.classes), h, vec_norm(h))
+
+
+def ranked_top_k(m, h, k):
+    """The k best-ranked classes of one encoding and their scores."""
+    scores = class_scores(m, h)
+    order = ranked_classes(scores)[:k]
+    return order, scores[order]
+
+
 class TestScoreAll:
+    """model_scores of one encoding against every class."""
+
     def test_matching_class_scores_one(self):
         h = np.array([0.5, -0.25, 1.0])
         m = model_from_rows([h, [1.0, 0.0, 0.0]])
-        assert score_all(m, h)[0] == pytest.approx(1.0, abs=1e-12)
+        assert class_scores(m, h)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_class_scores_zero(self):
         m = model_from_rows([[0.0, 0.0], [1.0, 1.0]])
-        scores = score_all(m, np.array([1.0, 0.0]))
+        scores = class_scores(m, np.array([1.0, 0.0]))
         assert scores[0] == 0.0
 
     def test_matches_per_class_cosine_loop(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         m = model_from_rows(rng.standard_normal((5, 16)))
         h = rng.standard_normal(16)
-        scores = score_all(m, h)
+        scores = class_scores(m, h)
         for l in range(5):
             assert scores[l] == pytest.approx(
                 cosine_similarity(m.classes[l], h), abs=1e-12)
@@ -61,38 +77,96 @@ class TestScoreAll:
         rng = np.random.Generator(np.random.Philox(key=5))
         m = model_from_rows(rng.standard_normal((6, 32)))
         for _ in range(50):
-            scores = score_all(m, rng.standard_normal(32))
+            scores = class_scores(m, rng.standard_normal(32))
             assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
     def test_rejects_dim_mismatch(self):
         m = model_from_rows([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            score_all(m, np.zeros(3))
+            class_scores(m, np.zeros(3))
 
 
 class TestPredictTopk:
+    """ranked_classes order, and the k-range check of topk_accuracy."""
+
     def test_direct_sort(self):
         m = model_from_rows([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
         h = np.array([1.0, 0.2])  # scores descend 0, 1, 2
-        result = predict_topk(m, h, 2)
-        assert result.labels.tolist() == [0, 1]
-        assert result.scores[0] >= result.scores[1]
+        labels, scores = ranked_top_k(m, h, 2)
+        assert labels.tolist() == [0, 1]
+        assert scores[0] >= scores[1]
 
     def test_k_equals_l_contains_every_class(self):
         m = model_from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        result = predict_topk(m, np.array([2.0, 0.5]), 3)
-        assert sorted(result.labels.tolist()) == [0, 1, 2]
+        labels, _ = ranked_top_k(m, np.array([2.0, 0.5]), 3)
+        assert sorted(labels.tolist()) == [0, 1, 2]
 
     def test_tie_breaks_to_lower_index(self):
         m = model_from_rows([[1.0, 0.0], [1.0, 0.0]])
-        result = predict_topk(m, np.array([1.0, 0.5]), 1)
-        assert result.labels.tolist() == [0]
+        labels, _ = ranked_top_k(m, np.array([1.0, 0.5]), 1)
+        assert labels.tolist() == [0]
 
     @pytest.mark.parametrize("k", [0, 3, -1])
     def test_k_out_of_range_rejected(self, k):
-        m = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            predict_topk(m, np.array([1.0, 0.0]), k)
+        e = init_encoder(1, 2, 8)
+        m = model_from_rows(np.ones((2, 8)))
+        data = Dataset(np.zeros((1, 2)), np.array([0]), ["c0", "c1"])
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
+            topk_accuracy(m, e, data, k)
+
+
+class TestBatchedScoringIsExact:
+    """Batched scoring against per-row references, with no tolerance."""
+
+    def setup_method(self):
+        rng = np.random.Generator(np.random.Philox(key=41))
+        self.classes = rng.standard_normal((5, 24))
+        self.classes[2] = 0.0  # an empty class
+        self.classes[4] = self.classes[1]  # a duplicate: exact ties
+        self.queries = rng.standard_normal((9, 24))
+        self.queries[3] = 0.0  # a zero query
+        self.queries[6] = self.classes[1]  # ties classes 1 and 4 at 1.0
+
+    def reference_scores(self):
+        rows = []
+        for h in self.queries:
+            dots = self.classes @ h
+            denom = np.array([vec_norm(c) for c in self.classes]) * vec_norm(h)
+            rows.append(np.divide(dots, denom, out=np.zeros_like(dots),
+                                  where=denom > 0.0))
+        return np.array(rows)
+
+    def test_batch_equals_per_row_scores(self):
+        got = model_scores(self.classes, row_norms(self.classes),
+                           self.queries, row_norms(self.queries)[:, None])
+        assert np.array_equal(got, self.reference_scores())
+        assert np.all(got[3] == 0.0) and np.all(got[:, 2] == 0.0)
+
+    def test_one_row_equals_its_batch_row(self):
+        norms = row_norms(self.classes)
+        batch = model_scores(self.classes, norms, self.queries,
+                             row_norms(self.queries)[:, None])
+        for i, h in enumerate(self.queries):
+            assert np.array_equal(
+                model_scores(self.classes, norms, h, vec_norm(h)), batch[i])
+
+    def test_row_norms_equal_per_row_norms(self):
+        assert np.array_equal(row_norms(self.queries),
+                              [np.sqrt(np.dot(v, v)) for v in self.queries])
+
+    def test_ranks_equal_per_row_lexsort(self):
+        scores = self.reference_scores()
+        want = [np.lexsort((np.arange(s.shape[0]), -s)) for s in scores]
+        assert np.array_equal(ranked_classes(scores), want)
+        assert ranked_classes(scores)[6, :2].tolist() == [1, 4]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_topk_hits_counts_label_in_top_k(self, k):
+        scores = self.reference_scores()
+        labels = np.array([0, 1, 2, 3, 4, 0, 4, 1, 2])
+        want = sum(int(labels[i]) in np.lexsort(
+            (np.arange(5), -scores[i]))[:k] for i in range(len(labels)))
+        assert topk_hits(scores, labels, k) == want
 
 
 class TestTopkAccuracy:
@@ -166,3 +240,8 @@ class TestPerturbModel:
             perturb_model(self.model, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             perturb_model(self.model, 0.5, -1.0, seed=0)
+
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude"):
+            perturb_model(self.model, 0.5, magnitude, seed=0)

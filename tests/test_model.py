@@ -187,6 +187,26 @@ class TestModelFile:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        {"mean": [0.0, 1.0], "std": [1.0, 1.0]},
+        {"mean": [0.0] * 4, "std": [1.0] * 4},
+        {"std": [1.0, 2.0]},
+        {"mean": [0.0, float("nan"), 1.0]},
+        {"std": [1.0, float("inf"), 1.0]},
+        {"std": [1.0, 0.0, 1.0]},
+        {"std": [1.0, -2.0, 1.0]},
+    ])
+    def test_inconsistent_normalizer_rejected(self, tmp_path, edit):
+        norm = NormalizationStats(np.zeros(3), np.ones(3))
+        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["normalizer"].update(edit)
+        atomic_write_text(path, json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"malformed model file {path}: ")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(os.path.join(tmp_path, "absent.json"))

@@ -1,8 +1,9 @@
 """Randomized invariant suite.
 
-Five families, each run over at least 200 generated cases: monotone top-k
+Six families, each run over at least 200 generated cases: monotone top-k
 accuracy, scale-invariant rankings, bounded encodings, class-scale-invariant
-detector scores, and the regeneration zero/coherence rules.
+detector scores, the regeneration zero/coherence rules, and strict
+rejection of non-finite training hyperparameters.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -10,13 +11,18 @@ bit-identical and the assertions can demand exact equality instead of
 tolerances that would mask rank flips.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynhd.analysis import domain_variance, misleading_scores
 from dynhd.encoder import encode, init_encoder, reencode_dims, regenerate_dims
-from dynhd.inference import predict_topk, topk_accuracy
+from dynhd.inference import (model_scores, ranked_classes, row_norms,
+                             topk_accuracy, vec_norm)
 from dynhd.model import ClassModel, Dataset, RegenPlan
+from dynhd.trainer import TrainConfig
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -34,6 +40,13 @@ def make_rng(seed):
 
 def random_names(count):
     return [f"c{i}" for i in range(count)]
+
+
+def ranking(classes, h):
+    """Every class ranked for one encoding, with the ranked scores."""
+    scores = model_scores(classes, row_norms(classes), h, vec_norm(h))
+    order = ranked_classes(scores)
+    return order, scores[order]
 
 
 @COMMON
@@ -57,28 +70,26 @@ def test_topk_accuracy_monotone_in_k(seed, dim, n, n_classes, n_samples):
 def test_ranking_invariant_under_class_scaling(seed, dim, n_classes, power,
                                                row):
     rng = make_rng(seed)
-    names = random_names(n_classes)
     classes = rng.standard_normal((n_classes, dim))
     h = rng.standard_normal(dim)
-    base = predict_topk(ClassModel(classes, names), h, n_classes)
+    base_order, base_scores = ranking(classes, h)
     scaled = classes.copy()
     scaled[row % n_classes] *= 2.0 ** power
-    got = predict_topk(ClassModel(scaled, names), h, n_classes)
-    assert got.labels.tolist() == base.labels.tolist()
-    np.testing.assert_array_equal(got.scores, base.scores)
+    order, scores = ranking(scaled, h)
+    assert order.tolist() == base_order.tolist()
+    np.testing.assert_array_equal(scores, base_scores)
 
 
 @COMMON
 @given(seed=seeds, dim=dims, n_classes=class_counts, power=powers)
 def test_ranking_invariant_under_query_scaling(seed, dim, n_classes, power):
     rng = make_rng(seed)
-    names = random_names(n_classes)
-    m = ClassModel(rng.standard_normal((n_classes, dim)), names)
+    classes = rng.standard_normal((n_classes, dim))
     h = rng.standard_normal(dim)
-    base = predict_topk(m, h, n_classes)
-    got = predict_topk(m, h * 2.0 ** power, n_classes)
-    assert got.labels.tolist() == base.labels.tolist()
-    np.testing.assert_array_equal(got.scores, base.scores)
+    base_order, base_scores = ranking(classes, h)
+    order, scores = ranking(classes, h * 2.0 ** power)
+    assert order.tolist() == base_order.tolist()
+    np.testing.assert_array_equal(scores, base_scores)
 
 
 @COMMON
@@ -155,3 +166,17 @@ def test_regeneration_zeroing_and_cache_coherence(seed, dim, n, n_classes,
     assert np.all(zeroed[:, indices] == 0.0)
     np.testing.assert_array_equal(zeroed[:, untouched],
                                   classes[:, untouched])
+
+
+@COMMON
+@given(field=st.sampled_from(["eta", "regen_rate"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       dim=st.integers(1, 4096), eta=st.floats(1e-6, 1e3),
+       regen_rate=st.floats(0.0, 1.0))
+def test_train_config_rejects_non_finite_hyperparameters(
+        field, value, dim, eta, regen_rate):
+    cfg = TrainConfig(dim=dim, eta=eta, regen_rate=regen_rate)
+    cfg.validate()  # the finite draw is valid
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()

@@ -43,6 +43,8 @@ class TestTrainConfig:
         {"dim": 8, "strategy": "bogus"},
         {"dim": 8, "patience": -1},
         {"dim": 8, "seed": -1},
+        {"dim": 8, "eta": float("nan")},
+        {"dim": 8, "eta": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -150,8 +152,9 @@ class TestAdaptiveEpoch:
         e = init_encoder(5, 2, 8)
         data = blob_data(seed=4, classes=2, n=2, per=5)
         m = initial_pass(e, data)
-        with pytest.raises(ValueError):
-            adaptive_epoch(m, e, data, eta=0.0)
+        for eta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                adaptive_epoch(m, e, data, eta=eta)
         with pytest.raises(ValueError):
             adaptive_epoch(m, init_encoder(5, 2, 16), data, eta=0.1)
         renamed = Dataset(data.features, data.labels, ["x", "y"])
