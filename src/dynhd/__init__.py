@@ -16,7 +16,8 @@ from .data import (NormalizationStats, SyntheticSpec, apply_normalizer,
                    split, write_csv)
 from .encoder import (encode, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
-from .inference import cosine_similarity, perturb_model, topk_accuracy
+from .inference import (cosine_similarity, perturb_model, score_queries,
+                        topk_accuracy)
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, LabeledSample, RegenPlan, ValidationReport,
                     load_model, save_model, validate_dataset)
@@ -37,6 +38,7 @@ __all__ = [
     "leave_one_domain_out", "load_csv", "load_dataset", "load_model",
     "make_blobs", "misleading_scores", "perturb_model", "reencode_dims",
     "regenerate_dims", "remap_labels", "save_dataset", "save_model",
+    "score_queries",
     "select_domain_variant", "select_insignificant", "select_misleading",
     "split", "topk_accuracy", "train", "validate_dataset",
     "variance_over_classes", "write_csv",

@@ -11,25 +11,43 @@ Regeneration redraws the base rows and phases of selected dimensions from the
 encoder's continuing uniform stream (see :mod:`dynhd.rng`), leaving all other
 rows bit-identical.
 
-Projections deliberately use einsum rather than BLAS matmul: einsum reduces
-each output element with the same loop regardless of how many rows are
-projected, so re-encoding a subset of dimensions reproduces the corresponding
-entries of a full encode bit-for-bit.
+Every encode runs through one kernel that projects a block of at most
+``BLOCK_ROWS`` samples with ``einsum("Nn,dn->Nd")`` and applies the trig in
+place.  Projections deliberately use einsum rather than BLAS matmul: einsum
+reduces each output element with the same loop regardless of how many rows
+or dimensions are projected, so a block of samples encodes each row exactly
+as it encodes alone, and re-encoding a subset of dimensions reproduces the
+corresponding entries of a full encode bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import EncoderState, FeatureVector, Hypervector, RegenPlan
 from .rng import UniformStream, check_seed
 
+# Rows per kernel call: bounds the kernel's temporaries to a few blocks of
+# (BLOCK_ROWS, D) floats whatever the number of samples.
+BLOCK_ROWS = 64
 
-def _project(rows: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # One dot product per base row; shape-independent reduction order.
-    return np.einsum("dn,n->d", rows, f)
+
+def _encode_block(rows: np.ndarray, bases: np.ndarray, phases: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """cos(x + c) * sin(x) with x = rows @ bases.T, computed in ``out``."""
+    x = np.einsum("Nn,dn->Nd", rows, bases, out=out)
+    sin_x = np.sin(x)
+    x += phases
+    np.cos(x, out=x)
+    x *= sin_x
+    return x
+
+
+def _blocks(count: int):
+    return (slice(start, start + BLOCK_ROWS)
+            for start in range(0, count, BLOCK_ROWS))
 
 
 def _check_features(f, n: int) -> np.ndarray:
@@ -40,6 +58,24 @@ def _check_features(f, n: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("feature vector contains non-finite entries")
     return arr
+
+
+def _check_batch(samples, n: int) -> np.ndarray:
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise ValueError(f"batch must have shape (N, {n}), got {arr.shape}")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise ValueError(f"sample {int(np.argmax(bad))}: feature vector "
+                         f"contains non-finite entries")
+    return arr
+
+
+def _check_plan(e: EncoderState, plan: RegenPlan) -> np.ndarray:
+    idx = plan.indices
+    if idx.size and (idx.min() < 0 or idx.max() >= e.dim):
+        raise ValueError("plan indices out of range for this encoder")
+    return idx
 
 
 def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
@@ -58,8 +94,7 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
 def encode(e: EncoderState, f: FeatureVector) -> Hypervector:
     """Encode one sample: h_i = cos(B_i.f + c_i) * sin(B_i.f)."""
     arr = _check_features(f, e.n_features)
-    x = _project(e.bases, arr)
-    return np.cos(x + e.phases) * np.sin(x)
+    return _encode_block(arr[None, :], e.bases, e.phases)[0]
 
 
 def encode_batch(e: EncoderState,
@@ -71,15 +106,10 @@ def encode_batch(e: EncoderState,
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         return np.empty((0, e.dim))
-    if arr.ndim != 2 or arr.shape[1] != e.n_features:
-        raise ValueError(f"batch must have shape (N, {e.n_features}), "
-                         f"got {arr.shape}")
+    arr = _check_batch(arr, e.n_features)
     out = np.empty((arr.shape[0], e.dim))
-    for i in range(arr.shape[0]):
-        try:
-            out[i] = encode(e, arr[i])
-        except ValueError as exc:
-            raise ValueError(f"sample {i}: {exc}") from exc
+    for rows in _blocks(arr.shape[0]):
+        _encode_block(arr[rows], e.bases, e.phases, out=out[rows])
     return out
 
 
@@ -90,9 +120,7 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     the row's ``n`` normals are drawn first, then its phase.  Unselected
     rows and phases are bit-identical to the input, which is not modified.
     """
-    idx = plan.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= e.dim):
-        raise ValueError("plan indices out of range for this encoder")
+    idx = _check_plan(e, plan)
     if idx.size == 0:
         return e.copy()
     bases = e.bases.copy()
@@ -105,19 +133,33 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
 
 
 def reencode_dims(e: EncoderState, f: FeatureVector, h: Hypervector,
-                  plan: RegenPlan) -> Hypervector:
+                  plan: RegenPlan, inplace: bool = False) -> Hypervector:
     """Recompute only the planned entries of ``h``; equals encode(e, f)
-    exactly when ``h`` came from an encoder that matches ``e`` elsewhere."""
-    arr = _check_features(f, e.n_features)
+    exactly when ``h`` came from an encoder that matches ``e`` elsewhere.
+
+    ``f`` is one sample (n,) with its hypervector ``h`` (D,), or a batch
+    (N, n) with its encodings (N, D).  With ``inplace`` the planned entries
+    of ``h``, which must then be a float64 array, are overwritten and ``h``
+    is returned; otherwise ``h`` is left untouched and a copy is returned.
+    """
+    single = np.ndim(f) == 1
+    rows = (_check_features(f, e.n_features)[None, :] if single
+            else _check_batch(f, e.n_features))
+    if inplace and not (isinstance(h, np.ndarray)
+                        and h.dtype == np.float64):
+        raise ValueError("an in-place re-encode needs a float64 array")
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (e.dim,):
-        raise ValueError(f"hypervector must have shape ({e.dim},), "
+    expected = (e.dim,) if single else (rows.shape[0], e.dim)
+    if h.shape != expected:
+        raise ValueError(f"hypervectors must have shape {expected}, "
                          f"got {h.shape}")
-    idx = plan.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= e.dim):
-        raise ValueError("plan indices out of range for this encoder")
-    out = h.copy()
+    idx = _check_plan(e, plan)
+    out = h if inplace else h.copy()
     if idx.size:
-        x = _project(e.bases[idx], arr)
-        out[idx] = np.cos(x + e.phases[idx]) * np.sin(x)
+        # Each block's columns go straight into ``out``: no (N, |idx|)
+        # temporary is built beside it.
+        bases, phases = e.bases[idx], e.phases[idx]
+        encodings = out[None, :] if single else out
+        for block in _blocks(rows.shape[0]):
+            encodings[block, idx] = _encode_block(rows[block], bases, phases)
     return out

@@ -16,6 +16,9 @@ Conventions shared across the package:
 
 from __future__ import annotations
 
+import time
+from typing import Optional, Sequence
+
 import numpy as np
 
 from .encoder import encode_batch
@@ -64,18 +67,41 @@ def cosine_similarity(a: Hypervector, b: Hypervector) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
-def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset,
-                  k: int) -> float:
-    """Fraction of samples whose true label is among the top-k classes."""
+def _check_k(m: ClassModel, k: int) -> None:
+    if not 1 <= k <= m.n_classes:
+        raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
+
+
+def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
+                  ks: Sequence[int] = ()) -> tuple[np.ndarray, float, float]:
+    """Check the query set and every k in ``ks``, then encode and score the
+    set once.  Returns the (N, L) cosine scores, the encode seconds and the
+    score seconds."""
     if len(test) == 0:
         raise ValueError("test dataset must be non-empty")
     if list(test.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
-    if not 1 <= k <= m.n_classes:
-        raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
+    for k in ks:
+        _check_k(m, k)
+    t0 = time.perf_counter()
     encodings = encode_batch(e, test.features)
+    t1 = time.perf_counter()
     scores = model_scores(m.classes, row_norms(m.classes), encodings,
                           row_norms(encodings)[:, None])
+    return scores, t1 - t0, time.perf_counter() - t1
+
+
+def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset, k: int,
+                  scores: Optional[np.ndarray] = None) -> float:
+    """Fraction of samples whose true label is among the top-k classes.
+
+    Pass the scores ``score_queries`` returned for ``test`` to rank several
+    k from one encode of the query set.
+    """
+    if scores is None:
+        scores = score_queries(m, e, test, (k,))[0]
+    else:
+        _check_k(m, k)
     return topk_hits(scores, test.labels, k) / len(test)
 
 

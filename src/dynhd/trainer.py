@@ -222,12 +222,10 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             if plan.indices.size:
                 model.classes[:, plan.indices] = 0.0
                 class_norms = row_norms(model.classes)
-                for i in range(n_train):
-                    train_encs[i] = reencode_dims(enc, train_ds.features[i],
-                                                  train_encs[i], plan)
-                for i in range(len(valid_ds)):
-                    valid_encs[i] = reencode_dims(enc, valid_ds.features[i],
-                                                  valid_encs[i], plan)
+                reencode_dims(enc, train_ds.features, train_encs, plan,
+                              inplace=True)
+                reencode_dims(enc, valid_ds.features, valid_encs, plan,
+                              inplace=True)
                 train_norms = row_norms(train_encs)
                 valid_norms = row_norms(valid_encs)[:, None]
         report.rounds.append(RoundRecord(

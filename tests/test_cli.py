@@ -10,8 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import dynhd.encoder
 from dynhd.cli import main
-from dynhd.data import load_csv
+from dynhd.data import apply_normalizer, load_csv, remap_labels
+from dynhd.inference import topk_accuracy
+from dynhd.model import load_model
 
 
 def run(argv):
@@ -22,6 +25,19 @@ def run(argv):
     records = [json.loads(line) for line in out.getvalue().splitlines()
                if line.strip()]
     return code, records, err.getvalue()
+
+
+def count_encoded_rows(monkeypatch):
+    """Record the row count of every call into the encoder's kernel."""
+    rows = []
+    kernel = dynhd.encoder._encode_block
+
+    def counting(block, *args, **kwargs):
+        rows.append(block.shape[0])
+        return kernel(block, *args, **kwargs)
+
+    monkeypatch.setattr(dynhd.encoder, "_encode_block", counting)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +145,8 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [
         ("shuffle", "false"), ("normalize", 1), ("dim", 16.7),
         ("epochs_per_round", "2"), ("rounds", 1.0), ("patience", True),
-        ("seed", 3.5), ("split_seed", "7"),
+        ("seed", 3.5), ("split_seed", "7"), ("eta", "0.5"),
+        ("regen_rate", "0"), ("valid_fraction", True), ("strategy", 3),
     ])
     def test_wrongly_typed_value_rejected(self, workdir, tmp_path, key,
                                           value):
@@ -172,6 +189,44 @@ class TestEval:
             "top1_accuracy", "top2_accuracy", "top3_accuracy"]
         values = [rec["value"] for rec in records]
         assert values[0] <= values[1] <= values[2]
+
+    def test_record_schema(self, workdir):
+        code, records, _ = run(["eval", "--model", str(workdir["model"]),
+                                "--data", str(workdir["data_csv"]),
+                                "--k", "1,2"])
+        assert code == 0
+        for rec in records:
+            assert set(rec) == {"experiment", "metric", "value", "k",
+                                "n_samples", "D", "seed", "encode_ms",
+                                "score_ms", "wall_ms", "config"}
+        # the query set is encoded and scored once, for every k
+        assert records[0]["encode_ms"] == records[1]["encode_ms"] > 0.0
+        assert records[0]["score_ms"] == records[1]["score_ms"] > 0.0
+
+    def test_each_query_encoded_once_and_equal_to_library(self, workdir,
+                                                          monkeypatch):
+        rows = count_encoded_rows(monkeypatch)
+        code, records, _ = run(["eval", "--model", str(workdir["model"]),
+                                "--data", str(workdir["data_csv"]),
+                                "--k", "1,2,3"])
+        assert code == 0
+        assert sum(rows) == 90  # the query set has 90 rows
+        enc, model, stats = load_model(str(workdir["model"]))
+        ds = apply_normalizer(stats, remap_labels(
+            load_csv(str(workdir["data_csv"])), model.labels))
+        for rec in records:
+            assert rec["value"] == topk_accuracy(model, enc, ds, rec["k"])
+
+    @pytest.mark.parametrize("k_arg", ["0", "99", "1,2,0"])
+    def test_bad_k_rejected_before_encoding(self, workdir, monkeypatch,
+                                            k_arg):
+        rows = count_encoded_rows(monkeypatch)
+        code, records, err = run(["eval", "--model", str(workdir["model"]),
+                                  "--data", str(workdir["data_csv"]),
+                                  "--k", k_arg])
+        assert code == 2
+        assert records == [] and rows == []
+        assert "k must be in [1, 3]" in err
 
     def test_converged_toy_run_is_accurate(self, workdir):
         code, records, _ = run(["eval", "--model", str(workdir["model"]),

@@ -6,10 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from dynhd.encoder import (encode, encode_batch, init_encoder, reencode_dims,
-                           regenerate_dims)
+from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
+                           reencode_dims, regenerate_dims)
 from dynhd.model import EncoderState, RegenPlan, load_model, save_model
 from dynhd.rng import TWO_PI, UniformStream
+
+
+def per_row_encode(e, f):
+    """The per-sample formula the row-block kernel must reproduce."""
+    x = np.einsum("dn,n->d", e.bases, f)
+    return np.cos(x + e.phases) * np.sin(x)
 
 
 def plan_for(e, indices):
@@ -206,3 +212,76 @@ class TestReencodeDims:
         h = np.zeros(8)
         reencode_dims(e, f, h, plan_for(e, [0, 1]))
         np.testing.assert_array_equal(h, np.zeros(8))
+
+
+ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+
+
+class TestRowBlocksAreExact:
+    """Row blocks encode every row bit-for-bit as it encodes alone."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 257, 1001])
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_encode_batch_equals_per_row(self, count, dim):
+        e = init_encoder(17, 5, dim)
+        feats = np.random.Generator(
+            np.random.Philox(key=count)).standard_normal((count, 5)) * 3.0
+        batched = encode_batch(e, feats)
+        for i in range(count):
+            assert np.array_equal(batched[i], encode(e, feats[i]))
+            assert np.array_equal(batched[i], per_row_encode(e, feats[i]))
+
+    @pytest.mark.parametrize("which", ["empty", "some", "all"])
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_inplace_batch_reencode_equals_per_row(self, count, which):
+        dim = 257
+        e = init_encoder(23, 4, dim)
+        feats = np.random.Generator(
+            np.random.Philox(key=count)).standard_normal((count, 4))
+        cache = encode_batch(e, feats)
+        indices = {"empty": [], "some": range(3, dim, 5),
+                   "all": range(dim)}[which]
+        plan = plan_for(e, indices)
+        e2 = regenerate_dims(e, plan)
+        per_row = [reencode_dims(e2, feats[i], cache[i], plan)
+                   for i in range(count)]
+        assert reencode_dims(e2, feats, cache, plan, inplace=True) is cache
+        for i in range(count):
+            assert np.array_equal(cache[i], per_row[i])
+            assert np.array_equal(cache[i], per_row_encode(e2, feats[i]))
+
+    def test_batch_reencode_copy_leaves_input(self):
+        e = init_encoder(3, 2, 9)
+        feats = np.arange(10.0).reshape(5, 2)
+        cache = encode_batch(e, feats)
+        before = cache.copy()
+        plan = plan_for(e, [0, 4])
+        e2 = regenerate_dims(e, plan)
+        out = reencode_dims(e2, feats, cache, plan)
+        assert np.array_equal(cache, before)
+        assert np.array_equal(out, encode_batch(e2, feats))
+
+    def test_inplace_needs_float64_array(self):
+        e = init_encoder(3, 2, 8)
+        with pytest.raises(ValueError, match="float64"):
+            reencode_dims(e, np.ones(2), [0.0] * 8, plan_for(e, [1]),
+                          inplace=True)
+
+    def test_batch_shape_mismatch_rejected(self):
+        e = init_encoder(3, 2, 8)
+        with pytest.raises(ValueError, match="shape"):
+            reencode_dims(e, np.ones((3, 2)), np.zeros((2, 8)),
+                          plan_for(e, [1]))
+
+    @pytest.mark.parametrize("bad", [0, BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
+    def test_non_finite_row_named_in_any_block(self, bad):
+        e = init_encoder(2, 3, 16)
+        feats = np.ones((3 * BLOCK_ROWS, 3))
+        feats[bad, 1] = np.nan
+        feats[-1, 0] = np.inf  # only the first bad row is named
+        msg = f"sample {bad}: feature vector contains non-finite entries"
+        with pytest.raises(ValueError, match=msg):
+            encode_batch(e, feats)
+        with pytest.raises(ValueError, match=msg):
+            reencode_dims(e, feats, np.zeros((3 * BLOCK_ROWS, 16)),
+                          plan_for(e, [0]), inplace=True)

@@ -5,8 +5,8 @@ import pytest
 
 from dynhd.encoder import encode, init_encoder
 from dynhd.inference import (cosine_similarity, model_scores, perturb_model,
-                             ranked_classes, row_norms, topk_accuracy,
-                             topk_hits, vec_norm)
+                             ranked_classes, row_norms, score_queries,
+                             topk_accuracy, topk_hits, vec_norm)
 from dynhd.model import ClassModel, Dataset
 
 
@@ -113,6 +113,11 @@ class TestPredictTopk:
         data = Dataset(np.zeros((1, 2)), np.array([0]), ["c0", "c1"])
         with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
             topk_accuracy(m, e, data, k)
+        scores = score_queries(m, e, data)[0]
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
+            topk_accuracy(m, e, data, k, scores=scores)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
+            score_queries(m, e, data, (1, k))
 
 
 class TestBatchedScoringIsExact:
@@ -192,6 +197,17 @@ class TestTopkAccuracy:
         shuffled = Dataset(self.data.features, np.array([1, 0, 0, 1]),
                            ["a", "b"])
         assert topk_accuracy(self.model, self.enc, shuffled, 2) == 1.0
+
+    def test_shared_scores_equal_one_encode_per_k(self):
+        wrong = Dataset(self.data.features, np.array([0, 1, 1, 1]),
+                        ["a", "b"])
+        scores, encode_s, score_s = score_queries(self.model, self.enc,
+                                                  wrong, (1, 2))
+        assert scores.shape == (4, 2) and encode_s >= 0.0 and score_s >= 0.0
+        for k in (1, 2):
+            assert (topk_accuracy(self.model, self.enc, wrong, k,
+                                  scores=scores)
+                    == topk_accuracy(self.model, self.enc, wrong, k))
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.empty((0, 2)), np.array([], dtype=np.int64),

@@ -1,9 +1,10 @@
 """Randomized invariant suite.
 
-Six families, each run over at least 200 generated cases: monotone top-k
+Seven families, each run over at least 200 generated cases: monotone top-k
 accuracy, scale-invariant rankings, bounded encodings, class-scale-invariant
-detector scores, the regeneration zero/coherence rules, and strict
-rejection of non-finite training hyperparameters.
+detector scores, the regeneration zero/coherence rules, batched in-place
+re-encoding equal to a fresh encode, and strict rejection of non-finite
+training hyperparameters.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynhd.analysis import domain_variance, misleading_scores
-from dynhd.encoder import encode, init_encoder, reencode_dims, regenerate_dims
+from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
+                           reencode_dims, regenerate_dims)
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy, vec_norm)
 from dynhd.model import ClassModel, Dataset, RegenPlan
@@ -166,6 +168,25 @@ def test_regeneration_zeroing_and_cache_coherence(seed, dim, n, n_classes,
     assert np.all(zeroed[:, indices] == 0.0)
     np.testing.assert_array_equal(zeroed[:, untouched],
                                   classes[:, untouched])
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n=feature_counts, count_seed=seeds,
+       n_samples=st.integers(1, 3 * BLOCK_ROWS + 5))
+def test_batched_reencode_equals_fresh_encode_batch(seed, dim, n, count_seed,
+                                                    n_samples):
+    rng = make_rng(seed)
+    pick = make_rng(count_seed)
+    count = int(pick.integers(0, dim + 1))
+    indices = np.sort(pick.choice(dim, size=count, replace=False))
+    plan = RegenPlan(indices, np.zeros(dim), "insignificant", count / dim)
+
+    e = init_encoder(seed, n, dim)
+    feats = rng.standard_normal((n_samples, n))
+    cache = encode_batch(e, feats)
+    e2 = regenerate_dims(e, plan)
+    assert reencode_dims(e2, feats, cache, plan, inplace=True) is cache
+    np.testing.assert_array_equal(cache, encode_batch(e2, feats))
 
 
 @COMMON
