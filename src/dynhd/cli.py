@@ -1,9 +1,11 @@
 """Command-line interface and experiment drivers.
 
 Every subcommand takes its settings from an optional JSON config file
-(--config) overlaid with command-line flags; flags win.  The fully
-materialized settings, defaults included, are echoed into each emitted
-record, so any record can be reproduced by feeding its config echo back.
+(--config) overlaid with command-line flags; flags win.  SETTINGS declares
+each command's settings once: their defaults, their flags and the JSON kind
+every value is checked against.  The fully materialized settings, defaults
+included, are echoed into each emitted record, so any record can be
+reproduced by feeding its config echo back.
 Machine output is JSON-lines on stdout; diagnostics go to stderr.
 
 Exit codes: 0 ok, 2 config or validation error, 3 I/O error, 4 numeric
@@ -13,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -30,7 +33,7 @@ from .encoder import encode_batch, init_encoder
 from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
 from .model import (REGEN_STRATEGIES, ClassModel, Dataset, atomic_write_text,
-                    load_model, save_model, validate_dataset)
+                    check_json_kind, load_model, save_model, validate_dataset)
 from .trainer import TrainConfig, domain_models, train
 
 EXIT_OK = 0
@@ -74,20 +77,81 @@ def _read_config(path: Optional[str]) -> dict:
     return doc
 
 
-def _materialize(command: str, schema: dict, required: Sequence[str],
-                 config: dict, overrides: dict) -> dict:
-    """Merge defaults <- config file <- flags, rejecting unknown keys and
-    checking that required settings ended up present."""
-    unknown = sorted(set(config) - set(schema))
+REQUIRED = object()  # the default of a setting that must be given
+
+
+def _dataclass_settings(cls, **defaults) -> dict:
+    """The settings table of a dataclass's fields.  A field without a default
+    is REQUIRED unless ``defaults`` names it.  Field types are the annotation
+    strings that postponed annotations leave."""
+    kinds = {"bool": "boolean", "int": "integer", "float": "number",
+             "str": "string"}
+    table = {}
+    for f in dataclasses.fields(cls):
+        default = REQUIRED if f.default is dataclasses.MISSING else f.default
+        table[f.name] = (defaults.get(f.name, default), kinds[f.type])
+    return table
+
+
+def _construct(cls, merged: dict):
+    return cls(**{f.name: merged[f.name] for f in dataclasses.fields(cls)})
+
+
+# The columns of a CSV dataset; see data.load_csv.
+COLUMN_SETTINGS = {"label_column": ("label", "string"),
+                   "domain_column": (None, "string")}
+DATA_CSV_SETTINGS = {"csv": (REQUIRED, "string"), **COLUMN_SETTINGS}
+SYNTHETIC_SETTINGS = _dataclass_settings(SyntheticSpec, domains=1)
+QUERY_SETTINGS = {"model": (REQUIRED, "string"), "data": (REQUIRED, "string"),
+                  **COLUMN_SETTINGS}
+
+# Each command's settings table maps each config key, in echo order, to
+# (default, JSON kind), with the kinds of model.check_json_kind.  It gives
+# the command its defaults, its flags and its type checks.  Only a setting
+# whose default is None may be null.
+SETTINGS = {
+    "train": {**_dataclass_settings(TrainConfig),
+              "normalize": (False, "boolean"),
+              "valid_fraction": (0.2, "number"),
+              "split_seed": (None, "integer"), "data": (REQUIRED, "object"),
+              "out": ("model.json", "string")},
+    "eval": {**QUERY_SETTINGS, "k_list": ([1], "integer array")},
+    "analyze": {"model": (REQUIRED, "string"),
+                "strategy": (REQUIRED, "string"),
+                "rate": (REQUIRED, "number"), "data": (None, "string"),
+                **COLUMN_SETTINGS},
+    "dropsweep": {**QUERY_SETTINGS,
+                  "fractions": ([0.0, 0.25, 0.5, 0.75, 1.0], "number array"),
+                  "order": ("both", "string")},
+    "noisesweep": {**QUERY_SETTINGS,
+                   "q_list": ([0.0, 0.05, 0.1, 0.2], "number array"),
+                   "magnitude": (1.0, "number"), "seed": (0, "integer")},
+    "bench": {"n": (16, "integer"), "dim": (2048, "integer"),
+              "batch": (1000, "integer"), "classes": (16, "integer"),
+              "reps": (3, "integer"), "seed": (0, "integer")},
+    "synth": {**SYNTHETIC_SETTINGS, "out": (REQUIRED, "string")},
+}
+
+
+def _materialize(command: str, settings: dict, config: dict, args=None,
+                 prefix: str = "") -> dict:
+    """Merge defaults <- config file <- flags, rejecting unknown keys,
+    checking that required settings ended up present, and checking each
+    value's JSON kind.  Errors name keys as ``prefix + key``."""
+    unknown = sorted(prefix + k for k in set(config) - set(settings))
     if unknown:
         raise ValueError(f"{command}: unknown config key(s) {unknown}; "
-                         f"expected a subset of {sorted(schema)}")
-    merged = dict(schema)
+                         f"expected a subset of {sorted(settings)}")
+    merged = {key: default for key, (default, _) in settings.items()}
     merged.update(config)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [k for k in required if merged[k] is None]
+    merged.update({key: getattr(args, key) for key in settings
+                   if getattr(args, key, None) is not None})
+    missing = [prefix + k for k, v in merged.items() if v is REQUIRED]
     if missing:
         raise ValueError(f"{command}: missing required setting(s) {missing}")
+    for key, (default, kind) in settings.items():
+        if merged[key] is not None or default is not None:
+            check_json_kind(f"{command}: {prefix}{key}", merged[key], kind)
     return merged
 
 
@@ -122,71 +186,27 @@ def _load_eval_data(cfg: dict, model: ClassModel,
 # train
 
 
-TRAIN_SCHEMA = {
-    "dim": None, "eta": 0.05, "epochs_per_round": 1, "rounds": 0,
-    "regen_rate": 0.0, "strategy": "none", "patience": 0, "seed": 0,
-    "shuffle": False, "normalize": False, "valid_fraction": 0.2,
-    "split_seed": None, "data": None, "out": "model.json",
-}
-
-# JSON types the train settings must have, checked by exact Python type,
-# so a JSON boolean is neither an integer nor a number.
-JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float),
-              "string": (str,)}
-TRAIN_TYPES = {"shuffle": "boolean", "normalize": "boolean",
-               "strategy": "string",
-               **dict.fromkeys(("dim", "epochs_per_round", "rounds",
-                                "patience", "seed", "split_seed"), "integer"),
-               **dict.fromkeys(("eta", "regen_rate", "valid_fraction"),
-                               "number")}
-
-DATA_CSV_SCHEMA = {"csv": None, "label_column": "label",
-                   "domain_column": None}
-
-DATA_SYNTH_SCHEMA = {
-    "n": None, "classes": None, "domains": 1,
-    "samples_per_class_per_domain": None, "separation": 4.0,
-    "intra_std": 1.0, "domain_offset_std": 0.0, "seed": 0,
-}
-
-
 def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
     """Resolve the train config's data object into a Dataset plus its fully
     materialized echo."""
-    if not isinstance(data_cfg, dict):
-        raise ValueError("data must be a JSON object")
     if ("csv" in data_cfg) == ("synthetic" in data_cfg):
         raise ValueError("data must hold exactly one of 'csv' or 'synthetic'")
     if "csv" in data_cfg:
-        sub = _materialize("data", DATA_CSV_SCHEMA, ("csv",), data_cfg, {})
+        sub = _materialize("train", DATA_CSV_SETTINGS, data_cfg,
+                           prefix="data.")
         ds = load_csv(sub["csv"], sub["label_column"], sub["domain_column"])
         return _check_dataset(ds, sub["csv"]), sub
-    synth = data_cfg["synthetic"]
-    if not isinstance(synth, dict):
-        raise ValueError("data.synthetic must be a JSON object")
-    sub = _materialize("data.synthetic", DATA_SYNTH_SCHEMA,
-                       ("n", "classes", "samples_per_class_per_domain"),
-                       synth, {})
-    spec = SyntheticSpec(
-        n=int(sub["n"]), classes=int(sub["classes"]),
-        domains=int(sub["domains"]),
-        samples_per_class_per_domain=int(sub["samples_per_class_per_domain"]),
-        separation=float(sub["separation"]),
-        intra_std=float(sub["intra_std"]),
-        domain_offset_std=float(sub["domain_offset_std"]),
-        seed=int(sub["seed"]))
-    return _check_dataset(make_blobs(spec), "synthetic"), {"synthetic": sub}
+    check_json_kind("train: data.synthetic", data_cfg["synthetic"], "object")
+    sub = _materialize("train", SYNTHETIC_SETTINGS, data_cfg["synthetic"],
+                       prefix="data.synthetic.")
+    ds = make_blobs(_construct(SyntheticSpec, sub))
+    return _check_dataset(ds, "synthetic"), {"synthetic": sub}
 
 
-def cmd_train(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("train", TRAIN_SCHEMA, ("dim", "data"), config,
-                          {"seed": args.seed, "out": args.out})
+def cmd_train(merged: dict, emitter: Emitter) -> int:
+    """train a model from a JSON config"""
     if merged["split_seed"] is None:
         merged["split_seed"] = merged["seed"]
-    for key, kind in TRAIN_TYPES.items():
-        if type(merged[key]) not in JSON_TYPES[kind]:
-            raise ValueError(f"train: {key} must be a JSON {kind}, "
-                             f"got {merged[key]!r}")
     ds, merged["data"] = _load_train_data(merged["data"])
 
     vf = merged["valid_fraction"]
@@ -202,12 +222,7 @@ def cmd_train(args, config: dict, emitter: Emitter) -> int:
         train_ds = apply_normalizer(stats, train_ds)
         valid_ds = apply_normalizer(stats, valid_ds)
 
-    cfg = TrainConfig(
-        dim=merged["dim"], eta=merged["eta"],
-        epochs_per_round=merged["epochs_per_round"], rounds=merged["rounds"],
-        regen_rate=merged["regen_rate"],
-        strategy=merged["strategy"], patience=merged["patience"],
-        seed=merged["seed"], shuffle=merged["shuffle"])
+    cfg = _construct(TrainConfig, merged)
     cfg.validate()
 
     emitter.record({"type": "config", "command": "train", "config": merged})
@@ -227,19 +242,11 @@ def cmd_train(args, config: dict, emitter: Emitter) -> int:
 # eval
 
 
-EVAL_SCHEMA = {"model": None, "data": None, "label_column": "label",
-               "domain_column": None, "k_list": [1]}
-
-
-def cmd_eval(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("eval", EVAL_SCHEMA, ("model", "data"), config,
-                          {"model": args.model, "data": args.data,
-                           "label_column": args.label_column,
-                           "domain_column": args.domain_column,
-                           "k_list": args.k})
+def cmd_eval(merged: dict, emitter: Emitter) -> int:
+    """top-k accuracy of a model on a CSV"""
     enc, model, stats = load_model(merged["model"])
     ds = _load_eval_data(merged, model, stats)
-    k_list = [int(k) for k in merged["k_list"]]
+    k_list = merged["k_list"]
     if not k_list:
         raise ValueError("k_list must be non-empty")
     # The query set is encoded and scored once; each k only ranks and
@@ -262,20 +269,9 @@ def cmd_eval(args, config: dict, emitter: Emitter) -> int:
 # analyze
 
 
-ANALYZE_SCHEMA = {"model": None, "strategy": None, "rate": None,
-                  "data": None, "label_column": "label",
-                  "domain_column": None}
-
-
-def cmd_analyze(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("analyze", ANALYZE_SCHEMA,
-                          ("model", "strategy", "rate"), config,
-                          {"model": args.model, "strategy": args.strategy,
-                           "rate": args.rate, "data": args.data,
-                           "label_column": args.label_column,
-                           "domain_column": args.domain_column})
-    strategy = merged["strategy"]
-    rate = float(merged["rate"])
+def cmd_analyze(merged: dict, emitter: Emitter) -> int:
+    """score dimensions and list the regeneration candidates"""
+    strategy, rate = merged["strategy"], merged["rate"]
     if strategy not in REGEN_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                          f"{REGEN_STRATEGIES}")
@@ -314,22 +310,11 @@ def cmd_analyze(args, config: dict, emitter: Emitter) -> int:
 # dropsweep
 
 
-DROP_SCHEMA = {"model": None, "data": None, "label_column": "label",
-               "domain_column": None,
-               "fractions": [0.0, 0.25, 0.5, 0.75, 1.0], "order": "both"}
-
-
-def cmd_dropsweep(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("dropsweep", DROP_SCHEMA, ("model", "data"),
-                          config,
-                          {"model": args.model, "data": args.data,
-                           "label_column": args.label_column,
-                           "domain_column": args.domain_column,
-                           "fractions": args.fractions,
-                           "order": args.order})
+def cmd_dropsweep(merged: dict, emitter: Emitter) -> int:
+    """accuracy after zeroing dimension fractions by variance order"""
     if merged["order"] not in DROP_ORDERS:
         raise ValueError(f"order must be one of {DROP_ORDERS}")
-    fractions = [float(f) for f in merged["fractions"]]
+    fractions = merged["fractions"]
     if any(not 0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in [0, 1]")
     orders = (["lowest", "highest"] if merged["order"] == "both"
@@ -370,22 +355,10 @@ def cmd_dropsweep(args, config: dict, emitter: Emitter) -> int:
 # noisesweep
 
 
-NOISE_SCHEMA = {"model": None, "data": None, "label_column": "label",
-                "domain_column": None, "q_list": [0.0, 0.05, 0.1, 0.2],
-                "magnitude": 1.0, "seed": 0}
-
-
-def cmd_noisesweep(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("noisesweep", NOISE_SCHEMA, ("model", "data"),
-                          config,
-                          {"model": args.model, "data": args.data,
-                           "label_column": args.label_column,
-                           "domain_column": args.domain_column,
-                           "q_list": args.q, "magnitude": args.magnitude,
-                           "seed": args.seed})
-    q_list = [float(q) for q in merged["q_list"]]
-    magnitude = float(merged["magnitude"])
-    base_seed = int(merged["seed"])
+def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
+    """accuracy after seeded noise on model entries"""
+    q_list, magnitude = merged["q_list"], merged["magnitude"]
+    base_seed = merged["seed"]
 
     enc, model, stats = load_model(merged["model"])
     ds = _load_eval_data(merged, model, stats)
@@ -411,18 +384,10 @@ def cmd_noisesweep(args, config: dict, emitter: Emitter) -> int:
 # bench
 
 
-BENCH_SCHEMA = {"n": 16, "dim": 2048, "batch": 1000, "classes": 16,
-                "reps": 3, "seed": 0}
-
-
-def cmd_bench(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize("bench", BENCH_SCHEMA, (), config,
-                          {"n": args.n, "dim": args.dim,
-                           "batch": args.batch, "classes": args.classes,
-                           "reps": args.reps, "seed": args.seed})
-    n, dim = int(merged["n"]), int(merged["dim"])
-    batch, n_classes = int(merged["batch"]), int(merged["classes"])
-    reps, seed = int(merged["reps"]), int(merged["seed"])
+def cmd_bench(merged: dict, emitter: Emitter) -> int:
+    """encode and scoring throughput"""
+    n, dim, batch = merged["n"], merged["dim"], merged["batch"]
+    n_classes, reps, seed = merged["classes"], merged["reps"], merged["seed"]
     if min(n, dim, batch, n_classes) < 1:
         raise ValueError("n, dim, batch, and classes must be positive")
     if reps < 3:
@@ -464,27 +429,9 @@ def cmd_bench(args, config: dict, emitter: Emitter) -> int:
 # synth
 
 
-SYNTH_SCHEMA = dict(DATA_SYNTH_SCHEMA, out=None)
-
-
-def cmd_synth(args, config: dict, emitter: Emitter) -> int:
-    merged = _materialize(
-        "synth", SYNTH_SCHEMA,
-        ("n", "classes", "samples_per_class_per_domain", "out"), config,
-        {"n": args.n, "classes": args.classes, "domains": args.domains,
-         "samples_per_class_per_domain": args.samples,
-         "separation": args.separation, "intra_std": args.intra_std,
-         "domain_offset_std": args.domain_offset_std, "seed": args.seed,
-         "out": args.out})
-    spec = SyntheticSpec(
-        n=int(merged["n"]), classes=int(merged["classes"]),
-        domains=int(merged["domains"]),
-        samples_per_class_per_domain=int(
-            merged["samples_per_class_per_domain"]),
-        separation=float(merged["separation"]),
-        intra_std=float(merged["intra_std"]),
-        domain_offset_std=float(merged["domain_offset_std"]),
-        seed=int(merged["seed"]))
+def cmd_synth(merged: dict, emitter: Emitter) -> int:
+    """emit a synthetic blob dataset as CSV"""
+    spec = _construct(SyntheticSpec, merged)
     ds = make_blobs(spec)
     if spec.domains == 1:
         # a constant domain column would force --domain-column downstream
@@ -502,83 +449,6 @@ def cmd_synth(args, config: dict, emitter: Emitter) -> int:
 # wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dynhd",
-        description="Hyperdimensional classifier with dynamic encoder "
-                    "dimension regeneration")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub, seed=True):
-        sub.add_argument("--config", help="JSON config file")
-        sub.add_argument("--out", help="output path")
-        sub.add_argument("--quiet", action="store_true",
-                         help="suppress stderr diagnostics")
-        if seed:
-            sub.add_argument("--seed", type=int)
-
-    def data_flags(sub):
-        sub.add_argument("--model", help="model JSON file")
-        sub.add_argument("--data", help="CSV dataset")
-        sub.add_argument("--label-column", dest="label_column")
-        sub.add_argument("--domain-column", dest="domain_column")
-
-    p = subs.add_parser("train", help="train a model from a JSON config")
-    common(p)
-
-    p = subs.add_parser("eval", help="top-k accuracy of a model on a CSV")
-    common(p, seed=False)
-    data_flags(p)
-    p.add_argument("--k", type=_ints_arg, help="comma-separated k values")
-
-    p = subs.add_parser("analyze",
-                        help="score dimensions and list the regeneration "
-                             "candidates")
-    common(p, seed=False)
-    data_flags(p)
-    p.add_argument("--strategy", choices=REGEN_STRATEGIES)
-    p.add_argument("--rate", type=float,
-                   help="fraction of dimensions to select")
-
-    p = subs.add_parser("dropsweep",
-                        help="accuracy after zeroing dimension fractions by "
-                             "variance order")
-    common(p, seed=False)
-    data_flags(p)
-    p.add_argument("--fractions", type=_floats_arg,
-                   help="comma-separated fractions in [0, 1]")
-    p.add_argument("--order", choices=DROP_ORDERS)
-
-    p = subs.add_parser("noisesweep",
-                        help="accuracy after seeded noise on model entries")
-    common(p)
-    data_flags(p)
-    p.add_argument("--q", type=_floats_arg,
-                   help="comma-separated fractions of entries to perturb")
-    p.add_argument("--magnitude", type=float)
-
-    p = subs.add_parser("bench", help="encode and scoring throughput")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--reps", type=int)
-
-    p = subs.add_parser("synth", help="emit a synthetic blob dataset as CSV")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--domains", type=int)
-    p.add_argument("--samples", type=int,
-                   help="samples per class per domain")
-    p.add_argument("--separation", type=float)
-    p.add_argument("--intra-std", dest="intra_std", type=float)
-    p.add_argument("--domain-offset-std", dest="domain_offset_std",
-                   type=float)
-    return parser
-
-
 COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
@@ -589,17 +459,49 @@ COMMANDS = {
     "synth": cmd_synth,
 }
 
+# Flags are --<key> with dashes, except these; train takes its other
+# settings only from its config file.
+FLAG_NAMES = {"k_list": "--k", "q_list": "--q",
+              "samples_per_class_per_domain": "--samples"}
+TRAIN_FLAGS = ("seed", "out")
+FLAG_TYPES = {"integer": int, "number": float, "string": str,
+              "integer array": _ints_arg, "number array": _floats_arg}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dynhd",
+        description="Hyperdimensional classifier with dynamic encoder "
+                    "dimension regeneration")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, fn in COMMANDS.items():  # a docstring is its command's help
+        sub = subs.add_parser(command, help=fn.__doc__)
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--quiet", action="store_true",
+                         help="suppress stderr diagnostics")
+        settings = SETTINGS[command]
+        if "out" not in settings:
+            sub.add_argument("--out", help="also write the records here")
+        for key in TRAIN_FLAGS if command == "train" else settings:
+            kind = settings[key][1]
+            array = ", comma-separated" * kind.endswith(" array")
+            sub.add_argument(FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+                             dest=key, type=FLAG_TYPES[kind],
+                             help=f"sets {key}, a JSON {kind}{array}")
+    return parser
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # train and synth use --out for their primary artifact; the other
     # commands use it to mirror their stdout records to a file.
-    mirror = args.out if args.command not in ("train", "synth") else None
+    mirror = None if "out" in SETTINGS[args.command] else args.out
     emitter = Emitter(args.quiet, mirror)
     try:
-        config = _read_config(args.config)
-        code = COMMANDS[args.command](args, config, emitter)
+        merged = _materialize(args.command, SETTINGS[args.command],
+                              _read_config(args.config), args)
+        code = COMMANDS[args.command](merged, emitter)
         emitter.close()
         return code
     except (ValueError, TypeError, KeyError) as exc:

@@ -10,19 +10,16 @@ same strings resolve to the same ids downstream.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Dataset, as_float_matrix, atomic_write_text
+from .model import Dataset, atomic_write_text
 from .rng import check_seed
 
 STD_FLOOR = 1e-12
-
-DATASET_FILE_VERSION = 1
 
 
 @dataclass
@@ -221,36 +218,6 @@ def write_csv(path: str, d: Dataset) -> None:
             cells.append(d.domain_names[int(d.domains[i])])
         lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def save_dataset(path: str, d: Dataset) -> None:
-    """Cache a Dataset as one JSON document (floats round-trip exactly)."""
-    doc = {
-        "version": DATASET_FILE_VERSION,
-        "n": d.n,
-        "label_names": list(d.label_names),
-        "labels": d.labels.tolist(),
-        "features": [[float(v) for v in row] for row in d.features],
-    }
-    if d.domains is not None:
-        doc["domain_names"] = list(d.domain_names)
-        doc["domains"] = d.domains.tolist()
-    atomic_write_text(path, json.dumps(doc) + "\n")
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != DATASET_FILE_VERSION:
-        raise ValueError(f"{path}: unsupported dataset file version "
-                         f"{doc.get('version')!r}")
-    features = as_float_matrix(doc["features"], "features")
-    if features.size and features.shape[1] != doc["n"]:
-        raise ValueError(f"{path}: feature width does not match n")
-    if "domains" in doc:
-        return Dataset(features, doc["labels"], doc["label_names"],
-                       doc["domains"], doc["domain_names"])
-    return Dataset(features, doc["labels"], doc["label_names"])
 
 
 def split(d: Dataset, fractions: Sequence[float], seed: int) -> tuple:

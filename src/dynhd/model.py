@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +33,25 @@ def as_float_matrix(values, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+# JSON value kinds, checked by exact Python type, so a JSON boolean is
+# neither an integer nor a number.
+JSON_KINDS = {"boolean": (bool,), "integer": (int,), "number": (int, float),
+              "string": (str,), "object": (dict,)}
+
+
+def check_json_kind(name: str, value, kind: str) -> None:
+    """Raise ValueError unless value is of the JSON kind: a JSON_KINDS key,
+    or "<key> array" for a list of that kind."""
+    if kind.endswith(" array"):
+        item_types = JSON_KINDS[kind.removesuffix(" array")]
+        ok = (type(value) is list
+              and all(type(v) in item_types for v in value))
+    else:
+        ok = type(value) in JSON_KINDS[kind]
+    if not ok:
+        raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
 
 
 @dataclass
@@ -137,12 +156,6 @@ class RegenPlan:
                 raise ValueError("plan indices must be strictly increasing")
 
 
-class LabeledSample(NamedTuple):
-    features: np.ndarray
-    label: int
-    domain: Optional[int]
-
-
 @dataclass
 class Dataset:
     """Columnar sample store: (N, n) features, dense label ids, optional
@@ -170,10 +183,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.label_names)
-
-    def sample(self, i: int) -> LabeledSample:
-        dom = None if self.domains is None else int(self.domains[i])
-        return LabeledSample(self.features[i], int(self.labels[i]), dom)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -269,14 +278,17 @@ def load_model(path: str):
         doc = json.load(fh)
     try:
         version = doc["version"]
+        check_json_kind("version", version, "integer")
         if version != MODEL_FILE_VERSION:
             raise ValueError(f"unsupported model file version {version}")
-        n, dim = int(doc["n"]), int(doc["D"])
+        for key in ("n", "D", "seed", "draw_counter"):
+            check_json_kind(key, doc[key], "integer")
+        check_json_kind("labels", doc["labels"], "string array")
+        n, dim, labels = doc["n"], doc["D"], doc["labels"]
         bases = np.asarray(doc["bases"], dtype=np.float64).reshape(dim, n)
         phases = np.asarray(doc["phases"], dtype=np.float64)
-        encoder = EncoderState(bases, phases, int(doc["seed"]),
-                               int(doc["draw_counter"]))
-        labels = [str(x) for x in doc["labels"]]
+        encoder = EncoderState(bases, phases, doc["seed"],
+                               doc["draw_counter"])
         classes = np.asarray(doc["classes"],
                              dtype=np.float64).reshape(len(labels), dim)
         model = ClassModel(classes, labels)

@@ -1,6 +1,7 @@
 """CLI behavior: config overlay and echo, record schemas, exit codes, and
 the cross-command consistency contracts (dropsweep/noisesweep baselines)."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -10,8 +11,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import dynhd.cli
 import dynhd.encoder
-from dynhd.cli import main
+from dynhd.cli import _build_parser, main
 from dynhd.data import apply_normalizer, load_csv, remap_labels
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
@@ -147,14 +149,23 @@ class TestTrain:
         ("epochs_per_round", "2"), ("rounds", 1.0), ("patience", True),
         ("seed", 3.5), ("split_seed", "7"), ("eta", "0.5"),
         ("regen_rate", "0"), ("valid_fraction", True), ("strategy", 3),
+        ("data", 5), ("data.csv", 5), ("data.domain_column", 1),
+        ("data.synthetic", 4), ("data.synthetic.n", 3.7),
+        ("data.synthetic.seed", None),
     ])
     def test_wrongly_typed_value_rejected(self, workdir, tmp_path, key,
                                           value):
+        doc = {"dim": 64, "data": {"csv": str(workdir["data_csv"])}}
+        if key.startswith("data.synthetic"):
+            doc["data"] = {"synthetic": {
+                "n": 4, "classes": 2, "samples_per_class_per_domain": 10}}
+        *parents, leaf = key.split(".")  # a dotted key sets a nested value
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
         config = tmp_path / "typed.json"
-        config.write_text(json.dumps({
-            "dim": 64, "data": {"csv": str(workdir["data_csv"])},
-            key: value,
-        }))
+        config.write_text(json.dumps(doc))
         out = tmp_path / "never.json"
         code, records, err = run(["train", "--config", str(config),
                                   "--out", str(out)])
@@ -488,6 +499,70 @@ class TestSynth:
         assert code == 2
 
 
+class TestTypedSettings:
+    """Every command checks the JSON kind of every setting before it reads
+    a model or writes an output."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "k_list", "12"), ("eval", "k_list", [1.9, True]),
+        ("eval", "model", 0), ("eval", "data", None),
+        ("eval", "label_column", 1),
+        ("analyze", "rate", "0.25"), ("analyze", "strategy", 2),
+        ("dropsweep", "fractions", "01"), ("dropsweep", "order", ["both"]),
+        ("noisesweep", "seed", 3.5), ("noisesweep", "magnitude", "1"),
+        ("noisesweep", "q_list", [0.1, None]),
+        ("bench", "reps", 3.9), ("bench", "seed", True),
+        ("synth", "n", 3.7), ("synth", "separation", "4"),
+    ])
+    def test_wrongly_typed_value_rejected(self, workdir, tmp_path,
+                                          monkeypatch, command, key, value):
+        def never(path):
+            raise AssertionError(f"{command} read the model {path!r}")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        out = tmp_path / "never.csv"
+        doc = {
+            "bench": {"n": 2, "dim": 16, "batch": 5, "classes": 2},
+            "synth": {"n": 3, "classes": 2, "samples_per_class_per_domain": 5,
+                      "out": str(out)},
+            "analyze": {"model": str(workdir["model"]),
+                        "strategy": "insignificant", "rate": 0.25},
+        }.get(command, {"model": str(workdir["model"]),
+                        "data": str(workdir["data_csv"])})
+        doc[key] = value
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(doc))
+        code, records, err = run([command, "--config", str(config)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert f"{command}: {key} must be a JSON " in err
+
+
+class TestFlags:
+    def test_each_command_has_its_flags(self):
+        common = {"-h", "--help", "--config", "--quiet", "--out"}
+        scored = common | {"--model", "--data", "--label-column",
+                           "--domain-column"}
+        expected = {
+            "train": common | {"--seed"},
+            "eval": scored | {"--k"},
+            "analyze": scored | {"--strategy", "--rate"},
+            "dropsweep": scored | {"--fractions", "--order"},
+            "noisesweep": scored | {"--q", "--magnitude", "--seed"},
+            "bench": common | {"--n", "--dim", "--batch", "--classes",
+                               "--reps", "--seed"},
+            "synth": common | {"--n", "--classes", "--domains", "--samples",
+                               "--separation", "--intra-std",
+                               "--domain-offset-std", "--seed"},
+        }
+        subs = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        flags = {command: {flag for action in sub._actions
+                           for flag in action.option_strings}
+                 for command, sub in subs.choices.items()}
+        assert flags == expected
+
+
 class TestQuietFlag:
     def test_quiet_silences_diagnostics(self, workdir, tmp_path):
         out = tmp_path / "q.csv"
@@ -513,3 +588,12 @@ class TestConsoleEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "train" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze",
+                                         "dropsweep", "noisesweep", "bench",
+                                         "synth"])
+    def test_command_help_exits_zero(self, command):
+        proc = subprocess.run([sys.executable, "-m", "dynhd", command,
+                               "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert f"usage: dynhd {command}" in proc.stdout

@@ -1,12 +1,11 @@
-"""CSV ingestion, normalization, synthetic blobs, splits, and caching."""
+"""CSV ingestion and round trip, normalization, synthetic blobs, and splits."""
 
 import numpy as np
 import pytest
 
 from dynhd.data import (NormalizationStats, SyntheticSpec, apply_normalizer,
                         fit_normalizer, leave_one_domain_out, load_csv,
-                        load_dataset, make_blobs, remap_labels, save_dataset,
-                        split, write_csv)
+                        make_blobs, remap_labels, split, write_csv)
 from dynhd.model import Dataset
 
 
@@ -325,33 +324,6 @@ class TestLeaveOneDomainOut:
 
 
 class TestDatasetCache:
-    def test_json_round_trip_exact(self, tmp_path):
-        d = make_blobs(SyntheticSpec(n=3, classes=2, domains=2,
-                                     samples_per_class_per_domain=4,
-                                     domain_offset_std=0.3, seed=12))
-        path = tmp_path / "cache.json"
-        save_dataset(str(path), d)
-        back = load_dataset(str(path))
-        np.testing.assert_array_equal(back.features, d.features)
-        np.testing.assert_array_equal(back.labels, d.labels)
-        np.testing.assert_array_equal(back.domains, d.domains)
-        assert back.label_names == d.label_names
-        assert back.domain_names == d.domain_names
-
-    def test_no_domain_round_trip(self, tmp_path):
-        d = Dataset(np.array([[1.5, -0.25]]), np.array([0]), ["only"])
-        path = tmp_path / "plain.json"
-        save_dataset(str(path), d)
-        back = load_dataset(str(path))
-        assert back.domains is None
-        np.testing.assert_array_equal(back.features, d.features)
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ValueError, match="version"):
-            load_dataset(str(path))
-
     def test_load_write_load_csv_round_trip(self, tmp_path):
         d = make_blobs(SyntheticSpec(n=4, classes=3, domains=1,
                                      samples_per_class_per_domain=6,

@@ -131,12 +131,6 @@ class TestDataset:
         assert s.domains.tolist() == [0, 0]
         assert s.label_names == d.label_names
 
-    def test_sample_accessor(self):
-        d = small_dataset()
-        s = d.sample(1)
-        assert s.label == 1 and s.domain is None
-        np.testing.assert_array_equal(s.features, [1.0, 0.0])
-
 
 class TestModelFile:
     def roundtrip(self, tmp_path, normalizer=None):
@@ -206,6 +200,22 @@ class TestModelFile:
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value).startswith(f"malformed model file {path}: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("version", True), ("version", 1.0), ("n", 3.0), ("D", "8"),
+        ("seed", True), ("seed", 0.5), ("draw_counter", 320.9),
+        ("draw_counter", None), ("labels", "abcd"), ("labels", [1, 2, 3, 4]),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, key, value):
+        _, _, path, _ = self.roundtrip(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        atomic_write_text(path, json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(
+            f"malformed model file {path}: {key} must be a JSON ")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
