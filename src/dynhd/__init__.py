@@ -22,7 +22,7 @@ from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     load_model, save_model, validate_dataset)
 from .rng import UniformStream
 from .trainer import (EpochRecord, RoundRecord, TrainConfig, TrainReport,
-                      adaptive_epoch, domain_models, initial_pass, train)
+                      domain_models, train)
 
 __version__ = "0.1.0"
 
@@ -31,9 +31,9 @@ __all__ = [
     "NormalizationStats", "REGEN_STRATEGIES",
     "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
     "TrainConfig", "TrainReport", "UniformStream", "ValidationReport",
-    "adaptive_epoch", "apply_normalizer", "cosine_similarity",
+    "apply_normalizer", "cosine_similarity",
     "domain_models", "domain_variance", "encode", "encode_batch",
-    "fit_normalizer", "init_encoder", "initial_pass",
+    "fit_normalizer", "init_encoder",
     "leave_one_domain_out", "load_csv", "load_model",
     "make_blobs", "misleading_scores", "perturb_model", "reencode_dims",
     "regenerate_dims", "remap_labels", "save_model",

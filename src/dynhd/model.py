@@ -44,13 +44,14 @@ JSON_KINDS = {"boolean": (bool,), "integer": (int,), "number": (int, float),
 def check_json_kind(name: str, value, kind: str) -> None:
     """Raise ValueError unless value is of the JSON kind: a JSON_KINDS key,
     or "<key> array" for a list of that kind."""
-    if kind.endswith(" array"):
+    if kind.endswith(" array") and type(value) is list:
         item_types = JSON_KINDS[kind.removesuffix(" array")]
-        ok = (type(value) is list
-              and all(type(v) in item_types for v in value))
-    else:
-        ok = type(value) in JSON_KINDS[kind]
-    if not ok:
+        if not set(map(type, value)) <= set(item_types):
+            i = next(i for i, v in enumerate(value)
+                     if type(v) not in item_types)  # name the entry
+            raise ValueError(f"{name} must be a JSON {kind}, "
+                             f"got {value[i]!r} at index {i}")
+    elif kind.endswith(" array") or type(value) not in JSON_KINDS[kind]:
         raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
 
 
@@ -88,8 +89,8 @@ class EncoderState:
             raise ValueError("phases length must equal the number of base rows")
         if not np.isfinite(self.bases).all():
             raise ValueError("bases contain non-finite entries")
-        if np.any(self.phases < 0.0) or np.any(self.phases >= TWO_PI):
-            raise ValueError("phases must lie in [0, 2*pi)")
+        if not ((self.phases >= 0.0) & (self.phases < TWO_PI)).all():
+            raise ValueError("phases must lie in [0, 2*pi)")  # NaN fails too
         if self.draw_counter < 0:
             raise ValueError("draw_counter must be non-negative")
 
@@ -284,6 +285,8 @@ def load_model(path: str):
         for key in ("n", "D", "seed", "draw_counter"):
             check_json_kind(key, doc[key], "integer")
         check_json_kind("labels", doc["labels"], "string array")
+        for key in ("bases", "phases", "classes"):
+            check_json_kind(key, doc[key], "number array")
         n, dim, labels = doc["n"], doc["D"], doc["labels"]
         bases = np.asarray(doc["bases"], dtype=np.float64).reshape(dim, n)
         phases = np.asarray(doc["phases"], dtype=np.float64)
@@ -296,8 +299,10 @@ def load_model(path: str):
         if "normalizer" in doc:
             from .data import NormalizationStats  # deferred: data imports model
 
-            normalizer = NormalizationStats(doc["normalizer"]["mean"],
-                                            doc["normalizer"]["std"])
+            norm = doc["normalizer"]
+            for key in ("mean", "std"):
+                check_json_kind(f"normalizer.{key}", norm[key], "number array")
+            normalizer = NormalizationStats(norm["mean"], norm["std"])
             normalizer.check(n)
         encoder.check()
         model.check()

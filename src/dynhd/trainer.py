@@ -18,7 +18,14 @@ almost nothing.  Samples are visited in dataset order unless the seeded
 shuffle flag is set.  Validation top-1 accuracy is measured after each
 segment, before any regeneration; early stopping fires when it fails to
 improve by more than 1e-4 for ``patience`` consecutive segments
-(patience=0 disables).
+(patience=0 disables).  An update that leaves a class norm non-finite
+raises ArithmeticError naming the segment and the epoch.
+
+The pass caches each row's class scores until the next update or segment;
+the classes do not change in between, so a cached row is exact.  After
+``SCORE_BLOCK_MIN`` correct rows it scores in blocks, doubling up to
+``encoder.BLOCK_ROWS``, one batched call per block (bit-identical to one
+row at a time), and updates from the first mispredict's cached scores.
 """
 
 from __future__ import annotations
@@ -34,12 +41,15 @@ from .analysis import (domain_variance, misleading_scores,
                        select_domain_variant, select_insignificant,
                        select_misleading)
 from .data import remap_labels
-from .encoder import encode_batch, init_encoder, reencode_dims, regenerate_dims
+from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
+                      regenerate_dims)
 from .inference import model_scores, row_norms, topk_hits, vec_norm
 from .model import ClassModel, Dataset, EncoderState, RegenPlan, TRAIN_STRATEGIES
 from .rng import check_seed
 
 EARLY_STOP_MIN_DELTA = 1e-4
+# The pass scores rows in blocks once this many in a row predict right.
+SCORE_BLOCK_MIN = 8
 
 
 @dataclass
@@ -78,6 +88,7 @@ class EpochRecord:
     segment: int
     epoch: int
     train_accuracy: float
+    updates: int
     wall_ms: float
 
 
@@ -104,6 +115,7 @@ class TrainReport:
             out.append({"type": "epoch", "segment": rec.segment,
                         "epoch": rec.epoch,
                         "train_accuracy": rec.train_accuracy,
+                        "updates": rec.updates,
                         "wall_ms": rec.wall_ms})
         for rec in self.rounds:
             out.append({"type": "round", "round": rec.round,
@@ -116,36 +128,6 @@ class TrainReport:
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(rec) for rec in self.records()]
-
-
-def initial_pass(e: EncoderState, train: Dataset) -> ClassModel:
-    """Plain accumulation: each class hypervector is the sum of its samples'
-    encodings; classes with no samples stay zero."""
-    if len(train) == 0:
-        raise ValueError("training dataset must be non-empty")
-    encodings = encode_batch(e, train.features)
-    classes = _accumulate(encodings, train.labels, train.n_classes)
-    return ClassModel(classes, list(train.label_names))
-
-
-def adaptive_epoch(m: ClassModel, e: EncoderState, train: Dataset,
-                   eta: float) -> tuple[ClassModel, float]:
-    """One adaptive pass over the dataset, in dataset order.
-
-    Updates ``m`` in place and returns it with the epoch accuracy (the
-    fraction predicted correctly before each update).
-    """
-    if not 0.0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
-    if m.dim != e.dim:
-        raise ValueError("model and encoder dimensionality differ")
-    if list(train.label_names) != list(m.labels):
-        raise ValueError("dataset label set does not match the model")
-    encodings = encode_batch(e, train.features)
-    accuracy = _adaptive_pass(m.classes, row_norms(m.classes), encodings,
-                              row_norms(encodings), train.labels,
-                              np.arange(len(train)), eta)
-    return m, accuracy
 
 
 def train(cfg: TrainConfig, train_ds: Dataset,
@@ -164,13 +146,11 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     if set(valid_ds.label_names) != set(train_ds.label_names):
         raise ValueError("train and validation label sets differ")
     valid_ds = remap_labels(valid_ds, train_ds.label_names)
-    n_domains = 0
     if cfg.strategy == "domain_variant":
         if train_ds.domains is None:
             raise ValueError("strategy=domain_variant needs domain ids "
                              "on the training dataset")
-        n_domains = np.unique(train_ds.domains).size
-        if n_domains < 2:
+        if np.unique(train_ds.domains).size < 2:
             raise ValueError("strategy=domain_variant needs at least "
                              "2 domains in the training data")
 
@@ -193,15 +173,23 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     best_val = -np.inf
     stale = 0
     n_train = len(train_ds)
+    scores = np.empty((n_train, train_ds.n_classes))
+    fresh = np.zeros(n_train, dtype=bool)
     for segment in range(cfg.rounds + 1):
+        fresh[:] = False  # the encoder or the classes may have changed
         for epoch in range(cfg.epochs_per_round):
             t0 = time.perf_counter()
             order = (shuffle_rng.permutation(n_train) if shuffle_rng is not None
                      else np.arange(n_train))
-            acc = _adaptive_pass(model.classes, class_norms, train_encs,
-                                 train_norms, labels, order, cfg.eta)
-            report.epochs.append(EpochRecord(
-                segment, epoch, acc, (time.perf_counter() - t0) * 1e3))
+            try:
+                acc, updates = _adaptive_pass(
+                    model.classes, class_norms, train_encs, train_norms,
+                    labels, order, cfg.eta, scores, fresh)
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"segment {segment}, epoch {epoch}: {exc}") from None
+            report.epochs.append(EpochRecord(segment, epoch, acc, updates,
+                                             (time.perf_counter() - t0) * 1e3))
 
         t0 = time.perf_counter()
         val_scores = model_scores(model.classes, class_norms, valid_encs,
@@ -249,24 +237,51 @@ def _accumulate(encodings: np.ndarray, labels: np.ndarray,
 
 def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
                    encodings: np.ndarray, sample_norms: np.ndarray,
-                   labels: np.ndarray, order: np.ndarray,
-                   eta: float) -> float:
-    """Sequential similarity-weighted updates; mutates classes and
-    class_norms.  Returns the pre-update prediction accuracy."""
-    correct = 0
-    for i in order:
-        h = encodings[i]
-        scores = model_scores(classes, class_norms, h, sample_norms[i])
-        pred = int(np.argmax(scores))  # first max: lower index wins ties
-        y = int(labels[i])
-        if pred == y:
-            correct += 1
-            continue
-        classes[y] += eta * (1.0 - scores[y]) * h
-        classes[pred] -= eta * (1.0 - scores[pred]) * h
+                   labels: np.ndarray, order: np.ndarray, eta: float,
+                   scores: np.ndarray, fresh: np.ndarray) -> tuple[float, int]:
+    """Sequential similarity-weighted updates; mutates classes, class_norms
+    and the score cache (scores, fresh).  Returns the pre-update prediction
+    accuracy and the number of updates."""
+    updates, clean, pos, block = 0, 0, 0, SCORE_BLOCK_MIN
+    while pos < order.shape[0]:
+        if clean < SCORE_BLOCK_MIN:  # one row at a time
+            i = order[pos]
+            if not fresh[i]:
+                scores[i] = model_scores(classes, class_norms, encodings[i],
+                                         sample_norms[i])
+                fresh[i] = True
+            pos += 1
+            if scores[i].argmax() == labels[i]:
+                clean += 1
+                continue
+        else:  # a block of rows; argmax keeps the first max on ties
+            rows = order[pos:pos + block]
+            stale = rows[~fresh[rows]]
+            if stale.size:
+                scores[stale] = model_scores(classes, class_norms,
+                                             encodings[stale],
+                                             sample_norms[stale, None])
+                fresh[stale] = True
+            wrong = np.flatnonzero(scores[rows].argmax(axis=1)
+                                   != labels[rows])
+            if not wrong.size:
+                pos += rows.size
+                block = min(2 * block, BLOCK_ROWS)
+                continue
+            i = rows[wrong[0]]
+            pos += int(wrong[0]) + 1
+        h, s = encodings[i], scores[i]
+        y, pred = int(labels[i]), int(s.argmax())
+        classes[y] += eta * (1.0 - s[y]) * h
+        classes[pred] -= eta * (1.0 - s[pred]) * h
         class_norms[y] = vec_norm(classes[y])
         class_norms[pred] = vec_norm(classes[pred])
-    return correct / order.shape[0]
+        fresh[:] = False
+        updates, clean, block = updates + 1, 0, SCORE_BLOCK_MIN
+        # A finite norm is below 1.4e154, so the sum is finite iff both are.
+        if not class_norms[y] + class_norms[pred] < np.inf:
+            raise ArithmeticError(f"non-finite class norm at update {updates}")
+    return (order.shape[0] - updates) / order.shape[0], updates
 
 
 def domain_models(e: EncoderState, train: Dataset,

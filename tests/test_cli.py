@@ -100,6 +100,39 @@ class TestTrain:
                               for rec in recs]
         assert strip(records) == strip(workdir["train_records"])
 
+    def test_record_schemas(self, workdir):
+        schemas = {
+            "config": {"type", "command", "config"},
+            "epoch": {"type", "segment", "epoch", "train_accuracy",
+                      "updates", "wall_ms"},
+            "round": {"type", "round", "val_accuracy", "regen_indices",
+                      "wall_ms"},
+            "summary": {"type", "total_epochs", "stopped_early"},
+        }
+        records = workdir["train_records"]
+        assert {rec["type"] for rec in records} == set(schemas)
+        for rec in records:
+            assert set(rec) == schemas[rec["type"]]
+            if rec["type"] == "epoch":
+                assert type(rec["updates"]) is int and rec["updates"] >= 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_class_norm_overflow_exits_numeric(self, tmp_path):
+        # eta=1e300 keeps the class entries finite but not their norms
+        config = tmp_path / "huge_eta.json"
+        config.write_text(json.dumps({
+            "dim": 64, "eta": 1e300,
+            "data": {"synthetic": {"n": 4, "classes": 3, "separation": 0.5,
+                                    "samples_per_class_per_domain": 20}},
+        }))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 4
+        assert [rec["type"] for rec in records] == ["config"]
+        assert not out.exists()
+        assert "numeric error: segment 0, epoch 0: non-finite class norm" in err
+
     def test_flag_overrides_config(self, workdir):
         moved = workdir["root"] / "model_seed9.json"
         code, records, _ = run(["train", "--config", str(workdir["config"]),
@@ -288,6 +321,26 @@ class TestEval:
         assert code == 2
         assert records == []
         assert f"malformed model file {edited}: normalizer" in err
+
+    @pytest.mark.parametrize("field, entry", [
+        ("bases", "0.5"), ("phases", True), ("classes", "0.5"),
+        ("normalizer.mean", True), ("normalizer.std", "0.5"),
+    ])
+    def test_non_number_model_entry_rejected(self, workdir, tmp_path, field,
+                                             entry):
+        doc = json.loads(workdir["model"].read_text())
+        *parents, leaf = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf][0] = entry
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert f"malformed model file {edited}: {field} must be" in err
 
     def test_mirror_writes_record_stream(self, workdir, tmp_path):
         mirror = tmp_path / "records.jsonl"

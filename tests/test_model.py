@@ -39,6 +39,12 @@ class TestEncoderState:
         with pytest.raises(ValueError):
             e.check()
 
+    def test_check_rejects_nan_phase(self):
+        e = EncoderState(np.zeros((2, 2)), np.array([0.0, np.nan]), seed=1,
+                         draw_counter=0)
+        with pytest.raises(ValueError, match="phases must lie"):
+            e.check()
+
     def test_copy_is_independent(self):
         e = init_encoder(3, 2, 4)
         c = e.copy()
@@ -216,6 +222,26 @@ class TestModelFile:
             load_model(path)
         assert str(exc.value).startswith(
             f"malformed model file {path}: {key} must be a JSON ")
+
+    @pytest.mark.parametrize("field", ["bases", "phases", "classes",
+                                       "normalizer.mean", "normalizer.std"])
+    @pytest.mark.parametrize("entry", ["0.5", True, None])
+    def test_non_number_array_entry_rejected(self, tmp_path, field, entry):
+        norm = NormalizationStats(np.zeros(3), np.ones(3))
+        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        *parents, leaf = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf][1] = entry
+        atomic_write_text(path, json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"malformed model file {path}: {field} must be a JSON number "
+            f"array, got {entry!r} at index 1")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

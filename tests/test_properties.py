@@ -1,10 +1,11 @@
 """Randomized invariant suite.
 
-Seven families, each run over at least 200 generated cases: monotone top-k
+Eight families, each run over at least 200 generated cases: monotone top-k
 accuracy, scale-invariant rankings, bounded encodings, class-scale-invariant
 detector scores, the regeneration zero/coherence rules, batched in-place
-re-encoding equal to a fresh encode, and strict rejection of non-finite
-training hyperparameters.
+re-encoding equal to a fresh encode, strict rejection of non-finite
+training hyperparameters, and the score-cached training pass equal to the
+per-sample loop.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -25,6 +26,7 @@ from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy, vec_norm)
 from dynhd.model import ClassModel, Dataset, RegenPlan
 from dynhd.trainer import TrainConfig
+from test_trainer import assert_pass_exact
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -201,3 +203,24 @@ def test_train_config_rejects_non_finite_hyperparameters(
     setattr(cfg, field, value)
     with pytest.raises(ValueError, match=field):
         cfg.validate()
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n_classes=class_counts,
+       n_samples=st.integers(1, 2 * BLOCK_ROWS + 40),
+       noise=st.sampled_from([0.0, 0.5, 2.0, 8.0]),
+       integer=st.booleans(), epochs=st.integers(1, 4),
+       shuffle=st.booleans(), eta=st.sampled_from([0.05, 0.5, 2.0]))
+def test_cached_pass_equals_per_sample_loop(seed, dim, n_classes, n_samples,
+                                            noise, integer, epochs, shuffle,
+                                            eta):
+    rng = make_rng(seed)
+    classes = rng.standard_normal((n_classes, dim))
+    labels = rng.integers(0, n_classes, size=n_samples)
+    encodings = classes[labels] + noise * rng.standard_normal((n_samples, dim))
+    if integer:  # small integers make exact score ties likely
+        classes, encodings = np.round(classes), np.round(encodings)
+    orders = [rng.permutation(n_samples) if shuffle else np.arange(n_samples)
+              for _ in range(epochs)]
+    assert_pass_exact(classes, encodings,
+                      [(order, labels) for order in orders], eta)

@@ -6,16 +6,17 @@ import json
 import numpy as np
 import pytest
 
+import dynhd.trainer
 from dynhd.analysis import (misleading_scores, select_insignificant,
                             select_misleading)
 from dynhd.data import (SyntheticSpec, apply_normalizer, fit_normalizer,
                         make_blobs, split)
-from dynhd.encoder import encode, encode_batch, init_encoder, regenerate_dims
-from dynhd.inference import row_norms
+from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
+                           regenerate_dims)
+from dynhd.inference import model_scores, row_norms, vec_norm
 from dynhd.model import ClassModel, Dataset
-from dynhd.trainer import (TrainConfig, TrainReport, adaptive_epoch,
-                           domain_models, initial_pass, train,
-                           _adaptive_pass)
+from dynhd.trainer import (SCORE_BLOCK_MIN, TrainConfig, TrainReport,
+                           domain_models, train, _accumulate, _adaptive_pass)
 
 
 def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
@@ -26,6 +27,49 @@ def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
                         seed=seed)
     d = make_blobs(spec)
     return apply_normalizer(fit_normalizer(d), d)
+
+
+def _reference_pass(classes, class_norms, encodings, sample_norms, labels,
+                    order, eta):
+    """The per-sample loop: score each visited row, update on a mispredict.
+    The cached pass must equal it bit for bit."""
+    updates = 0
+    for i in order:
+        h = encodings[i]
+        scores = model_scores(classes, class_norms, h, sample_norms[i])
+        pred = int(np.argmax(scores))  # first max: lower index wins ties
+        y = int(labels[i])
+        if pred == y:
+            continue
+        classes[y] += eta * (1.0 - scores[y]) * h
+        classes[pred] -= eta * (1.0 - scores[pred]) * h
+        class_norms[y] = vec_norm(classes[y])
+        class_norms[pred] = vec_norm(classes[pred])
+        updates += 1
+    return (order.shape[0] - updates) / order.shape[0], updates
+
+
+def cached_pass(classes, encodings, labels, order, eta):
+    """One pass from an empty score cache; returns (accuracy, updates)."""
+    scores = np.empty((encodings.shape[0], classes.shape[0]))
+    fresh = np.zeros(encodings.shape[0], dtype=bool)
+    return _adaptive_pass(classes, row_norms(classes), encodings,
+                          row_norms(encodings), labels, order, eta, scores,
+                          fresh)
+
+
+def bundle(e, data):
+    """The initial bundling pass of train, on a dataset."""
+    return ClassModel(_accumulate(encode_batch(e, data.features), data.labels,
+                                  data.n_classes), list(data.label_names))
+
+
+def reference_epoch(m, e, data, eta):
+    """One per-sample epoch in dataset order, encoding from scratch."""
+    enc = encode_batch(e, data.features)
+    return _reference_pass(m.classes, row_norms(m.classes), enc,
+                           row_norms(enc), data.labels,
+                           np.arange(len(data)), eta)
 
 
 class TestTrainConfig:
@@ -56,7 +100,7 @@ class TestInitialPass:
         e = init_encoder(9, 3, 16)
         f = np.array([0.2, -0.4, 1.0])
         data = Dataset(f[None, :], np.array([1]), ["a", "b"])
-        m = initial_pass(e, data)
+        m = bundle(e, data)
         np.testing.assert_array_equal(m.classes[1], encode(e, f))
         np.testing.assert_array_equal(m.classes[0], np.zeros(16))
 
@@ -64,20 +108,14 @@ class TestInitialPass:
         e = init_encoder(9, 2, 8)
         feats = np.array([[0.1, 0.5], [-0.3, 0.2]])
         data = Dataset(feats, np.array([0, 0]), ["a"])
-        m = initial_pass(e, data)
+        m = bundle(e, data)
         np.testing.assert_array_equal(
             m.classes[0], encode(e, feats[0]) + encode(e, feats[1]))
 
     def test_labels_copied_in_order(self):
-        e = init_encoder(1, 2, 4)
         data = Dataset(np.zeros((1, 2)), np.array([0]), ["x", "y"])
-        assert initial_pass(e, data).labels == ["x", "y"]
-
-    def test_empty_dataset_rejected(self):
-        e = init_encoder(1, 2, 4)
-        empty = Dataset(np.empty((0, 2)), np.array([], dtype=np.int64), ["a"])
-        with pytest.raises(ValueError):
-            initial_pass(e, empty)
+        _, m, _ = train(TrainConfig(dim=4), data, data)
+        assert m.labels == ["x", "y"]
 
 
 class TestAdaptivePass:
@@ -85,30 +123,26 @@ class TestAdaptivePass:
         # h=(1,0) scores (0, 1) against the two classes; wrong winner 1 gets
         # a zero-weight pull, true class 0 gains eta*(1-0)*h exactly
         classes = np.array([[0.0, 1.0], [1.0, 0.0]])
-        norms = row_norms(classes)
-        acc = _adaptive_pass(classes, norms, np.array([[1.0, 0.0]]),
-                             np.array([1.0]), np.array([0]),
-                             np.array([0]), eta=0.1)
-        assert acc == 0.0
+        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
+                                   np.array([0]), np.array([0]), eta=0.1)
+        assert (acc, updates) == (0.0, 1)
         np.testing.assert_array_equal(classes, [[0.1, 1.0], [1.0, 0.0]])
 
     def test_correct_prediction_leaves_model_unchanged(self):
         classes = np.array([[1.0, 0.0], [0.0, 1.0]])
         before = classes.copy()
-        acc = _adaptive_pass(classes, row_norms(classes),
-                             np.array([[1.0, 0.0]]), np.array([1.0]),
-                             np.array([0]), np.array([0]), eta=0.5)
-        assert acc == 1.0
+        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
+                                   np.array([0]), np.array([0]), eta=0.5)
+        assert (acc, updates) == (1.0, 0)
         np.testing.assert_array_equal(classes, before)
 
     def test_tie_predicts_lower_index(self):
         # equidistant sample labeled 1: class 0 wins the tie, so an update
         # must fire
         classes = np.array([[1.0, 0.0], [1.0, 0.0]])
-        acc = _adaptive_pass(classes, row_norms(classes),
-                             np.array([[1.0, 0.0]]), np.array([1.0]),
-                             np.array([1]), np.array([0]), eta=0.1)
-        assert acc == 0.0
+        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
+                                   np.array([1]), np.array([0]), eta=0.1)
+        assert (acc, updates) == (0.0, 1)
 
 
 class TestAdaptiveEpoch:
@@ -117,13 +151,13 @@ class TestAdaptiveEpoch:
         e = init_encoder(5, 3, 12)
         feats = rng.standard_normal((6, 3)) * 0.5
         labels = np.array([0, 1, 2, 0, 1, 2])
-        data = Dataset(feats, labels, ["a", "b", "c"])
-        m = ClassModel(rng.standard_normal((3, 12)), ["a", "b", "c"])
-        want = m.classes.copy()
-
-        _, acc = adaptive_epoch(m, e, data, eta=0.2)
+        classes = rng.standard_normal((3, 12))
+        want = classes.copy()
 
         enc = encode_batch(e, feats)
+        acc, updates = cached_pass(classes, enc, labels, np.arange(6),
+                                   eta=0.2)
+
         hits = 0
         for i in range(6):
             h = enc[i]
@@ -139,27 +173,213 @@ class TestAdaptiveEpoch:
             want[y] = want[y] + 0.2 * (1.0 - sims[y]) * h
             want[pred] = want[pred] - 0.2 * (1.0 - sims[pred]) * h
         assert acc == hits / 6
-        np.testing.assert_allclose(m.classes, want, atol=1e-12)
+        assert updates == 6 - hits
+        np.testing.assert_allclose(classes, want, atol=1e-12)
 
     def test_mutates_model_in_place(self):
         e = init_encoder(5, 2, 8)
         data = blob_data(seed=4, classes=2, n=2, per=5)
-        m = initial_pass(e, data)
-        out, _ = adaptive_epoch(m, e, data, eta=0.1)
-        assert out is m
+        enc = encode_batch(e, data.features)
+        classes = np.zeros((2, 8))
+        class_norms = row_norms(classes)
+        scores = np.empty((len(data), 2))
+        fresh = np.zeros(len(data), dtype=bool)
+        # a zero model mispredicts every class-1 sample
+        _, updates = _adaptive_pass(classes, class_norms, enc, row_norms(enc),
+                                    data.labels, np.arange(len(data)), 0.1,
+                                    scores, fresh)
+        assert updates > 0
+        assert np.any(classes != 0.0)
+        np.testing.assert_array_equal(class_norms, row_norms(classes))
 
-    def test_validation_errors(self):
-        e = init_encoder(5, 2, 8)
-        data = blob_data(seed=4, classes=2, n=2, per=5)
-        m = initial_pass(e, data)
-        for eta in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                adaptive_epoch(m, e, data, eta=eta)
-        with pytest.raises(ValueError):
-            adaptive_epoch(m, init_encoder(5, 2, 16), data, eta=0.1)
-        renamed = Dataset(data.features, data.labels, ["x", "y"])
-        with pytest.raises(ValueError):
-            adaptive_epoch(m, e, renamed, eta=0.1)
+
+def score_calls(monkeypatch):
+    """Record the rows of every model_scores call the pass makes: 1 for a
+    single encoding, the block's row count for a batch."""
+    calls = []
+
+    def counting(classes, class_norms, h, h_norm):
+        calls.append(1 if h.ndim == 1 else h.shape[0])
+        return model_scores(classes, class_norms, h, h_norm)
+
+    monkeypatch.setattr(dynhd.trainer, "model_scores", counting)
+    return calls
+
+
+def separated(seed=21, n_rows=200, dim=64, n_classes=4, noise=0.3):
+    """Classes and encodings near their class rows: every row predicts
+    right until a label is changed."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    classes = rng.standard_normal((n_classes, dim))
+    labels = rng.integers(0, n_classes, size=n_rows)
+    encodings = classes[labels] + noise * rng.standard_normal((n_rows, dim))
+    return classes, encodings, labels
+
+
+def assert_pass_exact(classes, encodings, epochs, eta=0.05):
+    """Run the cached pass over ``epochs``, a list of (order, labels), with
+    one score cache, and the per-sample loop on copies.  Every epoch's
+    accuracy and update count, and the final classes and class norms, must
+    be equal.  Returns the per-epoch (accuracy, updates)."""
+    got_c, want_c = classes.copy(), classes.copy()
+    got_n, want_n = row_norms(classes), row_norms(classes)
+    norms = row_norms(encodings)
+    scores = np.empty((encodings.shape[0], classes.shape[0]))
+    fresh = np.zeros(encodings.shape[0], dtype=bool)
+    results = []
+    for order, labels in epochs:
+        got = _adaptive_pass(got_c, got_n, encodings, norms, labels, order,
+                             eta, scores, fresh)
+        want = _reference_pass(want_c, want_n, encodings, norms, labels,
+                               order, eta)
+        assert got == want
+        assert np.array_equal(got_c, want_c)
+        assert np.array_equal(got_n, want_n)
+        results.append(got)
+    return results
+
+
+class TestCachedPassIsExact:
+    """The score-cached, block-scored pass against the per-sample loop,
+    compared with np.array_equal."""
+
+    def test_block_schedule_and_cache_reuse(self, monkeypatch):
+        classes, encodings, labels = separated()
+        calls = score_calls(monkeypatch)
+        order = np.arange(200)
+        assert_pass_exact(classes, encodings, [(order, labels)] * 2)
+        # 8 single rows, then blocks of 8, 16, 32 and 64 rows (the cap) and
+        # the 8 rows left; the second clean epoch scores nothing, since
+        # every cached row is fresh
+        assert BLOCK_ROWS == 64
+        assert calls == [1] * SCORE_BLOCK_MIN + [8, 16, 32, 64, 64, 8]
+
+    @pytest.mark.parametrize("position", [0, 7, 8, 15, 63, 64, 65, 127,
+                                          128, 199])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_mispredict_at_position(self, position, shuffled):
+        classes, encodings, labels = separated(seed=22)
+        rng = np.random.Generator(np.random.Philox(key=position))
+        order = rng.permutation(200) if shuffled else np.arange(200)
+        assert assert_pass_exact(classes, encodings,
+                                 [(order, labels)]) == [(1.0, 0)]
+        flipped = labels.copy()
+        row = order[position]
+        flipped[row] = (flipped[row] + 1) % classes.shape[0]
+        results = assert_pass_exact(classes, encodings,
+                                    [(order, flipped)] * 3)
+        assert results[0][1] >= 1
+
+    def test_exact_score_ties(self):
+        # class 1 duplicates class 0, so rows labelled 1 tie and predict 0;
+        # integer-valued encodings repeat exact scores across rows
+        rng = np.random.Generator(np.random.Philox(key=23))
+        classes = rng.integers(-2, 3, size=(3, 16)).astype(np.float64)
+        classes[1] = classes[0]
+        labels = rng.integers(0, 3, size=150)
+        encodings = classes[labels] + rng.integers(
+            -1, 2, size=(150, 16)).astype(np.float64)
+        results = assert_pass_exact(
+            classes, encodings, [(np.arange(150), labels)] * 4, eta=0.25)
+        assert results[0][1] >= 1
+
+    def test_zero_class_row_and_zero_encoding(self):
+        classes, encodings, labels = separated(seed=24, n_rows=150)
+        classes[2] = 0.0
+        encodings[[5, 40, 90]] = 0.0  # scores all 0, so class 0 wins
+        labels[[5, 40, 90]] = 3
+        results = assert_pass_exact(classes, encodings,
+                                    [(np.arange(150), labels)] * 4)
+        assert results[0][1] >= 3
+
+    def test_shuffled_orders(self):
+        classes, encodings, labels = separated(seed=25, n_rows=300,
+                                               noise=4.0)
+        rng = np.random.Generator(np.random.Philox(key=25))
+        results = assert_pass_exact(
+            classes, encodings,
+            [(rng.permutation(300), labels) for _ in range(6)])
+        assert results[0][1] >= 1
+
+    def test_high_update_regime(self):
+        classes, encodings, labels = separated(seed=26, n_rows=300,
+                                               noise=6.0)
+        results = assert_pass_exact(classes, encodings,
+                                    [(np.arange(300), labels)] * 4, eta=0.5)
+        assert sum(u for _, u in results) > 0.3 * 4 * 300
+
+    def test_clean_epoch_reuses_cache_then_update(self, monkeypatch):
+        classes, encodings, labels = separated(seed=27)
+        calls = score_calls(monkeypatch)
+        order = np.arange(200)
+        flipped = labels.copy()
+        flipped[150] = (flipped[150] + 1) % classes.shape[0]
+        results = assert_pass_exact(
+            classes, encodings,
+            [(order, labels), (order, labels), (order, flipped),
+             (order, labels)])
+        assert [u for _, u in results] == [0, 0, 1, 0]
+        singles = [1] * SCORE_BLOCK_MIN
+        assert calls == (
+            singles + [8, 16, 32, 64, 64, 8]  # epoch 0 fills the cache
+            # epoch 1 reuses it; epoch 2 finds row 150 in the cache, then
+            # rescores the rows after it
+            + singles + [8, 16, 17]
+            # epoch 3: rows 0-150 are stale, rows 151-199 still fresh
+            + singles + [8, 16, 32, 64, 23])
+
+    # At rate 1 regeneration zeroes every class entry, so every cached
+    # score from before it is wrong: the cache must start each segment
+    # empty.
+    @pytest.mark.parametrize("rate, shuffle, separation", [
+        (0.2, True, 1.0), (1.0, False, 6.0)])
+    def test_train_matches_reference_pass_with_regeneration(
+            self, monkeypatch, rate, shuffle, separation):
+        data = blob_data(seed=28, classes=4, n=5, per=40,
+                         separation=separation)
+        train_ds, valid_ds = split(data, [0.8, 0.2], seed=3)
+        cfg = TrainConfig(dim=96, eta=0.05, epochs_per_round=3, rounds=3,
+                          regen_rate=rate, strategy="insignificant",
+                          shuffle=shuffle, seed=8)
+        enc, model, report = train(cfg, train_ds, valid_ds)
+
+        def reference(classes, class_norms, encodings, sample_norms, labels,
+                      order, eta, scores, fresh):
+            return _reference_pass(classes, class_norms, encodings,
+                                   sample_norms, labels, order, eta)
+
+        monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", reference)
+        ref_enc, ref_model, ref_report = train(cfg, train_ds, valid_ds)
+        assert np.array_equal(model.classes, ref_model.classes)
+        assert np.array_equal(enc.bases, ref_enc.bases)
+        strip = lambda recs: [{k: v for k, v in rec.items()
+                               if k != "wall_ms"} for rec in recs]
+        assert strip(report.records()) == strip(ref_report.records())
+        assert sum(rec.updates for rec in report.epochs) > 0
+        assert any(rec.regen_indices for rec in report.rounds)
+
+
+class TestEpochUpdates:
+    def test_updates_match_accuracy(self):
+        data = blob_data(seed=29, classes=3, n=4, per=20, separation=1.0)
+        train_ds, valid_ds = split(data, [0.75, 0.25], seed=4)
+        cfg = TrainConfig(dim=32, epochs_per_round=4, seed=3, shuffle=True)
+        _, _, report = train(cfg, train_ds, valid_ds)
+        n = len(train_ds)
+        for rec in report.epochs:
+            assert type(rec.updates) is int
+            assert rec.train_accuracy == (n - rec.updates) / n
+        assert report.epochs[0].updates > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_class_norm_names_segment_and_epoch(self):
+        # eta=1e300 keeps every class entry finite but overflows the norms
+        data = blob_data(seed=30, classes=3, n=4, per=20, separation=1.0)
+        train_ds, valid_ds = split(data, [0.75, 0.25], seed=5)
+        cfg = TrainConfig(dim=32, eta=1e300, seed=3)
+        with pytest.raises(ArithmeticError,
+                           match=r"^segment 0, epoch 0: non-finite class norm"):
+            train(cfg, train_ds, valid_ds)
 
 
 class TestTrainBaseline:
@@ -171,9 +391,9 @@ class TestTrainBaseline:
         enc, model, report = train(cfg, train_ds, valid_ds)
 
         e = init_encoder(17, 4, 64)
-        m = initial_pass(e, train_ds)
+        m = bundle(e, train_ds)
         for _ in range(3):
-            adaptive_epoch(m, e, train_ds, eta=0.05)
+            reference_epoch(m, e, train_ds, eta=0.05)
         np.testing.assert_array_equal(model.classes, m.classes)
         np.testing.assert_array_equal(enc.bases, e.bases)
         assert len(report.epochs) == 3
@@ -214,11 +434,11 @@ class TestTrainRegeneration:
         """Re-run the schedule through the public pieces, re-encoding from
         scratch every epoch instead of patching caches."""
         e = init_encoder(cfg.seed, train_ds.n, cfg.dim)
-        m = initial_pass(e, train_ds)
+        m = bundle(e, train_ds)
         plans = []
         for segment in range(cfg.rounds + 1):
             for _ in range(cfg.epochs_per_round):
-                adaptive_epoch(m, e, train_ds, eta=cfg.eta)
+                reference_epoch(m, e, train_ds, eta=cfg.eta)
             if segment < cfg.rounds:
                 plan = plan_fn(m, e)
                 plans.append(plan.indices.tolist())
