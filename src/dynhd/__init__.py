@@ -14,9 +14,8 @@ from .data import (NormalizationStats, SyntheticSpec, apply_normalizer,
                    fit_normalizer, leave_one_domain_out, load_csv,
                    make_blobs, remap_labels, split, write_csv)
 from .encoder import (encode, encode_batch, init_encoder, reencode_dims,
-                      regenerate_dims)
-from .inference import (cosine_similarity, perturb_model, score_queries,
-                        topk_accuracy)
+                      regenerate_dims, replay_encoder)
+from .inference import perturb_model, score_queries, topk_accuracy
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, RegenPlan, ValidationReport,
                     load_model, save_model, validate_dataset)
@@ -31,12 +30,12 @@ __all__ = [
     "NormalizationStats", "REGEN_STRATEGIES",
     "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
     "TrainConfig", "TrainReport", "UniformStream", "ValidationReport",
-    "apply_normalizer", "cosine_similarity",
+    "apply_normalizer",
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",
     "leave_one_domain_out", "load_csv", "load_model",
     "make_blobs", "misleading_scores", "perturb_model", "reencode_dims",
-    "regenerate_dims", "remap_labels", "save_model",
+    "regenerate_dims", "remap_labels", "replay_encoder", "save_model",
     "score_queries",
     "select_domain_variant", "select_insignificant", "select_misleading",
     "split", "topk_accuracy", "train", "validate_dataset",

@@ -9,7 +9,9 @@ with ``B_i`` a standard-normal base row and ``c_i`` a phase offset uniform on
 
 Regeneration redraws the base rows and phases of selected dimensions from the
 encoder's continuing uniform stream (see :mod:`dynhd.rng`), leaving all other
-rows bit-identical.
+rows bit-identical.  An encoder is therefore a pure function of its seed, its
+shape and the ordered index sets regenerated so far: ``replay_encoder``
+rebuilds it from them, which is how a model file stores it.
 
 Every encode runs through one kernel that projects a block of at most
 ``BLOCK_ROWS`` samples with ``einsum("Nn,dn->Nd")`` and applies the trig in
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import EncoderState, FeatureVector, Hypervector, RegenPlan
-from .rng import UniformStream, check_seed
+from .rng import TWO_PI, UniformStream, check_seed, paired_normals
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
 # (BLOCK_ROWS, D) floats whatever the number of samples.
@@ -88,7 +90,7 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
     stream = UniformStream(seed)
     bases = stream.normals(dim * n).reshape(dim, n)
     phases = stream.phases(dim)
-    return EncoderState(bases, phases, seed, stream.position)
+    return EncoderState(bases, phases, seed, stream.position, [])
 
 
 def encode(e: EncoderState, f: FeatureVector) -> Hypervector:
@@ -117,19 +119,52 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     """Redraw the base rows and phases of the planned dimensions.
 
     Draws continue from ``e.draw_counter``; per selected index (ascending),
-    the row's ``n`` normals are drawn first, then its phase.  Unselected
-    rows and phases are bit-identical to the input, which is not modified.
+    the row's ``n`` normals are drawn first, then its phase.  The whole plan
+    is drawn in one call and transformed row-wise, bit-identical to drawing
+    one dimension at a time.  Unselected rows and phases are bit-identical
+    to the input, which is not modified.  A non-empty plan's indices are
+    appended to the returned encoder's ``regen_history`` (unless the
+    input's history is unknown).
     """
     idx = _check_plan(e, plan)
     if idx.size == 0:
         return e.copy()
+    return _redraw(e, idx)
+
+
+def _redraw(e: EncoderState, idx: np.ndarray) -> EncoderState:
+    n = e.n_features
+    # Per dimension: 2*ceil(n/2) uniforms for its normals, then its phase.
+    per_dim = 2 * ((n + 1) // 2) + 1
+    stream = UniformStream(e.seed, e.draw_counter)
+    u = stream.uniforms(idx.size * per_dim).reshape(idx.size, per_dim)
     bases = e.bases.copy()
     phases = e.phases.copy()
-    stream = UniformStream(e.seed, e.draw_counter)
-    for i in idx:
-        bases[i] = stream.normals(e.n_features)
-        phases[i] = stream.phases(1)[0]
-    return EncoderState(bases, phases, e.seed, stream.position)
+    bases[idx] = paired_normals(u[:, :-1])[:, :n]
+    phases[idx] = TWO_PI * u[:, -1]
+    history = (None if e.regen_history is None
+               else e.regen_history + [idx.copy()])
+    return EncoderState(bases, phases, e.seed, stream.position, history)
+
+
+def replay_encoder(seed: int, n: int, dim: int,
+                   history: Sequence) -> EncoderState:
+    """Rebuild an encoder from its replay log: ``init_encoder(seed, n,
+    dim)``, then one ``regenerate_dims`` per entry of ``history``, in order.
+
+    Each entry must be a non-empty, strictly increasing sequence of integers
+    in [0, dim), else a ValueError names it as ``regen_history[i]``.
+    """
+    e = init_encoder(seed, n, dim)
+    for i, entry in enumerate(history):
+        idx = np.asarray(entry)
+        if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu"
+                or idx[0] < 0 or idx[-1] >= dim or np.any(np.diff(idx) <= 0)):
+            raise ValueError(f"regen_history[{i}] must be a non-empty, "
+                             f"strictly increasing list of integers in "
+                             f"[0, {dim}), got {entry!r}")
+        e = _redraw(e, idx.astype(np.int64))
+    return e
 
 
 def reencode_dims(e: EncoderState, f: FeatureVector, h: Hypervector,

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoder import encode_batch
-from .model import ClassModel, Dataset, EncoderState, Hypervector
+from .model import ClassModel, Dataset, EncoderState
 
 
 def vec_norm(v: np.ndarray) -> float:
@@ -54,17 +54,6 @@ def topk_hits(scores: np.ndarray, labels: np.ndarray, k: int) -> int:
     """Number of rows of (N, L) scores whose label ranks in the top k."""
     return int(np.count_nonzero(ranked_classes(scores)[:, :k]
                                 == labels[:, None]))
-
-
-def cosine_similarity(a: Hypervector, b: Hypervector) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na, nb = vec_norm(a), vec_norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / (na * nb)
 
 
 def _check_k(m: ClassModel, k: int) -> None:

@@ -25,7 +25,7 @@ Hypervector = np.ndarray
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 
 def as_float_matrix(values, name: str) -> np.ndarray:
@@ -38,7 +38,7 @@ def as_float_matrix(values, name: str) -> np.ndarray:
 # JSON value kinds, checked by exact Python type, so a JSON boolean is
 # neither an integer nor a number.
 JSON_KINDS = {"boolean": (bool,), "integer": (int,), "number": (int, float),
-              "string": (str,), "object": (dict,)}
+              "string": (str,), "object": (dict,), "array": (list,)}
 
 
 def check_json_kind(name: str, value, kind: str) -> None:
@@ -61,13 +61,19 @@ class EncoderState:
 
     ``seed`` and ``draw_counter`` pin the position in the underlying uniform
     stream (see :mod:`dynhd.rng`); regeneration continues from
-    ``draw_counter``, so a serialized encoder replays bit-identically.
+    ``draw_counter``.  ``regen_history`` is the log of regenerated index
+    sets, one int64 array per non-empty plan, in order: with the seed and
+    the shape it determines the bases, phases and ``draw_counter`` (see
+    ``encoder.replay_encoder``), and it is what a model file stores.  It is
+    None when unknown (an encoder read from a version-1 file or built by
+    hand), and such an encoder cannot be saved.
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
     phases: np.ndarray  # (D,), each in [0, 2*pi)
     seed: int
     draw_counter: int
+    regen_history: Optional[list[np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -78,8 +84,10 @@ class EncoderState:
         return self.bases.shape[1]
 
     def copy(self) -> "EncoderState":
+        history = (None if self.regen_history is None
+                   else [idx.copy() for idx in self.regen_history])
         return EncoderState(self.bases.copy(), self.phases.copy(),
-                            self.seed, self.draw_counter)
+                            self.seed, self.draw_counter, history)
 
     def check(self) -> None:
         """Raise ValueError on any violated invariant."""
@@ -244,23 +252,33 @@ def validate_dataset(d: Dataset) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # Model file format: one JSON document holding the encoder and the class
-# model.  Numeric arrays are row-major lists of Python floats, which repr
-# round-trips exactly.  ``normalizer`` is optional per-feature z-score stats
-# applied to inputs before encoding.
+# model.  Version 2 stores the encoder as its replay log: ``n``, ``D``,
+# ``seed`` and ``regen_history``, the regenerated index sets in order, from
+# which loading rebuilds the bases, phases and draw counter bit-identically.
+# Version 1 stored ``bases``, ``phases`` and ``draw_counter`` themselves; it
+# is still read, but no longer written.  Numeric arrays are row-major lists
+# of Python floats, which repr round-trips exactly.  ``normalizer`` is
+# optional per-feature z-score stats applied to inputs before encoding.
 
 def save_model(path: str, encoder: EncoderState, model: ClassModel,
                normalizer=None) -> None:
-    """Write the model file atomically (temp file + rename)."""
+    """Write a version-2 model file atomically (temp file + rename).
+
+    The encoder is stored as its ``regen_history``; an encoder whose history
+    is unknown (None) raises ValueError.
+    """
     if encoder.dim != model.dim:
         raise ValueError("encoder and model dimensionality differ")
+    if encoder.regen_history is None:
+        raise ValueError("cannot save an encoder whose regeneration history "
+                         "is unknown (read from a version-1 model file or "
+                         "built by hand)")
     doc = {
         "version": MODEL_FILE_VERSION,
         "n": encoder.n_features,
         "D": encoder.dim,
         "seed": encoder.seed,
-        "draw_counter": encoder.draw_counter,
-        "bases": encoder.bases.ravel().tolist(),
-        "phases": encoder.phases.tolist(),
+        "regen_history": [idx.tolist() for idx in encoder.regen_history],
         "labels": list(model.labels),
         "classes": model.classes.ravel().tolist(),
     }
@@ -271,30 +289,31 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
 
 
 def load_model(path: str):
-    """Read a model file; returns (EncoderState, ClassModel, normalizer).
+    """Read a version-2 or version-1 model file; returns (EncoderState,
+    ClassModel, normalizer).
 
-    ``normalizer`` is a NormalizationStats or None.
+    A version-2 file's ``regen_history`` is checked (a JSON array of
+    non-empty, strictly increasing integer arrays within [0, D)) and
+    replayed; the encoder read from a version-1 file has no history.
+    ``normalizer`` is a NormalizationStats or None.  Any malformed content
+    raises ValueError prefixed ``malformed model file <path>:``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
         version = doc["version"]
         check_json_kind("version", version, "integer")
-        if version != MODEL_FILE_VERSION:
+        if version not in (1, MODEL_FILE_VERSION):
             raise ValueError(f"unsupported model file version {version}")
-        for key in ("n", "D", "seed", "draw_counter"):
+        for key in ("n", "D", "seed"):
             check_json_kind(key, doc[key], "integer")
         check_json_kind("labels", doc["labels"], "string array")
-        for key in ("bases", "phases", "classes"):
-            check_json_kind(key, doc[key], "number array")
+        check_json_kind("classes", doc["classes"], "number array")
         n, dim, labels = doc["n"], doc["D"], doc["labels"]
-        bases = np.asarray(doc["bases"], dtype=np.float64).reshape(dim, n)
-        phases = np.asarray(doc["phases"], dtype=np.float64)
-        encoder = EncoderState(bases, phases, doc["seed"],
-                               doc["draw_counter"])
         classes = np.asarray(doc["classes"],
                              dtype=np.float64).reshape(len(labels), dim)
         model = ClassModel(classes, labels)
+        model.check()
         normalizer = None
         if "normalizer" in doc:
             from .data import NormalizationStats  # deferred: data imports model
@@ -304,11 +323,32 @@ def load_model(path: str):
                 check_json_kind(f"normalizer.{key}", norm[key], "number array")
             normalizer = NormalizationStats(norm["mean"], norm["std"])
             normalizer.check(n)
-        encoder.check()
-        model.check()
+        encoder = (_read_v1_encoder(doc, n, dim) if version == 1
+                   else _replay_v2_encoder(doc, n, dim))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
     return encoder, model, normalizer
+
+
+def _read_v1_encoder(doc: dict, n: int, dim: int) -> EncoderState:
+    check_json_kind("draw_counter", doc["draw_counter"], "integer")
+    for key in ("bases", "phases"):
+        check_json_kind(key, doc[key], "number array")
+    bases = np.asarray(doc["bases"], dtype=np.float64).reshape(dim, n)
+    phases = np.asarray(doc["phases"], dtype=np.float64)
+    encoder = EncoderState(bases, phases, doc["seed"], doc["draw_counter"])
+    encoder.check()
+    return encoder
+
+
+def _replay_v2_encoder(doc: dict, n: int, dim: int) -> EncoderState:
+    from .encoder import replay_encoder  # deferred: encoder imports model
+
+    history = doc["regen_history"]
+    check_json_kind("regen_history", history, "array")
+    for i, entry in enumerate(history):
+        check_json_kind(f"regen_history[{i}]", entry, "integer array")
+    return replay_encoder(doc["seed"], n, dim, history)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -44,6 +44,22 @@ def _generator_at(seed: int, position: int) -> np.random.Generator:
     return gen
 
 
+def paired_normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms paired along the last axis, whose
+    length must be even: ``(u[2j], u[2j+1])`` gives normals 2j and 2j+1.
+
+    Every step is elementwise, so the normals of one row of a 2-D ``u``
+    equal those of the same uniforms drawn as a 1-D array.
+    """
+    # u in [0, 1) makes 1 - u1 strictly positive, so the log is finite.
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = TWO_PI * u[..., 1::2]
+    z = np.empty(u.shape)
+    z[..., 0::2] = r * np.cos(theta)
+    z[..., 1::2] = r * np.sin(theta)
+    return z
+
+
 class UniformStream:
     """Resumable uniform stream with an explicit draw position.
 
@@ -70,15 +86,7 @@ class UniformStream:
         """Next ``count`` standard normals via the paired transform."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        # u in [0, 1) makes 1 - u1 strictly positive, so the log is finite.
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = TWO_PI * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:count]
+        return paired_normals(self.uniforms(2 * ((count + 1) // 2)))[:count]
 
     def phases(self, count: int) -> np.ndarray:
         """Next ``count`` phase offsets, uniform on [0, 2*pi)."""

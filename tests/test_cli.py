@@ -17,6 +17,7 @@ from dynhd.cli import _build_parser, main
 from dynhd.data import apply_normalizer, load_csv, remap_labels
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
+from test_model import edit_field, write_v1_model
 
 
 def run(argv):
@@ -133,6 +134,23 @@ class TestTrain:
         assert not out.exists()
         assert "numeric error: segment 0, epoch 0: non-finite class norm" in err
 
+    def test_numeric_error_is_the_only_stderr_line(self, tmp_path):
+        # numpy's overflow warnings must not leak ahead of the diagnosis
+        config = tmp_path / "huge_eta.json"
+        config.write_text(json.dumps({
+            "dim": 64, "eta": 1e300,
+            "data": {"synthetic": {"n": 4, "classes": 3, "separation": 0.5,
+                                    "samples_per_class_per_domain": 20}},
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynhd", "train", "--quiet", "--config",
+             str(config), "--out", str(tmp_path / "never.json")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "numeric error: segment 0, epoch 0: non-finite class norm at "
+            "update 1"]
+
     def test_flag_overrides_config(self, workdir):
         moved = workdir["root"] / "model_seed9.json"
         code, records, _ = run(["train", "--config", str(workdir["config"]),
@@ -241,9 +259,11 @@ class TestEval:
         assert code == 0
         for rec in records:
             assert set(rec) == {"experiment", "metric", "value", "k",
-                                "n_samples", "D", "seed", "encode_ms",
-                                "score_ms", "wall_ms", "config"}
-        # the query set is encoded and scored once, for every k
+                                "n_samples", "D", "seed", "load_ms",
+                                "encode_ms", "score_ms", "wall_ms", "config"}
+        # the model is loaded and the query set encoded and scored once,
+        # for every k
+        assert records[0]["load_ms"] == records[1]["load_ms"] > 0.0
         assert records[0]["encode_ms"] == records[1]["encode_ms"] > 0.0
         assert records[0]["score_ms"] == records[1]["score_ms"] > 0.0
 
@@ -328,12 +348,28 @@ class TestEval:
     ])
     def test_non_number_model_entry_rejected(self, workdir, tmp_path, field,
                                              entry):
+        enc, model, stats = load_model(str(workdir["model"]))
+        edited = tmp_path / "edited.json"
+        write_v1_model(str(edited), enc, model, stats)
+        doc = json.loads(edited.read_text())
+        edit_field(doc, field,
+                   lambda node, leaf: node[leaf].__setitem__(0, entry))
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert f"malformed model file {edited}: {field} must be" in err
+
+    @pytest.mark.parametrize("field, entry", [
+        ("classes", "0.5"), ("normalizer.mean", True),
+        ("normalizer.std", "0.5"),
+    ])
+    def test_non_number_v2_model_entry_rejected(self, workdir, tmp_path,
+                                                field, entry):
         doc = json.loads(workdir["model"].read_text())
-        *parents, leaf = field.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[leaf][0] = entry
+        edit_field(doc, field,
+                   lambda node, leaf: node[leaf].__setitem__(0, entry))
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         code, records, err = run(["eval", "--model", str(edited),
@@ -341,6 +377,43 @@ class TestEval:
         assert code == 2
         assert records == []
         assert f"malformed model file {edited}: {field} must be" in err
+
+    @pytest.mark.parametrize("history, message", [
+        ({"0": [1]}, "regen_history must be a JSON array"),
+        ([[3, 1]], "regen_history[0] must be a non-empty, strictly "
+                   "increasing list of integers in [0, 256), got [3, 1]"),
+        ([[2, 2]], "regen_history[0] must be a non-empty, strictly "
+                   "increasing list of integers in [0, 256), got [2, 2]"),
+        ([[-1]], "regen_history[0] must be a non-empty, strictly "
+                 "increasing list of integers in [0, 256), got [-1]"),
+        ([[256]], "regen_history[0] must be a non-empty, strictly "
+                  "increasing list of integers in [0, 256), got [256]"),
+        ([[1.0]], "regen_history[0] must be a JSON integer array"),
+        ([[True]], "regen_history[0] must be a JSON integer array"),
+        ([["1"]], "regen_history[0] must be a JSON integer array"),
+    ])
+    def test_corrupt_regen_history_rejected(self, workdir, tmp_path, history,
+                                            message):
+        doc = json.loads(workdir["model"].read_text())
+        doc["regen_history"] = history
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert f"error: malformed model file {edited}: {message}" in err
+
+    def test_version_1_model_evaluates_identically(self, workdir, tmp_path):
+        enc, model, stats = load_model(str(workdir["model"]))
+        v1 = tmp_path / "v1.json"
+        write_v1_model(str(v1), enc, model, stats)
+        argv = ["--data", str(workdir["data_csv"]), "--k", "1,2,3"]
+        _, from_v2, _ = run(["eval", "--model", str(workdir["model"])] + argv)
+        code, from_v1, _ = run(["eval", "--model", str(v1)] + argv)
+        assert code == 0
+        assert ([rec["value"] for rec in from_v1]
+                == [rec["value"] for rec in from_v2])
 
     def test_mirror_writes_record_stream(self, workdir, tmp_path):
         mirror = tmp_path / "records.jsonl"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
-                           reencode_dims, regenerate_dims)
+                           reencode_dims, regenerate_dims, replay_encoder)
 from dynhd.model import EncoderState, RegenPlan, load_model, save_model
 from dynhd.rng import TWO_PI, UniformStream
 
@@ -16,6 +16,18 @@ def per_row_encode(e, f):
     """The per-sample formula the row-block kernel must reproduce."""
     x = np.einsum("dn,n->d", e.bases, f)
     return np.cos(x + e.phases) * np.sin(x)
+
+
+def _reference_regenerate(e, indices):
+    """The per-dimension draw loop: per index (ascending) the row's normals,
+    then its phase.  The batched ``regenerate_dims`` must equal it bit for
+    bit.  Returns (bases, phases, draw_counter)."""
+    bases, phases = e.bases.copy(), e.phases.copy()
+    stream = UniformStream(e.seed, e.draw_counter)
+    for i in indices:
+        bases[i] = stream.normals(e.n_features)
+        phases[i] = stream.phases(1)[0]
+    return bases, phases, stream.position
 
 
 def plan_for(e, indices):
@@ -179,6 +191,76 @@ class TestRegenerateDims:
         with pytest.raises(ValueError):
             regenerate_dims(e, RegenPlan(np.array([4]), np.zeros(4),
                                          "insignificant", 0.25))
+
+
+class TestBatchedRegenerationIsExact:
+    """One draw per plan equals the per-dimension loop, round after round."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 617])
+    @pytest.mark.parametrize("dim", [1, 7, 257])
+    def test_chained_rounds_equal_reference(self, n, dim):
+        pick = np.random.Generator(np.random.Philox(key=n * 1000 + dim))
+        e = init_encoder(31, n, dim)
+        ref = (e.bases, e.phases, e.draw_counter)
+        plans = [[], list(range(dim))]  # empty, then full
+        plans += [np.sort(pick.choice(dim, size=int(pick.integers(1, dim + 1)),
+                                      replace=False)) for _ in range(3)]
+        for indices in plans:
+            ref = _reference_regenerate(
+                EncoderState(ref[0], ref[1], 31, ref[2]), indices)
+            e = regenerate_dims(e, plan_for(e, indices))
+            assert np.array_equal(e.bases, ref[0])
+            assert np.array_equal(e.phases, ref[1])
+            assert e.draw_counter == ref[2]
+        assert [idx.tolist() for idx in e.regen_history] == [
+            list(idx) for idx in plans[1:]]
+
+    def test_history_logs_non_empty_plans_in_order(self):
+        e = init_encoder(3, 2, 8)
+        for indices in ([1, 4], [], [0, 4, 7]):
+            e = regenerate_dims(e, plan_for(e, indices))
+        assert [idx.tolist() for idx in e.regen_history] == [[1, 4],
+                                                              [0, 4, 7]]
+        assert all(idx.dtype == np.int64 for idx in e.regen_history)
+
+    def test_unknown_history_stays_unknown(self):
+        e = init_encoder(3, 2, 8)
+        hand_built = EncoderState(e.bases, e.phases, e.seed, e.draw_counter)
+        e2 = regenerate_dims(hand_built, plan_for(e, [1, 4]))
+        assert e2.regen_history is None
+        assert np.array_equal(
+            e2.bases, regenerate_dims(e, plan_for(e, [1, 4])).bases)
+
+
+class TestReplayEncoder:
+    def test_replay_equals_chained_regeneration(self):
+        e = init_encoder(8, 5, 40)
+        for indices in ([3, 9, 39], [0, 1, 2], [9]):
+            e = regenerate_dims(e, plan_for(e, indices))
+        replayed = replay_encoder(8, 5, 40, [[3, 9, 39], [0, 1, 2], [9]])
+        assert np.array_equal(replayed.bases, e.bases)
+        assert np.array_equal(replayed.phases, e.phases)
+        assert replayed.draw_counter == e.draw_counter
+        assert ([idx.tolist() for idx in replayed.regen_history]
+                == [idx.tolist() for idx in e.regen_history])
+
+    def test_empty_history_is_a_fresh_encoder(self):
+        replayed = replay_encoder(8, 5, 40, [])
+        fresh = init_encoder(8, 5, 40)
+        assert np.array_equal(replayed.bases, fresh.bases)
+        assert replayed.draw_counter == fresh.draw_counter
+
+    @pytest.mark.parametrize("history, bad", [
+        ([[3, 1]], 0), ([[1], [2, 2]], 1), ([[-1]], 0), ([[8]], 0),
+        ([[]], 0), ([[1.0]], 0), ([[True]], 0), ([["1"]], 0), ([[[1]]], 0),
+        ([[2**70]], 0),
+    ])
+    def test_bad_entry_rejected(self, history, bad):
+        with pytest.raises(ValueError) as exc:
+            replay_encoder(8, 2, 8, history)
+        assert str(exc.value) == (
+            f"regen_history[{bad}] must be a non-empty, strictly increasing "
+            f"list of integers in [0, 8), got {history[bad]!r}")
 
 
 class TestReencodeDims:

@@ -6,11 +6,40 @@ import os
 import numpy as np
 import pytest
 
-from dynhd.data import NormalizationStats
-from dynhd.encoder import init_encoder
+from dynhd.data import NormalizationStats, split
+from dynhd.encoder import init_encoder, regenerate_dims, replay_encoder
 from dynhd.model import (ClassModel, Dataset, EncoderState, RegenPlan,
                          atomic_write_text, load_model, save_model,
                          validate_dataset)
+from dynhd.trainer import TrainConfig, train
+
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def write_v1_model(path, encoder, model, normalizer=None):
+    """Write a version-1 model file, the format earlier releases wrote: the
+    encoder's bases, phases and draw counter stored in full."""
+    doc = {
+        "version": 1,
+        "n": encoder.n_features,
+        "D": encoder.dim,
+        "seed": encoder.seed,
+        "draw_counter": encoder.draw_counter,
+        "bases": encoder.bases.ravel().tolist(),
+        "phases": encoder.phases.tolist(),
+        "labels": list(model.labels),
+        "classes": model.classes.ravel().tolist(),
+    }
+    if normalizer is not None:
+        doc["normalizer"] = {"mean": np.asarray(normalizer.mean).tolist(),
+                             "std": np.asarray(normalizer.std).tolist()}
+    atomic_write_text(path, json.dumps(doc) + "\n")
+
+
+def assert_same_encoder(a, b):
+    assert np.array_equal(a.bases, b.bases)
+    assert np.array_equal(a.phases, b.phases)
+    assert a.seed == b.seed and a.draw_counter == b.draw_counter
 
 
 def small_dataset(**kwargs):
@@ -50,6 +79,20 @@ class TestEncoderState:
         c = e.copy()
         c.bases[0, 0] += 1.0
         assert e.bases[0, 0] != c.bases[0, 0]
+
+    def test_history_defaults_to_unknown(self):
+        e = EncoderState(np.zeros((4, 2)), np.zeros(4), seed=1, draw_counter=0)
+        assert e.regen_history is None and e.copy().regen_history is None
+
+    def test_copy_copies_the_history(self):
+        e = init_encoder(3, 2, 4)
+        assert e.regen_history == []
+        e = regenerate_dims(e, RegenPlan(np.array([1, 3]), np.zeros(4),
+                                         "insignificant", 0.5))
+        c = e.copy()
+        c.regen_history[0][0] = 0
+        c.regen_history.append(np.array([2]))
+        assert [idx.tolist() for idx in e.regen_history] == [[1, 3]]
 
 
 class TestClassModel:
@@ -138,26 +181,62 @@ class TestDataset:
         assert s.label_names == d.label_names
 
 
+def edit_field(doc, field, edit):
+    """Apply edit(node, leaf) to the dotted field of a model document."""
+    *parents, leaf = field.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    edit(node, leaf)
+
+
+BAD_ENTRY = ("must be a non-empty, strictly increasing list of integers in "
+             "[0, 8), got ")
+
+
 class TestModelFile:
-    def roundtrip(self, tmp_path, normalizer=None):
+    def roundtrip(self, tmp_path, normalizer=None, version=2):
+        """Save a model with two rounds of history in the given file
+        version; returns the encoder, model, path and what loads back."""
         enc = init_encoder(17, 3, 8)
+        for idx in ([1, 5], [0, 5, 7]):
+            enc = regenerate_dims(enc, RegenPlan(np.array(idx), np.zeros(8),
+                                                 "insignificant", 0.25))
         model = ClassModel(
             np.random.Generator(np.random.Philox(key=2)).standard_normal(
                 (4, 8)),
             ["a", "b", "c", "d"])
         path = os.path.join(tmp_path, "model.json")
-        save_model(path, enc, model, normalizer=normalizer)
+        write = save_model if version == 2 else write_v1_model
+        write(path, enc, model, normalizer=normalizer)
         return enc, model, path, load_model(path)
+
+    def edited(self, tmp_path, field, edit, version=2):
+        """The path of a saved model whose field was edited in place."""
+        norm = NormalizationStats(np.zeros(3), np.ones(3))
+        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm,
+                                       version=version)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit_field(doc, field, edit)
+        atomic_write_text(path, json.dumps(doc))
+        return path
 
     def test_bit_exact_roundtrip(self, tmp_path):
         enc, model, _, (enc2, model2, stats) = self.roundtrip(tmp_path)
-        np.testing.assert_array_equal(enc.bases, enc2.bases)
-        np.testing.assert_array_equal(enc.phases, enc2.phases)
-        assert enc2.seed == enc.seed
-        assert enc2.draw_counter == enc.draw_counter
+        assert_same_encoder(enc, enc2)
+        assert ([idx.tolist() for idx in enc2.regen_history]
+                == [[1, 5], [0, 5, 7]])
+        assert all(idx.dtype == np.int64 for idx in enc2.regen_history)
         np.testing.assert_array_equal(model.classes, model2.classes)
         assert model2.labels == model.labels
         assert stats is None
+
+    def test_v1_roundtrip_has_no_history(self, tmp_path):
+        enc, model, _, (enc2, model2, _) = self.roundtrip(tmp_path, version=1)
+        assert_same_encoder(enc, enc2)
+        assert enc2.regen_history is None
+        np.testing.assert_array_equal(model.classes, model2.classes)
 
     def test_normalizer_roundtrip(self, tmp_path):
         norm = NormalizationStats(np.array([0.25, -1.5, 3.0]),
@@ -174,12 +253,32 @@ class TestModelFile:
             assert a.read() == b.read()
 
     def test_file_is_plain_json_with_expected_fields(self, tmp_path):
-        _, _, path, _ = self.roundtrip(tmp_path)
+        _, _, path, _ = self.roundtrip(tmp_path, version=1)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert {"version", "n", "D", "seed", "draw_counter", "bases",
                 "phases", "labels", "classes"} <= set(doc)
         assert doc["n"] == 3 and doc["D"] == 8
+
+    def test_v2_file_stores_the_replay_log(self, tmp_path):
+        norm = NormalizationStats(np.zeros(3), np.ones(3))
+        _, model, path, _ = self.roundtrip(tmp_path, normalizer=norm)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert list(doc) == ["version", "n", "D", "seed", "regen_history",
+                             "labels", "classes", "normalizer"]
+        assert doc["version"] == 2 and doc["n"] == 3 and doc["D"] == 8
+        assert doc["regen_history"] == [[1, 5], [0, 5, 7]]
+        assert doc["classes"] == model.classes.ravel().tolist()
+
+    def test_encoder_without_history_is_not_saved(self, tmp_path):
+        enc, model, path, (enc1, _, _) = self.roundtrip(tmp_path, version=1)
+        hand_built = EncoderState(enc.bases, enc.phases, enc.seed,
+                                  enc.draw_counter)
+        for encoder in (enc1, hand_built):
+            with pytest.raises(ValueError, match="history is unknown"):
+                save_model(path + ".v2", encoder, model)
+        assert not os.path.exists(path + ".v2")
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bad.json")
@@ -197,12 +296,8 @@ class TestModelFile:
         {"std": [1.0, -2.0, 1.0]},
     ])
     def test_inconsistent_normalizer_rejected(self, tmp_path, edit):
-        norm = NormalizationStats(np.zeros(3), np.ones(3))
-        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc["normalizer"].update(edit)
-        atomic_write_text(path, json.dumps(doc))
+        path = self.edited(tmp_path, "normalizer",
+                           lambda node, leaf: node[leaf].update(edit))
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value).startswith(f"malformed model file {path}: ")
@@ -213,11 +308,24 @@ class TestModelFile:
         ("draw_counter", None), ("labels", "abcd"), ("labels", [1, 2, 3, 4]),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, key, value):
-        _, _, path, _ = self.roundtrip(tmp_path)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc[key] = value
-        atomic_write_text(path, json.dumps(doc))
+        path = self.edited(tmp_path, key,
+                           lambda node, leaf: node.update({leaf: value}),
+                           version=1)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(
+            f"malformed model file {path}: {key} must be a JSON ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("version", True), ("version", 2.0), ("n", 3.0), ("D", "8"),
+        ("seed", True), ("seed", 0.5), ("labels", "abcd"),
+        ("labels", [1, 2, 3, 4]), ("classes", 0.5),
+        ("regen_history", None), ("regen_history", "[[1, 5]]"),
+        ("regen_history", {"0": [1, 5]}), ("regen_history", 3),
+    ])
+    def test_wrongly_typed_v2_field_rejected(self, tmp_path, key, value):
+        path = self.edited(tmp_path, key,
+                           lambda node, leaf: node.update({leaf: value}))
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value).startswith(
@@ -227,25 +335,108 @@ class TestModelFile:
                                        "normalizer.mean", "normalizer.std"])
     @pytest.mark.parametrize("entry", ["0.5", True, None])
     def test_non_number_array_entry_rejected(self, tmp_path, field, entry):
-        norm = NormalizationStats(np.zeros(3), np.ones(3))
-        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        *parents, leaf = field.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[leaf][1] = entry
-        atomic_write_text(path, json.dumps(doc))
+        path = self.edited(tmp_path, field,
+                           lambda node, leaf: node[leaf].__setitem__(1, entry),
+                           version=1)
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value) == (
             f"malformed model file {path}: {field} must be a JSON number "
             f"array, got {entry!r} at index 1")
 
+    @pytest.mark.parametrize("field", ["classes", "normalizer.mean",
+                                       "normalizer.std"])
+    @pytest.mark.parametrize("entry", ["0.5", True, None])
+    def test_non_number_v2_array_entry_rejected(self, tmp_path, field, entry):
+        path = self.edited(tmp_path, field,
+                           lambda node, leaf: node[leaf].__setitem__(1, entry))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"malformed model file {path}: {field} must be a JSON number "
+            f"array, got {entry!r} at index 1")
+
+    @pytest.mark.parametrize("history, message", [
+        ([[3, 1]], "regen_history[0] " + BAD_ENTRY + "[3, 1]"),
+        ([[1, 5], [2, 2]], "regen_history[1] " + BAD_ENTRY + "[2, 2]"),
+        ([[-1]], "regen_history[0] " + BAD_ENTRY + "[-1]"),
+        ([[8]], "regen_history[0] " + BAD_ENTRY + "[8]"),
+        ([[0, 2**70]],
+         "regen_history[0] " + BAD_ENTRY + "[0, 1180591620717411303424]"),
+        ([[]], "regen_history[0] " + BAD_ENTRY + "[]"),
+        ([[1.0]], "regen_history[0] must be a JSON integer array, got 1.0 "
+                  "at index 0"),
+        ([[1, 5], [True]], "regen_history[1] must be a JSON integer array, "
+                           "got True at index 0"),
+        ([["1"]], "regen_history[0] must be a JSON integer array, got '1' "
+                  "at index 0"),
+        ([1, 5], "regen_history[0] must be a JSON integer array, got 1"),
+        ("1", "regen_history must be a JSON array, got '1'"),
+    ])
+    def test_corrupt_regen_history_rejected(self, tmp_path, history,
+                                            message):
+        path = self.edited(tmp_path, "regen_history",
+                           lambda node, leaf: node.update({leaf: history}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"malformed model file {path}: {message}"
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(os.path.join(tmp_path, "absent.json"))
+
+
+class TestVersion1File:
+    """A version-1 file written by an earlier release's ``dynhd train``
+    (synthetic n=3, D=16, two rounds of insignificant regeneration at rate
+    0.25; its config and records sit beside it)."""
+
+    PATH = os.path.join(DATA_DIR, "v1_model.json")
+
+    def history(self):
+        """The run's non-empty regen_indices, from its round records."""
+        with open(os.path.join(DATA_DIR, "v1_train_records.jsonl"),
+                  encoding="utf-8") as fh:
+            return [rec["regen_indices"] for rec in map(json.loads, fh)
+                    if rec["type"] == "round" and rec["regen_indices"]]
+
+    def test_loads_to_the_replay_of_its_run(self):
+        enc, model, stats = load_model(self.PATH)
+        assert self.history() == [[6, 7, 13, 15], [6, 7, 13, 15]]
+        assert_same_encoder(enc, replay_encoder(5, 3, 16, self.history()))
+        assert enc.regen_history is None
+        assert model.classes.shape == (3, 16) and stats is not None
+
+    def test_v2_copy_holds_the_same_classes_and_normalizer(self, tmp_path):
+        v1_path = self.PATH
+        enc, model, stats = load_model(v1_path)
+        path = os.path.join(tmp_path, "v2.json")
+        save_model(path, replay_encoder(5, 3, 16, self.history()), model,
+                   stats)
+        with open(v1_path, encoding="utf-8") as a, \
+                open(path, encoding="utf-8") as b:
+            v1, v2 = json.load(a), json.load(b)
+        for key in ("n", "D", "seed", "labels", "classes", "normalizer"):
+            assert json.dumps(v1[key]) == json.dumps(v2[key])
+        assert_same_encoder(load_model(path)[0], enc)
+
+
+def test_train_save_load_roundtrip_is_exact(tmp_path):
+    data = Dataset(
+        np.random.Generator(np.random.Philox(key=4)).standard_normal((40, 5)),
+        np.arange(40) % 4, ["a", "b", "c", "d"])
+    train_ds, valid_ds = split(data, [0.75, 0.25], seed=1)
+    cfg = TrainConfig(dim=64, epochs_per_round=1, rounds=3, regen_rate=0.25,
+                      strategy="insignificant", shuffle=True, seed=9)
+    enc, model, report = train(cfg, train_ds, valid_ds)
+    logged = [rec.regen_indices for rec in report.rounds[:-1]]
+    assert [idx.tolist() for idx in enc.regen_history] == logged
+    path = os.path.join(tmp_path, "trained.json")
+    save_model(path, enc, model)
+    enc2, model2, _ = load_model(path)
+    assert_same_encoder(enc, enc2)
+    assert [idx.tolist() for idx in enc2.regen_history] == logged
+    assert np.array_equal(model.classes, model2.classes)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

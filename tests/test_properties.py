@@ -1,11 +1,12 @@
 """Randomized invariant suite.
 
-Eight families, each run over at least 200 generated cases: monotone top-k
+Nine families, each run over at least 200 generated cases: monotone top-k
 accuracy, scale-invariant rankings, bounded encodings, class-scale-invariant
 detector scores, the regeneration zero/coherence rules, batched in-place
 re-encoding equal to a fresh encode, strict rejection of non-finite
-training hyperparameters, and the score-cached training pass equal to the
-per-sample loop.
+training hyperparameters, the score-cached training pass equal to the
+per-sample loop, and an encoder replayed from its regeneration history
+equal to the chained result, with the draw count the history implies.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynhd.analysis import domain_variance, misleading_scores
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
-                           reencode_dims, regenerate_dims)
+                           reencode_dims, regenerate_dims, replay_encoder)
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy, vec_norm)
 from dynhd.model import ClassModel, Dataset, RegenPlan
@@ -224,3 +225,24 @@ def test_cached_pass_equals_per_sample_loop(seed, dim, n_classes, n_samples,
               for _ in range(epochs)]
     assert_pass_exact(classes, encodings,
                       [(order, labels) for order in orders], eta)
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n=st.integers(1, 9), plan_seed=seeds,
+       rounds=st.integers(0, 4))
+def test_replay_equals_chained_regeneration(seed, dim, n, plan_seed, rounds):
+    pick = make_rng(plan_seed)
+    e = init_encoder(seed, n, dim)
+    regenerated = 0
+    for _ in range(rounds):
+        count = int(pick.integers(0, dim + 1))
+        indices = np.sort(pick.choice(dim, size=count, replace=False))
+        e = regenerate_dims(e, RegenPlan(indices, np.zeros(dim),
+                                         "insignificant", count / dim))
+        regenerated += count
+    replayed = replay_encoder(seed, n, dim, e.regen_history)
+    np.testing.assert_array_equal(replayed.bases, e.bases)
+    np.testing.assert_array_equal(replayed.phases, e.phases)
+    pairs = lambda k: 2 * ((k + 1) // 2)  # uniforms behind k normals
+    assert e.draw_counter == replayed.draw_counter == (
+        pairs(dim * n) + dim + regenerated * (pairs(n) + 1))
