@@ -1,13 +1,15 @@
 """Encoding formula, batch semantics, and dimension regeneration."""
 
 import math
+import mmap
 import os
 
 import numpy as np
 import pytest
 
-from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
-                           reencode_dims, regenerate_dims, replay_encoder)
+from dynhd.encoder import (BLOCK_ROWS, MAPPED_BYTES, encode, encode_batch,
+                           init_encoder, reencode_dims, regenerate_dims,
+                           replay_encoder)
 from dynhd.model import EncoderState, RegenPlan, load_model, save_model
 from dynhd.rng import TWO_PI, UniformStream
 
@@ -28,6 +30,14 @@ def _reference_regenerate(e, indices):
         bases[i] = stream.normals(e.n_features)
         phases[i] = stream.phases(1)[0]
     return bases, phases, stream.position
+
+
+def _mapping_of(arr):
+    """The mmap an array's memory comes from, or None."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    owner = getattr(arr.base, "obj", None)
+    return owner if isinstance(owner, mmap.mmap) else None
 
 
 def plan_for(e, indices):
@@ -137,6 +147,24 @@ class TestEncodeBatch:
         bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="sample 1"):
             encode_batch(e, bad)
+
+    def test_large_output_is_mapped_and_exact(self):
+        e = init_encoder(2, 3, 1024)
+        rows = MAPPED_BYTES // (1024 * 8) + 1
+        samples = np.random.Generator(
+            np.random.Philox(key=9)).standard_normal((rows, 3))
+        out = encode_batch(e, samples)
+        assert _mapping_of(out) is not None
+        assert out.flags.writeable and out.flags.c_contiguous
+        # The same rows through heap-allocated batches below the threshold.
+        halves = [encode_batch(e, part)
+                  for part in np.array_split(samples, 2)]
+        assert all(_mapping_of(h) is None for h in halves)
+        np.testing.assert_array_equal(out, np.concatenate(halves))
+        plan = plan_for(e, [0, 5, 1023])
+        e2 = regenerate_dims(e, plan)
+        reencode_dims(e2, samples, out, plan, inplace=True)
+        np.testing.assert_array_equal(out, encode_batch(e2, samples))
 
 
 class TestRegenerateDims:
