@@ -8,8 +8,9 @@ redrawn and retrained without changing the model's size.
 """
 
 from .analysis import (domain_variance, misleading_scores,
-                       select_domain_variant, select_insignificant,
-                       select_misleading, variance_over_classes)
+                       plan_regeneration, select_domain_variant,
+                       select_insignificant, select_misleading,
+                       variance_over_classes)
 from .data import (NormalizationStats, SyntheticSpec, apply_normalizer,
                    fit_normalizer, leave_one_domain_out, load_csv,
                    make_blobs, remap_labels, split, write_csv)
@@ -34,7 +35,8 @@ __all__ = [
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",
     "leave_one_domain_out", "load_csv", "load_model",
-    "make_blobs", "misleading_scores", "perturb_model", "reencode_dims",
+    "make_blobs", "misleading_scores", "perturb_model", "plan_regeneration",
+    "reencode_dims",
     "regenerate_dims", "remap_labels", "replay_encoder", "save_model",
     "score_queries",
     "select_domain_variant", "select_insignificant", "select_misleading",

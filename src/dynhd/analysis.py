@@ -28,7 +28,8 @@ import numpy as np
 
 from .encoder import encode_batch
 from .inference import model_scores, ranked_classes, row_norms
-from .model import ClassModel, Dataset, EncoderState, RegenPlan
+from .model import (REGEN_STRATEGIES, ClassModel, Dataset, EncoderState,
+                    RegenPlan)
 
 
 def _unit_rows(classes: np.ndarray) -> np.ndarray:
@@ -128,3 +129,28 @@ def _select_top_positive(scores: np.ndarray, rate: float,
     eligible = order[scores[order] > 0.0]
     picked = np.sort(eligible[:count])
     return RegenPlan(picked, scores, strategy, rate)
+
+
+def plan_regeneration(strategy: str, rate: float, model: ClassModel,
+                      enc: EncoderState, ds: Optional[Dataset] = None,
+                      encodings: Optional[np.ndarray] = None) -> RegenPlan:
+    """Score the dimensions with ``strategy``'s detector and select its plan.
+
+    ``insignificant`` reads only the model.  ``misleading`` and
+    ``domain_variant`` score the dataset ``ds``, which they require, encoded
+    by ``enc`` unless its cached ``encodings`` are passed.
+    """
+    if strategy not in REGEN_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
+                         f"{REGEN_STRATEGIES}")
+    if strategy == "insignificant":
+        return select_insignificant(model, rate)
+    if ds is None:
+        raise ValueError(f"strategy={strategy} needs a dataset")
+    if strategy == "misleading":
+        return select_misleading(misleading_scores(model, enc, ds, encodings),
+                                 rate)
+    from .trainer import domain_models  # deferred: trainer imports analysis
+
+    return select_domain_variant(
+        domain_variance(domain_models(enc, ds, encodings)), rate)

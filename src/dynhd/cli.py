@@ -17,24 +17,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import statistics
 import sys
 import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import (domain_variance, misleading_scores,
-                       select_domain_variant, select_insignificant,
-                       select_misleading, variance_over_classes)
+from .analysis import plan_regeneration, variance_over_classes
 from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
                    make_blobs, remap_labels, split, write_csv)
-from .encoder import encode_batch, init_encoder
+from .encoder import encode_batch
 from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
-from .model import (REGEN_STRATEGIES, ClassModel, Dataset, atomic_write_text,
-                    check_json_kind, load_model, save_model, validate_dataset)
-from .trainer import TrainConfig, domain_models, train
+from .model import (ClassModel, Dataset, atomic_write_text, check_json_kind,
+                    load_model, save_model, validate_dataset)
+from .trainer import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,9 +123,6 @@ SETTINGS = {
     "noisesweep": {**QUERY_SETTINGS,
                    "q_list": ([0.0, 0.05, 0.1, 0.2], "number array"),
                    "magnitude": (1.0, "number"), "seed": (0, "integer")},
-    "bench": {"n": (16, "integer"), "dim": (2048, "integer"),
-              "batch": (1000, "integer"), "classes": (16, "integer"),
-              "reps": (3, "integer"), "seed": (0, "integer")},
     "synth": {**SYNTHETIC_SETTINGS, "out": (REQUIRED, "string")},
 }
 
@@ -276,28 +270,14 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
 def cmd_analyze(merged: dict, emitter: Emitter) -> int:
     """score dimensions and list the regeneration candidates"""
     strategy, rate = merged["strategy"], merged["rate"]
-    if strategy not in REGEN_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
-                         f"{REGEN_STRATEGIES}")
     enc, model, stats = load_model(merged["model"])
 
     t0 = time.perf_counter()
-    if strategy == "insignificant":
-        scores = variance_over_classes(model)
-        plan = select_insignificant(model, rate)
-    else:
-        if merged["data"] is None:
-            raise ValueError(f"strategy={strategy} needs --data")
-        ds = _load_eval_data(merged, model, stats)
-        if strategy == "misleading":
-            scores = misleading_scores(model, enc, ds)
-            plan = select_misleading(scores, rate)
-        else:
-            if ds.domains is None:
-                raise ValueError("strategy=domain_variant needs a "
-                                 "domain column")
-            scores = domain_variance(domain_models(enc, ds))
-            plan = select_domain_variant(scores, rate)
+    ds = (None if merged["data"] is None
+          else _load_eval_data(merged, model, stats))
+    plan = plan_regeneration(strategy, rate, model, enc, ds)
+    # insignificant plans score by negated variance; report the variances
+    scores = -plan.scores if strategy == "insignificant" else plan.scores
     emitter.record({
         "experiment": "analyze", "strategy": strategy, "R": rate,
         "selected_indices": plan.indices.tolist(),
@@ -385,51 +365,6 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
 
 
 # --------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(merged: dict, emitter: Emitter) -> int:
-    """encode and scoring throughput"""
-    n, dim, batch = merged["n"], merged["dim"], merged["batch"]
-    n_classes, reps, seed = merged["classes"], merged["reps"], merged["seed"]
-    if min(n, dim, batch, n_classes) < 1:
-        raise ValueError("n, dim, batch, and classes must be positive")
-    if reps < 3:
-        raise ValueError("reps must be at least 3")
-
-    t_start = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    features = rng.standard_normal((batch, n))
-    classes = rng.standard_normal((n_classes, dim))
-    enc = init_encoder(seed, n, dim)
-
-    encode_times = []
-    encodings = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        encodings = encode_batch(enc, features)
-        encode_times.append(time.perf_counter() - t0)
-
-    class_norms = row_norms(classes)
-    query_norms = row_norms(encodings)[:, None]
-    score_times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        model_scores(classes, class_norms, encodings, query_norms)
-        score_times.append(time.perf_counter() - t0)
-
-    emitter.record({
-        "experiment": "bench",
-        "encodes_per_sec": batch / statistics.median(encode_times),
-        "scores_per_sec": batch * n_classes / statistics.median(score_times),
-        "reps": reps, "n": n, "D": dim, "batch": batch,
-        "classes": n_classes, "seed": seed,
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-        "config": merged})
-    return EXIT_OK
-
-
-# --------------------------------------------------------------------------
 # synth
 
 
@@ -459,7 +394,6 @@ COMMANDS = {
     "analyze": cmd_analyze,
     "dropsweep": cmd_dropsweep,
     "noisesweep": cmd_noisesweep,
-    "bench": cmd_bench,
     "synth": cmd_synth,
 }
 

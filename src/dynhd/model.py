@@ -348,7 +348,11 @@ def _replay_v2_encoder(doc: dict, n: int, dim: int) -> EncoderState:
     check_json_kind("regen_history", history, "array")
     for i, entry in enumerate(history):
         check_json_kind(f"regen_history[{i}]", entry, "integer array")
-    return replay_encoder(doc["seed"], n, dim, history)
+    try:
+        return replay_encoder(doc["seed"], n, dim, history)
+    except MemoryError:  # nothing else in a v2 file bounds n * D
+        raise ValueError(f"n={n} and D={dim} need more memory than is "
+                         "available") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

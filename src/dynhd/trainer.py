@@ -30,21 +30,18 @@ row at a time), and updates from the first mispredict's cached scores.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .analysis import (domain_variance, misleading_scores,
-                       select_domain_variant, select_insignificant,
-                       select_misleading)
+from .analysis import plan_regeneration
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
 from .inference import model_scores, row_norms, topk_hits, vec_norm
-from .model import ClassModel, Dataset, EncoderState, RegenPlan, TRAIN_STRATEGIES
+from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
 from .rng import check_seed
 
 EARLY_STOP_MIN_DELTA = 1e-4
@@ -110,24 +107,10 @@ class TrainReport:
     def records(self) -> list[dict]:
         """Report as JSON-ready dicts, epoch rows then round rows then a
         summary, in run order within each kind."""
-        out = []
-        for rec in self.epochs:
-            out.append({"type": "epoch", "segment": rec.segment,
-                        "epoch": rec.epoch,
-                        "train_accuracy": rec.train_accuracy,
-                        "updates": rec.updates,
-                        "wall_ms": rec.wall_ms})
-        for rec in self.rounds:
-            out.append({"type": "round", "round": rec.round,
-                        "val_accuracy": rec.val_accuracy,
-                        "regen_indices": rec.regen_indices,
-                        "wall_ms": rec.wall_ms})
-        out.append({"type": "summary", "total_epochs": len(self.epochs),
-                    "stopped_early": self.stopped_early})
-        return out
-
-    def to_json_lines(self) -> list[str]:
-        return [json.dumps(rec) for rec in self.records()]
+        return ([{"type": "epoch", **vars(rec)} for rec in self.epochs]
+                + [{"type": "round", **vars(rec)} for rec in self.rounds]
+                + [{"type": "summary", "total_epochs": len(self.epochs),
+                    "stopped_early": self.stopped_early}])
 
 
 def train(cfg: TrainConfig, train_ds: Dataset,
@@ -204,7 +187,8 @@ def train(cfg: TrainConfig, train_ds: Dataset,
 
         regen_indices = None
         if not stopping and segment < cfg.rounds and cfg.strategy != "none":
-            plan = _make_plan(cfg, model, enc, train_ds, train_encs)
+            plan = plan_regeneration(cfg.strategy, cfg.regen_rate, model,
+                                     enc, train_ds, train_encs)
             enc = regenerate_dims(enc, plan)
             regen_indices = plan.indices.tolist()
             if plan.indices.size:
@@ -299,14 +283,3 @@ def domain_models(e: EncoderState, train: Dataset,
             _accumulate(encodings[mask], train.labels[mask], train.n_classes),
             list(train.label_names)))
     return models
-
-
-def _make_plan(cfg: TrainConfig, model: ClassModel, enc: EncoderState,
-               train_ds: Dataset, train_encs: np.ndarray) -> RegenPlan:
-    if cfg.strategy == "insignificant":
-        return select_insignificant(model, cfg.regen_rate)
-    if cfg.strategy == "misleading":
-        scores = misleading_scores(model, enc, train_ds, encodings=train_encs)
-        return select_misleading(scores, cfg.regen_rate)
-    models = domain_models(enc, train_ds, encodings=train_encs)
-    return select_domain_variant(domain_variance(models), cfg.regen_rate)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from dynhd.analysis import (domain_variance, misleading_scores,
-                            select_domain_variant, select_insignificant,
-                            select_misleading, variance_over_classes)
+                            plan_regeneration, select_domain_variant,
+                            select_insignificant, select_misleading,
+                            variance_over_classes)
+from dynhd.data import SyntheticSpec, make_blobs
 from dynhd.encoder import encode_batch, init_encoder
-from dynhd.model import ClassModel, Dataset
+from dynhd.model import REGEN_STRATEGIES, ClassModel, Dataset
+from dynhd.trainer import domain_models
 
 
 def model_from_rows(rows, labels=None):
@@ -304,3 +307,53 @@ class TestPermutationEquivariance:
         got_plan = set(select_insignificant(permuted, 0.25).indices.tolist())
         assert got_plan == {int(np.where(perm == d)[0][0])
                             for d in base_plan}
+
+
+class TestPlanRegeneration:
+    """The planner is each strategy's detector followed by its selector."""
+
+    def inputs(self):
+        ds = make_blobs(SyntheticSpec(n=5, classes=3, domains=3,
+                                      samples_per_class_per_domain=6,
+                                      domain_offset_std=1.0, seed=9))
+        enc = init_encoder(4, ds.n, 64)
+        # random class rows mispredict often, so every detector has evidence
+        rng = np.random.Generator(np.random.Philox(key=12))
+        model = ClassModel(rng.standard_normal((3, 64)), list(ds.label_names))
+        return enc, model, ds
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("strategy", REGEN_STRATEGIES)
+    def test_equals_detector_then_selector(self, strategy, cached):
+        enc, model, ds = self.inputs()
+        encodings = encode_batch(enc, ds.features) if cached else None
+        if strategy == "insignificant":
+            want = select_insignificant(model, 0.25)
+        elif strategy == "misleading":
+            want = select_misleading(misleading_scores(model, enc, ds), 0.25)
+        else:
+            want = select_domain_variant(
+                domain_variance(domain_models(enc, ds)), 0.25)
+        got = plan_regeneration(strategy, 0.25, model, enc, ds, encodings)
+        assert want.indices.size > 0
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        assert (got.strategy, got.rate) == (strategy, 0.25)
+
+    def test_insignificant_needs_no_dataset(self):
+        enc, model, _ = self.inputs()
+        np.testing.assert_array_equal(
+            plan_regeneration("insignificant", 0.25, model, enc).indices,
+            select_insignificant(model, 0.25).indices)
+
+    @pytest.mark.parametrize("strategy", ["misleading", "domain_variant"])
+    def test_data_strategy_without_dataset_rejected(self, strategy):
+        enc, model, _ = self.inputs()
+        with pytest.raises(ValueError,
+                           match=f"strategy={strategy} needs a dataset"):
+            plan_regeneration(strategy, 0.25, model, enc)
+
+    def test_unknown_strategy_rejected(self):
+        enc, model, ds = self.inputs()
+        with pytest.raises(ValueError, match="unknown strategy 'none'"):
+            plan_regeneration("none", 0.25, model, enc, ds)

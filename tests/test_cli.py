@@ -7,16 +7,20 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dynhd.cli
 import dynhd.encoder
+from dynhd.analysis import (domain_variance, misleading_scores,
+                            variance_over_classes)
 from dynhd.cli import _build_parser, main
 from dynhd.data import apply_normalizer, load_csv, remap_labels
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
+from dynhd.trainer import domain_models
 from test_model import edit_field, write_v1_model
 
 
@@ -404,6 +408,19 @@ class TestEval:
         assert records == []
         assert f"error: malformed model file {edited}: {message}" in err
 
+    def test_replay_out_of_memory_exits_two(self, workdir, monkeypatch):
+        def out_of_memory(seed, n, dim):
+            raise MemoryError
+
+        monkeypatch.setattr(dynhd.encoder, "init_encoder", out_of_memory)
+        code, records, err = run(["eval", "--model", str(workdir["model"]),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {workdir['model']}: n=6 and D=256 "
+            "need more memory than is available"]
+
     def test_version_1_model_evaluates_identically(self, workdir, tmp_path):
         enc, model, stats = load_model(str(workdir["model"]))
         v1 = tmp_path / "v1.json"
@@ -480,6 +497,28 @@ class TestAnalyze:
         code, _, _ = run(["analyze", "--model", str(workdir["model"]),
                           "--strategy", "insignificant", "--rate", "1.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("strategy", ["insignificant", "misleading",
+                                          "domain_variant"])
+    def test_score_summary_is_the_detector_scores(self, workdir, strategy):
+        code, records, _ = run(["analyze", "--model", str(workdir["model"]),
+                                "--strategy", strategy, "--rate", "0.2",
+                                "--data", str(workdir["dom_csv"]),
+                                "--domain-column", "domain"])
+        assert code == 0
+        enc, model, stats = load_model(str(workdir["model"]))
+        ds = apply_normalizer(stats, remap_labels(
+            load_csv(str(workdir["dom_csv"]), domain_column="domain"),
+            model.labels))
+        # the raw variances for insignificant, not the plan's negated scores
+        scores = {"insignificant": lambda: variance_over_classes(model),
+                  "misleading": lambda: misleading_scores(model, enc, ds),
+                  "domain_variant": lambda: domain_variance(
+                      domain_models(enc, ds))}[strategy]()
+        assert scores.max() > 0.0
+        assert records[0]["score_summary"] == {
+            "min": float(scores.min()), "max": float(scores.max()),
+            "mean": float(scores.mean())}
 
 
 class TestDropsweep:
@@ -574,29 +613,6 @@ class TestNoisesweep:
                 == [rec["value"] for rec in second])
 
 
-class TestBench:
-    def test_schema_and_positivity(self):
-        code, records, _ = run(["bench", "--n", "4", "--dim", "64",
-                                "--batch", "20", "--classes", "3",
-                                "--reps", "3"])
-        assert code == 0
-        rec = records[0]
-        assert rec["reps"] == 3
-        assert rec["encodes_per_sec"] > 0
-        assert rec["scores_per_sec"] > 0
-        assert rec["D"] == 64
-
-    def test_too_few_reps_rejected(self):
-        code, _, _ = run(["bench", "--n", "4", "--dim", "32",
-                          "--batch", "10", "--reps", "2"])
-        assert code == 2
-
-    def test_nonpositive_size_rejected(self):
-        code, _, _ = run(["bench", "--n", "0", "--dim", "32",
-                          "--batch", "10"])
-        assert code == 2
-
-
 class TestSynth:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -637,7 +653,6 @@ class TestTypedSettings:
         ("dropsweep", "fractions", "01"), ("dropsweep", "order", ["both"]),
         ("noisesweep", "seed", 3.5), ("noisesweep", "magnitude", "1"),
         ("noisesweep", "q_list", [0.1, None]),
-        ("bench", "reps", 3.9), ("bench", "seed", True),
         ("synth", "n", 3.7), ("synth", "separation", "4"),
     ])
     def test_wrongly_typed_value_rejected(self, workdir, tmp_path,
@@ -648,7 +663,6 @@ class TestTypedSettings:
         monkeypatch.setattr(dynhd.cli, "load_model", never)
         out = tmp_path / "never.csv"
         doc = {
-            "bench": {"n": 2, "dim": 16, "batch": 5, "classes": 2},
             "synth": {"n": 3, "classes": 2, "samples_per_class_per_domain": 5,
                       "out": str(out)},
             "analyze": {"model": str(workdir["model"]),
@@ -675,8 +689,6 @@ class TestFlags:
             "analyze": scored | {"--strategy", "--rate"},
             "dropsweep": scored | {"--fractions", "--order"},
             "noisesweep": scored | {"--q", "--magnitude", "--seed"},
-            "bench": common | {"--n", "--dim", "--batch", "--classes",
-                               "--reps", "--seed"},
             "synth": common | {"--n", "--classes", "--domains", "--samples",
                                "--separation", "--intra-std",
                                "--domain-offset-std", "--seed"},
@@ -687,6 +699,12 @@ class TestFlags:
                            for flag in action.option_strings}
                  for command, sub in subs.choices.items()}
         assert flags == expected
+
+    def test_retired_bench_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestQuietFlag:
@@ -701,13 +719,15 @@ class TestQuietFlag:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self):
+    def test_module_invocation(self, tmp_path):
+        out = tmp_path / "blobs.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "dynhd", "bench", "--n", "2", "--dim",
-             "16", "--batch", "5", "--classes", "2", "--reps", "3"],
+            [sys.executable, "-m", "dynhd", "synth", "--n", "2", "--classes",
+             "2", "--samples", "3", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout.splitlines()[0])["experiment"] == "bench"
+        assert json.loads(proc.stdout.splitlines()[0])["experiment"] == "synth"
+        assert out.exists()
 
     def test_help_exits_zero(self):
         proc = subprocess.run([sys.executable, "-m", "dynhd", "--help"],
@@ -716,10 +736,20 @@ class TestConsoleEntry:
         assert "train" in proc.stdout
 
     @pytest.mark.parametrize("command", ["train", "eval", "analyze",
-                                         "dropsweep", "noisesweep", "bench",
-                                         "synth"])
+                                         "dropsweep", "noisesweep", "synth"])
     def test_command_help_exits_zero(self, command):
         proc = subprocess.run([sys.executable, "-m", "dynhd", command,
                                "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert f"usage: dynhd {command}" in proc.stdout
+
+
+class TestReadme:
+    def test_cli_block_lists_exactly_the_commands(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = {line.split()[1] for line in block.splitlines()
+                    if line.startswith("dynhd ")}
+        assert commands == set(dynhd.cli.COMMANDS)

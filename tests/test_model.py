@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import dynhd.encoder
 from dynhd.data import NormalizationStats, split
 from dynhd.encoder import init_encoder, regenerate_dims, replay_encoder
 from dynhd.model import (ClassModel, Dataset, EncoderState, RegenPlan,
@@ -380,6 +381,19 @@ class TestModelFile:
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value) == f"malformed model file {path}: {message}"
+
+    def test_replay_out_of_memory_names_the_shape(self, tmp_path,
+                                                  monkeypatch):
+        _, _, path, _ = self.roundtrip(tmp_path)
+
+        def out_of_memory(seed, n, dim):
+            raise MemoryError
+
+        monkeypatch.setattr(dynhd.encoder, "init_encoder", out_of_memory)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: n=3 and D=8 "
+                                  "need more memory than is available")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
