@@ -21,8 +21,8 @@ from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, RegenPlan, ValidationReport,
                     load_model, save_model, validate_dataset)
 from .rng import UniformStream
-from .trainer import (EpochRecord, RoundRecord, TrainConfig, TrainReport,
-                      domain_models, train)
+from .trainer import (EpochRecord, RoundRecord, TimingRecord, TrainConfig,
+                      TrainReport, domain_models, train)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,8 @@ __all__ = [
     "ClassModel", "Dataset", "EncoderState", "EpochRecord",
     "NormalizationStats", "REGEN_STRATEGIES",
     "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
-    "TrainConfig", "TrainReport", "UniformStream", "ValidationReport",
+    "TimingRecord", "TrainConfig", "TrainReport", "UniformStream",
+    "ValidationReport",
     "apply_normalizer",
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",

@@ -38,7 +38,8 @@ def _unit_rows(classes: np.ndarray) -> np.ndarray:
     return classes / np.where(norms > 0.0, norms, 1.0)
 
 
-def _plan_size(rate: float, dim: int) -> int:
+def plan_size(rate: float, dim: int) -> int:
+    """floor(rate * D), the most dimensions a plan at ``rate`` selects."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     return int(np.floor(rate * dim))
@@ -55,7 +56,7 @@ def variance_over_classes(m: ClassModel) -> np.ndarray:
 def select_insignificant(m: ClassModel, rate: float) -> RegenPlan:
     """Plan the floor(rate*D) dimensions with the lowest class variance."""
     variances = variance_over_classes(m)
-    count = _plan_size(rate, m.dim)
+    count = plan_size(rate, m.dim)
     order = np.lexsort((np.arange(m.dim), variances))
     picked = np.sort(order[:count])
     return RegenPlan(picked, -variances, "insignificant", rate)
@@ -124,7 +125,7 @@ def select_domain_variant(scores: np.ndarray, rate: float) -> RegenPlan:
 def _select_top_positive(scores: np.ndarray, rate: float,
                          strategy: str) -> RegenPlan:
     scores = np.asarray(scores, dtype=np.float64)
-    count = _plan_size(rate, scores.shape[0])
+    count = plan_size(rate, scores.shape[0])
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     eligible = order[scores[order] > 0.0]
     picked = np.sort(eligible[:count])

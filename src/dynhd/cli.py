@@ -29,8 +29,8 @@ from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
 from .encoder import encode_batch
 from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
-from .model import (ClassModel, Dataset, atomic_write_text, check_json_kind,
-                    load_model, save_model, validate_dataset)
+from .model import (Dataset, atomic_write_text, check_json_kind, load_model,
+                    save_model, validate_dataset)
 from .trainer import TrainConfig, train
 
 EXIT_OK = 0
@@ -164,16 +164,21 @@ def _check_dataset(ds: Dataset, source: str) -> Dataset:
     return ds
 
 
-def _load_eval_data(cfg: dict, model: ClassModel,
-                    normalizer) -> Dataset:
-    """Load a CSV against a trained model: remap labels into the model's
-    order and apply its stored normalization, if any."""
+def _load_queries(cfg: dict):
+    """Load a query CSV and the model that scores it.  The model's ``n`` is
+    checked against the CSV's feature count before its encoder is replayed;
+    the labels are then remapped into the model's order and its stored
+    normalization, if any, applied.  Returns (encoder, model, dataset,
+    seconds the model load took)."""
     ds = _check_dataset(load_csv(cfg["data"], cfg["label_column"],
                                  cfg["domain_column"]), cfg["data"])
+    t0 = time.perf_counter()
+    enc, model, normalizer = load_model(cfg["model"], n_features=ds.n)
+    load_s = time.perf_counter() - t0
     ds = remap_labels(ds, model.labels)
     if normalizer is not None:
         ds = apply_normalizer(normalizer, ds)
-    return ds
+    return enc, model, ds, load_s
 
 
 # --------------------------------------------------------------------------
@@ -238,10 +243,7 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
 
 def cmd_eval(merged: dict, emitter: Emitter) -> int:
     """top-k accuracy of a model on a CSV"""
-    t0 = time.perf_counter()
-    enc, model, stats = load_model(merged["model"])
-    load_s = time.perf_counter() - t0
-    ds = _load_eval_data(merged, model, stats)
+    enc, model, ds, load_s = _load_queries(merged)
     k_list = merged["k_list"]
     if not k_list:
         raise ValueError("k_list must be non-empty")
@@ -270,11 +272,12 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
 def cmd_analyze(merged: dict, emitter: Emitter) -> int:
     """score dimensions and list the regeneration candidates"""
     strategy, rate = merged["strategy"], merged["rate"]
-    enc, model, stats = load_model(merged["model"])
-
     t0 = time.perf_counter()
-    ds = (None if merged["data"] is None
-          else _load_eval_data(merged, model, stats))
+    if merged["data"] is None:
+        enc, model, _ = load_model(merged["model"])
+        ds = None
+    else:
+        enc, model, ds, _ = _load_queries(merged)
     plan = plan_regeneration(strategy, rate, model, enc, ds)
     # insignificant plans score by negated variance; report the variances
     scores = -plan.scores if strategy == "insignificant" else plan.scores
@@ -304,8 +307,7 @@ def cmd_dropsweep(merged: dict, emitter: Emitter) -> int:
     orders = (["lowest", "highest"] if merged["order"] == "both"
               else [merged["order"]])
 
-    enc, model, stats = load_model(merged["model"])
-    ds = _load_eval_data(merged, model, stats)
+    enc, model, ds, _ = _load_queries(merged)
     encodings = encode_batch(enc, ds.features)
     variances = variance_over_classes(model)
     dim = model.dim
@@ -344,8 +346,7 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
     q_list, magnitude = merged["q_list"], merged["magnitude"]
     base_seed = merged["seed"]
 
-    enc, model, stats = load_model(merged["model"])
-    ds = _load_eval_data(merged, model, stats)
+    enc, model, ds, _ = _load_queries(merged)
     encodings = encode_batch(enc, ds.features)
     query_norms = row_norms(encodings)[:, None]
     for i, q in enumerate(q_list):

@@ -8,6 +8,7 @@ throughout.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -288,7 +289,7 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
-def load_model(path: str):
+def load_model(path: str, n_features: Optional[int] = None):
     """Read a version-2 or version-1 model file; returns (EncoderState,
     ClassModel, normalizer).
 
@@ -296,20 +297,28 @@ def load_model(path: str):
     non-empty, strictly increasing integer arrays within [0, D)) and
     replayed; the encoder read from a version-1 file has no history.
     ``normalizer`` is a NormalizationStats or None.  Any malformed content
-    raises ValueError prefixed ``malformed model file <path>:``.
+    raises ValueError prefixed ``malformed model file <path>:``.  With
+    ``n_features``, the feature count of the data the model is for, a file
+    whose ``n`` differs raises ValueError naming ``n`` before the encoder is
+    rebuilt.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    try:
+    with _malformed(path):
         version = doc["version"]
         check_json_kind("version", version, "integer")
         if version not in (1, MODEL_FILE_VERSION):
             raise ValueError(f"unsupported model file version {version}")
         for key in ("n", "D", "seed"):
             check_json_kind(key, doc[key], "integer")
+    n, dim = doc["n"], doc["D"]
+    if n_features is not None and n != n_features:
+        raise ValueError(f"model file {path} has n={n}, but the data has "
+                         f"{n_features} features")
+    with _malformed(path):
         check_json_kind("labels", doc["labels"], "string array")
         check_json_kind("classes", doc["classes"], "number array")
-        n, dim, labels = doc["n"], doc["D"], doc["labels"]
+        labels = doc["labels"]
         classes = np.asarray(doc["classes"],
                              dtype=np.float64).reshape(len(labels), dim)
         model = ClassModel(classes, labels)
@@ -325,9 +334,16 @@ def load_model(path: str):
             normalizer.check(n)
         encoder = (_read_v1_encoder(doc, n, dim) if version == 1
                    else _replay_v2_encoder(doc, n, dim))
+    return encoder, model, normalizer
+
+
+@contextlib.contextmanager
+def _malformed(path: str):
+    """Re-raise what a malformed document raises as one ValueError."""
+    try:
+        yield
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
-    return encoder, model, normalizer
 
 
 def _read_v1_encoder(doc: dict, n: int, dim: int) -> EncoderState:

@@ -19,7 +19,10 @@ shuffle flag is set.  Validation top-1 accuracy is measured after each
 segment, before any regeneration; early stopping fires when it fails to
 improve by more than 1e-4 for ``patience`` consecutive segments
 (patience=0 disables).  An update that leaves a class norm non-finite
-raises ArithmeticError naming the segment and the epoch.
+raises ArithmeticError naming the segment and the epoch.  Each round's
+record carries its plan's size against floor(rate * D), and a timing record
+per step that ran at the segment's end (validate, plan, regenerate,
+reencode) gives its wall time.
 
 The pass caches each row's class scores until the next update or segment;
 the classes do not change in between, so a cached row is exact.  After
@@ -36,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import plan_regeneration
+from .analysis import plan_regeneration, plan_size
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
@@ -95,6 +98,20 @@ class RoundRecord:
     val_accuracy: float
     # None: no regeneration step ran; []: the selector found nothing.
     regen_indices: Optional[list[int]]
+    # The plan's size against the floor(rate * D) the selector may fill;
+    # None when no regeneration step ran.
+    planned: Optional[int]
+    target: Optional[int]
+    wall_ms: float
+
+
+@dataclass
+class TimingRecord:
+    """Wall time of one step of a round's end: ``validate``, ``plan``,
+    ``regenerate`` (the redraw) or ``reencode`` (the class reset, and the
+    cached train and validation encodings with their norms)."""
+    round: int
+    step: str
     wall_ms: float
 
 
@@ -102,13 +119,16 @@ class RoundRecord:
 class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     rounds: list[RoundRecord] = field(default_factory=list)
+    timings: list[TimingRecord] = field(default_factory=list)
     stopped_early: bool = False
 
     def records(self) -> list[dict]:
-        """Report as JSON-ready dicts, epoch rows then round rows then a
-        summary, in run order within each kind."""
+        """Report as JSON-ready dicts, epoch rows, round rows, timing rows,
+        then a summary, in run order within each kind.  Only ``wall_ms``
+        fields vary between runs of one config."""
         return ([{"type": "epoch", **vars(rec)} for rec in self.epochs]
                 + [{"type": "round", **vars(rec)} for rec in self.rounds]
+                + [{"type": "timing", **vars(rec)} for rec in self.timings]
                 + [{"type": "summary", "total_epochs": len(self.epochs),
                     "stopped_early": self.stopped_early}])
 
@@ -174,7 +194,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             report.epochs.append(EpochRecord(segment, epoch, acc, updates,
                                              (time.perf_counter() - t0) * 1e3))
 
-        t0 = time.perf_counter()
+        clock = [("", time.perf_counter())]  # (step, its end) in order
         val_scores = model_scores(model.classes, class_norms, valid_encs,
                                   valid_norms)
         val_acc = topk_hits(val_scores, valid_ds.labels, 1) / len(valid_ds)
@@ -184,13 +204,18 @@ def train(cfg: TrainConfig, train_ds: Dataset,
         else:
             stale += 1
         stopping = cfg.patience > 0 and stale >= cfg.patience
+        clock.append(("validate", time.perf_counter()))
 
-        regen_indices = None
+        regen_indices = planned = target = None
         if not stopping and segment < cfg.rounds and cfg.strategy != "none":
             plan = plan_regeneration(cfg.strategy, cfg.regen_rate, model,
                                      enc, train_ds, train_encs)
-            enc = regenerate_dims(enc, plan)
             regen_indices = plan.indices.tolist()
+            planned = len(regen_indices)
+            target = plan_size(cfg.regen_rate, cfg.dim)
+            clock.append(("plan", time.perf_counter()))
+            enc = regenerate_dims(enc, plan)
+            clock.append(("regenerate", time.perf_counter()))
             if plan.indices.size:
                 model.classes[:, plan.indices] = 0.0
                 class_norms = row_norms(model.classes)
@@ -200,9 +225,13 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                               inplace=True)
                 train_norms = row_norms(train_encs)
                 valid_norms = row_norms(valid_encs)[:, None]
+                clock.append(("reencode", time.perf_counter()))
+        report.timings += [TimingRecord(segment, step, (end - start) * 1e3)
+                           for (_, start), (step, end)
+                           in zip(clock, clock[1:])]
         report.rounds.append(RoundRecord(
-            segment, val_acc, regen_indices,
-            (time.perf_counter() - t0) * 1e3))
+            segment, val_acc, regen_indices, planned, target,
+            (time.perf_counter() - clock[0][1]) * 1e3))
         if stopping:
             report.stopped_early = True
             break

@@ -111,7 +111,8 @@ class TestTrain:
             "epoch": {"type", "segment", "epoch", "train_accuracy",
                       "updates", "wall_ms"},
             "round": {"type", "round", "val_accuracy", "regen_indices",
-                      "wall_ms"},
+                      "planned", "target", "wall_ms"},
+            "timing": {"type", "round", "step", "wall_ms"},
             "summary": {"type", "total_epochs", "stopped_early"},
         }
         records = workdir["train_records"]
@@ -120,6 +121,34 @@ class TestTrain:
             assert set(rec) == schemas[rec["type"]]
             if rec["type"] == "epoch":
                 assert type(rec["updates"]) is int and rec["updates"] >= 0
+
+    @pytest.mark.parametrize("rate, target", [(0.3, 38), (0.005, 0)])
+    def test_round_records_time_each_step(self, workdir, tmp_path, rate,
+                                          target):
+        config = tmp_path / "regen.json"
+        config.write_text(json.dumps({
+            "dim": 128, "rounds": 2, "regen_rate": rate,
+            "strategy": "insignificant", "seed": 3,
+            "data": {"csv": str(workdir["data_csv"])}}))
+        code, records, _ = run(["train", "--config", str(config),
+                                "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        rounds = [rec for rec in records if rec["type"] == "round"]
+        # the insignificant selector always fills floor(rate * D)
+        assert [r["planned"] for r in rounds] == [target, target, None]
+        assert [r["target"] for r in rounds] == [target, target, None]
+        assert [len(r["regen_indices"]) for r in rounds[:-1]] == [target] * 2
+        # an empty plan re-encodes nothing
+        steps = ["validate", "plan", "regenerate"] + ["reencode"] * (
+            target > 0)
+        timings = [rec for rec in records if rec["type"] == "timing"]
+        assert [(t["round"], t["step"]) for t in timings] == (
+            [(0, step) for step in steps] + [(1, step) for step in steps]
+            + [(2, "validate")])
+        for r in rounds:
+            spent = sum(t["wall_ms"] for t in timings
+                        if t["round"] == r["round"])
+            assert 0.0 < spent <= r["wall_ms"]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_class_norm_overflow_exits_numeric(self, tmp_path):
@@ -420,6 +449,28 @@ class TestEval:
         assert err.splitlines() == [
             f"error: malformed model file {workdir['model']}: n=6 and D=256 "
             "need more memory than is available"]
+
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["analyze", "--strategy", "misleading", "--rate", "0.1"],
+        ["dropsweep"], ["noisesweep"]])
+    def test_feature_count_checked_before_replay(self, workdir, tmp_path,
+                                                 monkeypatch, command):
+        def never(seed, n, dim):
+            raise AssertionError("the encoder was replayed")
+
+        doc = json.loads(workdir["model"].read_text())
+        doc["n"], doc["D"] = 2000000, 4
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        monkeypatch.setattr(dynhd.encoder, "init_encoder", never)
+        code, records, err = run(command + ["--model", str(edited),
+                                            "--data",
+                                            str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: model file {edited} has n=2000000, but the data has 6 "
+            "features"]
 
     def test_version_1_model_evaluates_identically(self, workdir, tmp_path):
         enc, model, stats = load_model(str(workdir["model"]))

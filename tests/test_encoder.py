@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import dynhd.encoder
 from dynhd.encoder import (BLOCK_ROWS, MAPPED_BYTES, encode, encode_batch,
                            init_encoder, reencode_dims, regenerate_dims,
                            replay_encoder)
@@ -15,9 +16,10 @@ from dynhd.rng import TWO_PI, UniformStream
 
 
 def per_row_encode(e, f):
-    """The per-sample formula the row-block kernel must reproduce."""
+    """The per-sample formula the row-block kernel must reproduce: the
+    paper's cos(x + c) * sin(x) in its one-sine form."""
     x = np.einsum("dn,n->d", e.bases, f)
-    return np.cos(x + e.phases) * np.sin(x)
+    return 0.5 * (np.sin(2.0 * x + e.phases) - np.sin(e.phases))
 
 
 def _reference_regenerate(e, indices):
@@ -85,8 +87,39 @@ class TestInitEncoder:
 
 class TestEncode:
     def test_zero_input_encodes_to_zero(self):
-        e = init_encoder(5, 4, 16)
-        np.testing.assert_array_equal(encode(e, np.zeros(4)), np.zeros(16))
+        # Exactly +0.0: sin(c) - sin(c) is +0.0 whatever the phase, where
+        # the product form gave -0.0 wherever cos(c) < 0.
+        e = init_encoder(5, 4, 257)
+        assert np.any(np.cos(e.phases) < 0.0)
+        zeros = np.zeros((BLOCK_ROWS + 3, 4))
+        plan = plan_for(e, range(257))
+        for h in (encode(e, zeros[0]), encode_batch(e, zeros),
+                  reencode_dims(regenerate_dims(e, plan), zeros,
+                                np.ones((BLOCK_ROWS + 3, 257)), plan)):
+            assert h.tobytes() == bytes(h.nbytes)
+
+    def test_one_sine_per_entry_and_no_cosine(self, monkeypatch):
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sin(self, x, *args, **kwargs):
+                calls.append(("sin", np.shape(x)))
+                return np.sin(x, *args, **kwargs)
+
+            def cos(self, x, *args, **kwargs):
+                calls.append(("cos", np.shape(x)))
+                return np.cos(x, *args, **kwargs)
+
+        e = init_encoder(5, 3, 40)
+        feats = np.ones((BLOCK_ROWS + 1, 3))
+        monkeypatch.setattr(dynhd.encoder, "np", CountingNumpy())
+        encode_batch(e, feats)
+        # sin(c) once per call, then one pass per row block
+        assert calls == [("sin", (40,)), ("sin", (BLOCK_ROWS, 40)),
+                         ("sin", (1, 40))]
 
     def test_quarter_pi_closed_form(self):
         # dot(B_i, F) = pi/4 with zero phase gives cos(pi/4)*sin(pi/4) = 1/2

@@ -1,7 +1,8 @@
 """Randomized invariant suite.
 
-Nine families, each run over at least 200 generated cases: monotone top-k
-accuracy, scale-invariant rankings, bounded encodings, class-scale-invariant
+Ten families, each run over at least 200 generated cases: monotone top-k
+accuracy, scale-invariant rankings, bounded encodings, encodings within a
+rounding bound of the paper's product formula, class-scale-invariant
 detector scores, the regeneration zero/coherence rules, batched in-place
 re-encoding equal to a fresh encode, strict rejection of non-finite
 training hyperparameters, the score-cached training pass equal to the
@@ -106,6 +107,24 @@ def test_encoding_values_stay_bounded(seed, dim, n, scale):
     h = encode(e, rng.standard_normal(n) * scale)
     assert np.all(h >= -1.0)
     assert np.all(h <= 1.0)
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n=feature_counts,
+       log_scale=st.floats(-3.0, 4.0, allow_nan=False, allow_infinity=False))
+def test_encoding_within_rounding_of_product_formula(seed, dim, n, log_scale):
+    # encode computes 0.5 * (sin(2x + c) - sin(c)).  2x is exact; rounding
+    # 2x + c errs by up to |x| * eps + pi * eps, halved by the 0.5, and the
+    # product form's x + c by |x| * eps / 2 + pi * eps; the sines, the
+    # cosine, the product and the difference add a few eps / 2.  Measured,
+    # the two forms differ by at most 2.2 * eps * (|x| + 1); 4 leaves room.
+    rng = make_rng(seed)
+    e = init_encoder(seed, n, dim)
+    f = rng.standard_normal(n) * 10.0 ** log_scale / math.sqrt(n)
+    x = np.einsum("Nn,dn->Nd", f[None, :], e.bases)[0]
+    product = np.cos(x + e.phases) * np.sin(x)
+    bound = 4.0 * np.finfo(np.float64).eps * (np.abs(x) + 1.0)
+    assert np.all(np.abs(encode(e, f) - product) <= bound)
 
 
 @COMMON

@@ -617,7 +617,10 @@ class TestTrainReport:
         _, _, report = train(cfg, train_ds, valid_ds)
         records = report.records()
         kinds = [rec["type"] for rec in records]
-        assert kinds == ["epoch"] * 4 + ["round"] * 2 + ["summary"]
+        # round 0 validates, plans, regenerates and re-encodes; round 1
+        # only validates
+        assert kinds == (["epoch"] * 4 + ["round"] * 2 + ["timing"] * 5
+                         + ["summary"])
         assert records[-1] == {"type": "summary", "total_epochs": 4,
                                "stopped_early": False}
         for rec in records:
