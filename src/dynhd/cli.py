@@ -68,7 +68,10 @@ def _read_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return doc

@@ -123,17 +123,9 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
     offsets = rng.standard_normal((M, n)) * spec.domain_offset_std
     noise = rng.standard_normal((M * L * S, n)) * spec.intra_std
 
-    features = np.empty((M * L * S, n))
-    labels = np.empty(M * L * S, dtype=np.int64)
-    domains = np.empty(M * L * S, dtype=np.int64)
-    row = 0
-    for m in range(M):
-        for c in range(L):
-            for _ in range(S):
-                features[row] = centers[c] + offsets[m] + noise[row]
-                labels[row] = c
-                domains[row] = m
-                row += 1
+    labels = np.tile(np.repeat(np.arange(L), S), M)
+    domains = np.repeat(np.arange(M), L * S)
+    features = centers[labels] + offsets[domains] + noise
     return Dataset(features, labels, [f"c{i}" for i in range(L)],
                    domains, [f"d{i}" for i in range(M)])
 

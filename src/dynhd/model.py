@@ -302,7 +302,7 @@ def load_model(path: str, n_features: Optional[int] = None):
     whose ``n`` differs raises ValueError naming ``n`` before the encoder is
     rebuilt.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh)
     with _malformed(path):
         version = doc["version"]

@@ -24,11 +24,12 @@ record carries its plan's size against floor(rate * D), and a timing record
 per step that ran at the segment's end (validate, plan, regenerate,
 reencode) gives its wall time.
 
-The pass caches each row's class scores until the next update or segment;
-the classes do not change in between, so a cached row is exact.  After
-``SCORE_BLOCK_MIN`` correct rows it scores in blocks, doubling up to
-``encoder.BLOCK_ROWS``, one batched call per block (bit-identical to one
-row at a time), and updates from the first mispredict's cached scores.
+The pass scores rows in blocks, one batched call per block (bit-identical
+to one row at a time), and caches each row's class scores.  A block starts
+at one row, doubles up to ``encoder.BLOCK_ROWS`` while its rows predict
+right, and goes back to one row after each update, which is made from the
+first mispredict's cached scores.  An update or a non-empty regeneration
+clears the cache; nothing else changes a score, so a cached row is exact.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
 from .rng import check_seed
 
 EARLY_STOP_MIN_DELTA = 1e-4
-# The pass scores rows in blocks once this many in a row predict right.
-SCORE_BLOCK_MIN = 8
 
 
 @dataclass
@@ -179,7 +178,6 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     scores = np.empty((n_train, train_ds.n_classes))
     fresh = np.zeros(n_train, dtype=bool)
     for segment in range(cfg.rounds + 1):
-        fresh[:] = False  # the encoder or the classes may have changed
         for epoch in range(cfg.epochs_per_round):
             t0 = time.perf_counter()
             order = (shuffle_rng.permutation(n_train) if shuffle_rng is not None
@@ -219,6 +217,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             if plan.indices.size:
                 model.classes[:, plan.indices] = 0.0
                 class_norms = row_norms(model.classes)
+                fresh[:] = False
                 reencode_dims(enc, train_ds.features, train_encs, plan,
                               inplace=True)
                 reencode_dims(enc, valid_ds.features, valid_encs, plan,
@@ -255,34 +254,22 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
     """Sequential similarity-weighted updates; mutates classes, class_norms
     and the score cache (scores, fresh).  Returns the pre-update prediction
     accuracy and the number of updates."""
-    updates, clean, pos, block = 0, 0, 0, SCORE_BLOCK_MIN
+    updates, pos, block = 0, 0, 1
     while pos < order.shape[0]:
-        if clean < SCORE_BLOCK_MIN:  # one row at a time
-            i = order[pos]
-            if not fresh[i]:
-                scores[i] = model_scores(classes, class_norms, encodings[i],
-                                         sample_norms[i])
-                fresh[i] = True
-            pos += 1
-            if scores[i].argmax() == labels[i]:
-                clean += 1
-                continue
-        else:  # a block of rows; argmax keeps the first max on ties
-            rows = order[pos:pos + block]
-            stale = rows[~fresh[rows]]
-            if stale.size:
-                scores[stale] = model_scores(classes, class_norms,
-                                             encodings[stale],
-                                             sample_norms[stale, None])
-                fresh[stale] = True
-            wrong = np.flatnonzero(scores[rows].argmax(axis=1)
-                                   != labels[rows])
-            if not wrong.size:
-                pos += rows.size
-                block = min(2 * block, BLOCK_ROWS)
-                continue
-            i = rows[wrong[0]]
-            pos += int(wrong[0]) + 1
+        rows = order[pos:pos + block]
+        stale = rows[~fresh[rows]]
+        if stale.size:
+            scores[stale] = model_scores(classes, class_norms, encodings[stale],
+                                         sample_norms[stale, None])
+            fresh[stale] = True
+        # argmax keeps the first max on ties
+        wrong = np.flatnonzero(scores[rows].argmax(axis=1) != labels[rows])
+        if not wrong.size:
+            pos += rows.size
+            block = min(2 * block, BLOCK_ROWS)
+            continue
+        i = rows[wrong[0]]
+        pos += int(wrong[0]) + 1
         h, s = encodings[i], scores[i]
         y, pred = int(labels[i]), int(s.argmax())
         classes[y] += eta * (1.0 - s[y]) * h
@@ -290,7 +277,7 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
         class_norms[y] = vec_norm(classes[y])
         class_norms[pred] = vec_norm(classes[pred])
         fresh[:] = False
-        updates, clean, block = updates + 1, 0, SCORE_BLOCK_MIN
+        updates, block = updates + 1, 1
         # A finite norm is below 1.4e154, so the sum is finite iff both are.
         if not class_norms[y] + class_norms[pred] < np.inf:
             raise ArithmeticError(f"non-finite class norm at update {updates}")

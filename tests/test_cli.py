@@ -224,9 +224,12 @@ class TestTrain:
 
     def test_malformed_config_json_rejected(self, tmp_path):
         config = tmp_path / "broken.json"
-        config.write_text("{not json")
-        code, _, _ = run(["train", "--config", str(config)])
-        assert code == 2
+        for content in [b"{not json", b'{"dim": 64,', b'{"strategy": "\xff"}']:
+            config.write_bytes(content)
+            code, records, err = run(["train", "--config", str(config)])
+            assert code == 2
+            assert records == []
+            assert err.startswith(f"error: {config}: ")
 
     @pytest.mark.parametrize("key, value", [
         ("shuffle", "false"), ("normalize", 1), ("dim", 16.7),
@@ -358,6 +361,19 @@ class TestEval:
         code, _, _ = run(["eval", "--model", str(workdir["model"]),
                           "--data", str(other)])
         assert code == 2
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: doc[:21], lambda doc: doc[:-2],
+        lambda doc: b'{"version": "\xff"}'],
+        ids=["truncated-head", "truncated-tail", "not-utf8"])
+    def test_unparsable_model_file_named(self, workdir, tmp_path, mangle):
+        mangled = tmp_path / "mangled.json"
+        mangled.write_bytes(mangle(workdir["model"].read_bytes()))
+        code, records, err = run(["eval", "--model", str(mangled),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.startswith(f"error: malformed model file {mangled}: ")
 
     @pytest.mark.parametrize("edit", [
         {"mean": [0.0] * 5, "std": [1.0] * 5},

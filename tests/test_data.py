@@ -195,6 +195,35 @@ class TestMakeBlobs:
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.domains, b.domains)
 
+    @pytest.mark.parametrize("n, classes, domains, per, seed", [
+        (1, 1, 1, 1, 0), (4, 3, 2, 5, 9), (3, 1, 4, 2, 7), (2, 5, 1, 3, 11),
+        (5, 2, 3, 1, 2**64 - 1)])
+    def test_matches_per_row_draw_order(self, n, classes, domains, per,
+                                        seed):
+        # the documented layout: L centers, M offsets, then one noise row
+        # per sample, domain-major, then class, then repetition
+        spec = SyntheticSpec(n=n, classes=classes, domains=domains,
+                             samples_per_class_per_domain=per,
+                             separation=3.0, intra_std=0.7,
+                             domain_offset_std=1.5, seed=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        centers = rng.standard_normal((classes, n)) * 3.0
+        offsets = rng.standard_normal((domains, n)) * 1.5
+        noise = rng.standard_normal((domains * classes * per, n)) * 0.7
+        features, labels, doms = [], [], []
+        for m in range(domains):
+            for c in range(classes):
+                for _ in range(per):
+                    features.append(centers[c] + offsets[m]
+                                    + noise[len(features)])
+                    labels.append(c)
+                    doms.append(m)
+        d = make_blobs(spec)
+        assert np.array_equal(d.features, np.array(features))
+        assert np.array_equal(d.labels, labels)
+        assert np.array_equal(d.domains, doms)
+        assert d.labels.dtype == d.domains.dtype == np.int64
+
     def test_counts_and_layout(self):
         spec = SyntheticSpec(n=2, classes=3, domains=2,
                              samples_per_class_per_domain=4)

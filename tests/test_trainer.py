@@ -15,8 +15,8 @@ from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            regenerate_dims)
 from dynhd.inference import model_scores, row_norms, vec_norm
 from dynhd.model import ClassModel, Dataset
-from dynhd.trainer import (SCORE_BLOCK_MIN, TrainConfig, TrainReport,
-                           domain_models, train, _accumulate, _adaptive_pass)
+from dynhd.trainer import (TrainConfig, TrainReport, domain_models, train,
+                           _accumulate, _adaptive_pass)
 
 
 def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
@@ -239,6 +239,24 @@ def assert_pass_exact(classes, encodings, epochs, eta=0.05):
     return results
 
 
+def assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
+                                   enc, model, report):
+    """Train again with the per-sample loop in place of the cached pass:
+    the encoder bases, the classes and the records must be equal."""
+    def reference(classes, class_norms, encodings, sample_norms, labels,
+                  order, eta, scores, fresh):
+        return _reference_pass(classes, class_norms, encodings, sample_norms,
+                               labels, order, eta)
+
+    monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", reference)
+    ref_enc, ref_model, ref_report = train(cfg, train_ds, valid_ds)
+    assert np.array_equal(model.classes, ref_model.classes)
+    assert np.array_equal(enc.bases, ref_enc.bases)
+    strip = lambda recs: [{k: v for k, v in rec.items()
+                           if k != "wall_ms"} for rec in recs]
+    assert strip(report.records()) == strip(ref_report.records())
+
+
 class TestCachedPassIsExact:
     """The score-cached, block-scored pass against the per-sample loop,
     compared with np.array_equal."""
@@ -248,14 +266,15 @@ class TestCachedPassIsExact:
         calls = score_calls(monkeypatch)
         order = np.arange(200)
         assert_pass_exact(classes, encodings, [(order, labels)] * 2)
-        # 8 single rows, then blocks of 8, 16, 32 and 64 rows (the cap) and
-        # the 8 rows left; the second clean epoch scores nothing, since
-        # every cached row is fresh
+        # blocks that double from one row to 64 (the cap), then the 9 rows
+        # left; the second clean epoch scores nothing, since every cached
+        # row is fresh
         assert BLOCK_ROWS == 64
-        assert calls == [1] * SCORE_BLOCK_MIN + [8, 16, 32, 64, 64, 8]
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 64, 9]
 
-    @pytest.mark.parametrize("position", [0, 7, 8, 15, 63, 64, 65, 127,
-                                          128, 199])
+    # 0, 1, 3, 7, 15, 31, 63, 127 and 191 start blocks in a clean pass
+    @pytest.mark.parametrize("position", [0, 1, 2, 3, 7, 8, 15, 31, 63, 64,
+                                          65, 127, 128, 191, 199])
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_mispredict_at_position(self, position, shuffled):
         classes, encodings, labels = separated(seed=22)
@@ -319,18 +338,17 @@ class TestCachedPassIsExact:
             [(order, labels), (order, labels), (order, flipped),
              (order, labels)])
         assert [u for _, u in results] == [0, 0, 1, 0]
-        singles = [1] * SCORE_BLOCK_MIN
         assert calls == (
-            singles + [8, 16, 32, 64, 64, 8]  # epoch 0 fills the cache
+            [1, 2, 4, 8, 16, 32, 64, 64, 9]  # epoch 0 fills the cache
             # epoch 1 reuses it; epoch 2 finds row 150 in the cache, then
-            # rescores the rows after it
-            + singles + [8, 16, 17]
+            # rescores the rows after it from a block of one row
+            + [1, 2, 4, 8, 16, 18]
             # epoch 3: rows 0-150 are stale, rows 151-199 still fresh
-            + singles + [8, 16, 32, 64, 23])
+            + [1, 2, 4, 8, 16, 32, 64, 24])
 
     # At rate 1 regeneration zeroes every class entry, so every cached
-    # score from before it is wrong: the cache must start each segment
-    # empty.
+    # score from before it is wrong: every non-empty regeneration must
+    # clear the cache.
     @pytest.mark.parametrize("rate, shuffle, separation", [
         (0.2, True, 1.0), (1.0, False, 6.0)])
     def test_train_matches_reference_pass_with_regeneration(
@@ -342,21 +360,37 @@ class TestCachedPassIsExact:
                           regen_rate=rate, strategy="insignificant",
                           shuffle=shuffle, seed=8)
         enc, model, report = train(cfg, train_ds, valid_ds)
-
-        def reference(classes, class_norms, encodings, sample_norms, labels,
-                      order, eta, scores, fresh):
-            return _reference_pass(classes, class_norms, encodings,
-                                   sample_norms, labels, order, eta)
-
-        monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", reference)
-        ref_enc, ref_model, ref_report = train(cfg, train_ds, valid_ds)
-        assert np.array_equal(model.classes, ref_model.classes)
-        assert np.array_equal(enc.bases, ref_enc.bases)
-        strip = lambda recs: [{k: v for k, v in rec.items()
-                               if k != "wall_ms"} for rec in recs]
-        assert strip(report.records()) == strip(ref_report.records())
+        assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
+                                       enc, model, report)
         assert sum(rec.updates for rec in report.epochs) > 0
         assert any(rec.regen_indices for rec in report.rounds)
+
+    def test_empty_regeneration_keeps_cache(self, monkeypatch):
+        # rate 0 plans no dimension, so the scores cached at the end of a
+        # segment stay exact into the next one
+        data = blob_data(seed=28, classes=4, n=5, per=40, separation=4.0)
+        train_ds, valid_ds = split(data, [0.8, 0.2], seed=3)
+        cfg = TrainConfig(dim=96, eta=2.0, epochs_per_round=3, rounds=2,
+                          regen_rate=0.0, strategy="insignificant", seed=8)
+        calls = score_calls(monkeypatch)
+        passes = []  # the score calls of each pass
+
+        def recording(*args):
+            start = len(calls)
+            result = _adaptive_pass(*args)
+            passes.append(calls[start:])
+            return result
+
+        monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", recording)
+        enc, model, report = train(cfg, train_ds, valid_ds)
+        assert [rec.regen_indices for rec in report.rounds] == [[], [], None]
+        assert report.epochs[0].updates > 0
+        # segment 0 ends clean, so segments 1 and 2 never rescore a row
+        assert [rec.updates for rec in report.epochs[2:]] == [0] * 7
+        assert passes[3:] == [[]] * 6
+        monkeypatch.undo()
+        assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
+                                       enc, model, report)
 
 
 class TestEpochUpdates:
