@@ -7,7 +7,7 @@ similarity-weighted updates, and underperforming encoder dimensions
 redrawn and retrained without changing the model's size.
 """
 
-from .analysis import (domain_variance, misleading_scores,
+from .analysis import (domain_models, domain_variance, misleading_scores,
                        plan_regeneration, select_domain_variant,
                        select_insignificant, select_misleading,
                        variance_over_classes)
@@ -22,7 +22,7 @@ from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     load_model, save_model, validate_dataset)
 from .rng import UniformStream
 from .trainer import (EpochRecord, RoundRecord, TimingRecord, TrainConfig,
-                      TrainReport, domain_models, train)
+                      TrainReport, train)
 
 __version__ = "0.1.0"
 

@@ -95,6 +95,34 @@ def select_misleading(scores: np.ndarray, rate: float) -> RegenPlan:
     return _select_top_positive(scores, rate, "misleading")
 
 
+def _accumulate(encodings: np.ndarray, labels: np.ndarray,
+                n_classes: int) -> np.ndarray:
+    """Class-wise sums of the encodings: the bundled class rows."""
+    classes = np.zeros((n_classes, encodings.shape[1]))
+    for label in range(n_classes):
+        rows = encodings[labels == label]
+        if rows.shape[0]:
+            classes[label] = rows.sum(axis=0)
+    return classes
+
+
+def domain_models(e: EncoderState, train: Dataset,
+                  encodings: Optional[np.ndarray] = None) -> list[ClassModel]:
+    """One accumulated class model per domain present in the data, in
+    ascending domain-id order.  Pass cached encodings to skip re-encoding."""
+    if train.domains is None:
+        raise ValueError("dataset has no domain ids")
+    if encodings is None:
+        encodings = encode_batch(e, train.features)
+    models = []
+    for domain in np.unique(train.domains):
+        mask = train.domains == domain
+        models.append(ClassModel(
+            _accumulate(encodings[mask], train.labels[mask], train.n_classes),
+            list(train.label_names)))
+    return models
+
+
 def domain_variance(models: Sequence[ClassModel]) -> np.ndarray:
     """Summed per-class, per-dimension variance across domain models.
 
@@ -151,7 +179,5 @@ def plan_regeneration(strategy: str, rate: float, model: ClassModel,
     if strategy == "misleading":
         return select_misleading(misleading_scores(model, enc, ds, encodings),
                                  rate)
-    from .trainer import domain_models  # deferred: trainer imports analysis
-
     return select_domain_variant(
         domain_variance(domain_models(enc, ds, encodings)), rate)

@@ -8,8 +8,8 @@ included, are echoed into each emitted record, so any record can be
 reproduced by feeding its config echo back.
 Machine output is JSON-lines on stdout; diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 config or validation error, 3 I/O error, 4 numeric
-error.
+Exit codes: 0 ok, 2 config or validation error (settings that run out of
+memory included), 3 I/O error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
 from .model import (Dataset, atomic_write_text, check_json_kind, load_model,
                     save_model, validate_dataset)
+from .rng import MAX_SEED
 from .trainer import TrainConfig, train
 
 EXIT_OK = 0
@@ -348,6 +349,10 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
     """accuracy after seeded noise on model entries"""
     q_list, magnitude = merged["q_list"], merged["magnitude"]
     base_seed = merged["seed"]
+    points = max(len(q_list), 1)  # q_list[i] draws its noise with seed + i
+    if not 0 <= base_seed <= MAX_SEED + 1 - points:
+        raise ValueError(f"seed must be in [0, 2**64 - {points}] (q_list[i] "
+                         f"uses seed + i): got {base_seed}")
 
     enc, model, ds, _ = _load_queries(merged)
     encodings = encode_batch(enc, ds.features)
@@ -459,6 +464,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # settings too large for the machine
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{detail}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -171,8 +171,7 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     is drawn in one call and transformed row-wise, bit-identical to drawing
     one dimension at a time.  Unselected rows and phases are bit-identical
     to the input, which is not modified.  A non-empty plan's indices are
-    appended to the returned encoder's ``regen_history`` (unless the
-    input's history is unknown).
+    appended to the returned encoder's ``regen_history``.
     """
     idx = _check_plan(e, plan)
     if idx.size == 0:
@@ -190,9 +189,8 @@ def _redraw(e: EncoderState, idx: np.ndarray) -> EncoderState:
     phases = e.phases.copy()
     bases[idx] = paired_normals(u[:, :-1])[:, :n]
     phases[idx] = TWO_PI * u[:, -1]
-    history = (None if e.regen_history is None
-               else e.regen_history + [idx.copy()])
-    return EncoderState(bases, phases, e.seed, stream.position, history)
+    return EncoderState(bases, phases, e.seed, stream.position,
+                        e.regen_history + [idx.copy()])
 
 
 def replay_encoder(seed: int, n: int, dim: int,

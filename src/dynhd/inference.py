@@ -23,6 +23,7 @@ import numpy as np
 
 from .encoder import encode_batch
 from .model import ClassModel, Dataset, EncoderState
+from .rng import check_seed
 
 
 def vec_norm(v: np.ndarray) -> float:
@@ -106,6 +107,7 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
         raise ValueError("q must lie in [0, 1]")
     if not 0.0 <= magnitude < np.inf:
         raise ValueError("magnitude must be non-negative and finite")
+    check_seed(seed)
     out = m.copy()
     total = m.classes.size
     count = int(np.floor(q * total))

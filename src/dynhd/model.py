@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import TWO_PI
-
 # Type aliases for readability; both are 1-D float64 arrays.
 FeatureVector = np.ndarray
 Hypervector = np.ndarray
@@ -65,16 +63,14 @@ class EncoderState:
     ``draw_counter``.  ``regen_history`` is the log of regenerated index
     sets, one int64 array per non-empty plan, in order: with the seed and
     the shape it determines the bases, phases and ``draw_counter`` (see
-    ``encoder.replay_encoder``), and it is what a model file stores.  It is
-    None when unknown (an encoder read from a version-1 file or built by
-    hand), and such an encoder cannot be saved.
+    ``encoder.replay_encoder``), and it is what a model file stores.
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
     phases: np.ndarray  # (D,), each in [0, 2*pi)
     seed: int
     draw_counter: int
-    regen_history: Optional[list[np.ndarray]] = None
+    regen_history: list[np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -85,23 +81,9 @@ class EncoderState:
         return self.bases.shape[1]
 
     def copy(self) -> "EncoderState":
-        history = (None if self.regen_history is None
-                   else [idx.copy() for idx in self.regen_history])
         return EncoderState(self.bases.copy(), self.phases.copy(),
-                            self.seed, self.draw_counter, history)
-
-    def check(self) -> None:
-        """Raise ValueError on any violated invariant."""
-        if self.bases.ndim != 2 or self.phases.ndim != 1:
-            raise ValueError("bases must be 2-D and phases 1-D")
-        if self.phases.shape[0] != self.bases.shape[0]:
-            raise ValueError("phases length must equal the number of base rows")
-        if not np.isfinite(self.bases).all():
-            raise ValueError("bases contain non-finite entries")
-        if not ((self.phases >= 0.0) & (self.phases < TWO_PI)).all():
-            raise ValueError("phases must lie in [0, 2*pi)")  # NaN fails too
-        if self.draw_counter < 0:
-            raise ValueError("draw_counter must be non-negative")
+                            self.seed, self.draw_counter,
+                            [idx.copy() for idx in self.regen_history])
 
 
 @dataclass
@@ -252,28 +234,20 @@ def validate_dataset(d: Dataset) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Model file format: one JSON document holding the encoder and the class
-# model.  Version 2 stores the encoder as its replay log: ``n``, ``D``,
+# Model file format (version 2): one JSON document holding the encoder and
+# the class model.  The encoder is stored as its replay log: ``n``, ``D``,
 # ``seed`` and ``regen_history``, the regenerated index sets in order, from
 # which loading rebuilds the bases, phases and draw counter bit-identically.
-# Version 1 stored ``bases``, ``phases`` and ``draw_counter`` themselves; it
-# is still read, but no longer written.  Numeric arrays are row-major lists
-# of Python floats, which repr round-trips exactly.  ``normalizer`` is
-# optional per-feature z-score stats applied to inputs before encoding.
+# Numeric arrays are row-major lists of Python floats, which repr
+# round-trips exactly.  ``normalizer`` is optional per-feature z-score stats
+# applied to inputs before encoding.
 
 def save_model(path: str, encoder: EncoderState, model: ClassModel,
                normalizer=None) -> None:
-    """Write a version-2 model file atomically (temp file + rename).
-
-    The encoder is stored as its ``regen_history``; an encoder whose history
-    is unknown (None) raises ValueError.
-    """
+    """Write a model file atomically (temp file + rename); the encoder is
+    stored as its ``regen_history``."""
     if encoder.dim != model.dim:
         raise ValueError("encoder and model dimensionality differ")
-    if encoder.regen_history is None:
-        raise ValueError("cannot save an encoder whose regeneration history "
-                         "is unknown (read from a version-1 model file or "
-                         "built by hand)")
     doc = {
         "version": MODEL_FILE_VERSION,
         "n": encoder.n_features,
@@ -290,24 +264,22 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
 
 
 def load_model(path: str, n_features: Optional[int] = None):
-    """Read a version-2 or version-1 model file; returns (EncoderState,
-    ClassModel, normalizer).
+    """Read a model file; returns (EncoderState, ClassModel, normalizer).
 
-    A version-2 file's ``regen_history`` is checked (a JSON array of
-    non-empty, strictly increasing integer arrays within [0, D)) and
-    replayed; the encoder read from a version-1 file has no history.
-    ``normalizer`` is a NormalizationStats or None.  Any malformed content
-    raises ValueError prefixed ``malformed model file <path>:``.  With
-    ``n_features``, the feature count of the data the model is for, a file
-    whose ``n`` differs raises ValueError naming ``n`` before the encoder is
-    rebuilt.
+    Only version 2 is read.  Its ``regen_history`` is checked (a JSON array
+    of non-empty, strictly increasing integer arrays within [0, D)) and
+    replayed.  ``normalizer`` is a NormalizationStats or None.  Any
+    malformed content raises ValueError prefixed ``malformed model file
+    <path>:``.  With ``n_features``, the feature count of the data the model
+    is for, a file whose ``n`` differs raises ValueError naming ``n`` before
+    the encoder is rebuilt.
     """
     with open(path, "r", encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh)
     with _malformed(path):
         version = doc["version"]
         check_json_kind("version", version, "integer")
-        if version not in (1, MODEL_FILE_VERSION):
+        if version != MODEL_FILE_VERSION:
             raise ValueError(f"unsupported model file version {version}")
         for key in ("n", "D", "seed"):
             check_json_kind(key, doc[key], "integer")
@@ -332,8 +304,17 @@ def load_model(path: str, n_features: Optional[int] = None):
                 check_json_kind(f"normalizer.{key}", norm[key], "number array")
             normalizer = NormalizationStats(norm["mean"], norm["std"])
             normalizer.check(n)
-        encoder = (_read_v1_encoder(doc, n, dim) if version == 1
-                   else _replay_v2_encoder(doc, n, dim))
+        from .encoder import replay_encoder  # deferred: encoder imports model
+
+        history = doc["regen_history"]
+        check_json_kind("regen_history", history, "array")
+        for i, entry in enumerate(history):
+            check_json_kind(f"regen_history[{i}]", entry, "integer array")
+        try:
+            encoder = replay_encoder(doc["seed"], n, dim, history)
+        except MemoryError:  # nothing else in the file bounds n * D
+            raise ValueError(f"n={n} and D={dim} need more memory than is "
+                             "available") from None
     return encoder, model, normalizer
 
 
@@ -344,31 +325,6 @@ def _malformed(path: str):
         yield
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
-
-
-def _read_v1_encoder(doc: dict, n: int, dim: int) -> EncoderState:
-    check_json_kind("draw_counter", doc["draw_counter"], "integer")
-    for key in ("bases", "phases"):
-        check_json_kind(key, doc[key], "number array")
-    bases = np.asarray(doc["bases"], dtype=np.float64).reshape(dim, n)
-    phases = np.asarray(doc["phases"], dtype=np.float64)
-    encoder = EncoderState(bases, phases, doc["seed"], doc["draw_counter"])
-    encoder.check()
-    return encoder
-
-
-def _replay_v2_encoder(doc: dict, n: int, dim: int) -> EncoderState:
-    from .encoder import replay_encoder  # deferred: encoder imports model
-
-    history = doc["regen_history"]
-    check_json_kind("regen_history", history, "array")
-    for i, entry in enumerate(history):
-        check_json_kind(f"regen_history[{i}]", entry, "integer array")
-    try:
-        return replay_encoder(doc["seed"], n, dim, history)
-    except MemoryError:  # nothing else in a v2 file bounds n * D
-        raise ValueError(f"n={n} and D={dim} need more memory than is "
-                         "available") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import plan_regeneration, plan_size
+from .analysis import _accumulate, plan_regeneration, plan_size
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
@@ -237,16 +237,6 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     return enc, model, report
 
 
-def _accumulate(encodings: np.ndarray, labels: np.ndarray,
-                n_classes: int) -> np.ndarray:
-    classes = np.zeros((n_classes, encodings.shape[1]))
-    for label in range(n_classes):
-        rows = encodings[labels == label]
-        if rows.shape[0]:
-            classes[label] = rows.sum(axis=0)
-    return classes
-
-
 def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
                    encodings: np.ndarray, sample_norms: np.ndarray,
                    labels: np.ndarray, order: np.ndarray, eta: float,
@@ -282,20 +272,3 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
         if not class_norms[y] + class_norms[pred] < np.inf:
             raise ArithmeticError(f"non-finite class norm at update {updates}")
     return (order.shape[0] - updates) / order.shape[0], updates
-
-
-def domain_models(e: EncoderState, train: Dataset,
-                  encodings: Optional[np.ndarray] = None) -> list[ClassModel]:
-    """One accumulated class model per domain present in the data, in
-    ascending domain-id order.  Pass cached encodings to skip re-encoding."""
-    if train.domains is None:
-        raise ValueError("dataset has no domain ids")
-    if encodings is None:
-        encodings = encode_batch(e, train.features)
-    models = []
-    for domain in np.unique(train.domains):
-        mask = train.domains == domain
-        models.append(ClassModel(
-            _accumulate(encodings[mask], train.labels[mask], train.n_classes),
-            list(train.label_names)))
-    return models

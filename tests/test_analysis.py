@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from dynhd.analysis import (domain_variance, misleading_scores,
-                            plan_regeneration, select_domain_variant,
-                            select_insignificant, select_misleading,
-                            variance_over_classes)
+import dynhd.analysis
+from dynhd.analysis import (domain_models, domain_variance,
+                            misleading_scores, plan_regeneration,
+                            select_domain_variant, select_insignificant,
+                            select_misleading, variance_over_classes)
 from dynhd.data import SyntheticSpec, make_blobs
 from dynhd.encoder import encode_batch, init_encoder
 from dynhd.model import REGEN_STRATEGIES, ClassModel, Dataset
-from dynhd.trainer import domain_models
 
 
 def model_from_rows(rows, labels=None):
@@ -357,3 +357,9 @@ class TestPlanRegeneration:
         enc, model, ds = self.inputs()
         with pytest.raises(ValueError, match="unknown strategy 'none'"):
             plan_regeneration("none", 0.25, model, enc, ds)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dynhd.__all__ if not hasattr(dynhd, name)]
+    assert missing == []
+    assert dynhd.domain_models is dynhd.analysis.domain_models

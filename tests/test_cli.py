@@ -14,14 +14,14 @@ import pytest
 
 import dynhd.cli
 import dynhd.encoder
-from dynhd.analysis import (domain_variance, misleading_scores,
-                            variance_over_classes)
+import dynhd.trainer
+from dynhd.analysis import (domain_models, domain_variance,
+                            misleading_scores, variance_over_classes)
 from dynhd.cli import _build_parser, main
 from dynhd.data import apply_normalizer, load_csv, remap_labels
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
-from dynhd.trainer import domain_models
-from test_model import edit_field, write_v1_model
+from test_model import edit_field
 
 
 def run(argv):
@@ -275,6 +275,24 @@ class TestTrain:
         echo = records[0]["config"]["data"]["synthetic"]
         assert echo["separation"] == 4.0  # default materialized
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 72.8 TiB"),
+         "error: train: out of memory (Unable to allocate 72.8 TiB)"),
+        (MemoryError(), "error: train: out of memory")])
+    def test_out_of_memory_exits_two(self, workdir, tmp_path, monkeypatch,
+                                     error, line):
+        def out_of_memory(seed, n, dim):
+            raise error
+
+        monkeypatch.setattr(dynhd.trainer, "init_encoder", out_of_memory)
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(workdir["config"]),
+                                  "--out", str(out), "--quiet"])
+        assert code == 2
+        assert [rec["type"] for rec in records] == ["config"]
+        assert err.splitlines() == [line]
+        assert not out.exists()
+
 
 class TestEval:
     def test_topk_records_monotone(self, workdir):
@@ -364,8 +382,9 @@ class TestEval:
 
     @pytest.mark.parametrize("mangle", [
         lambda doc: doc[:21], lambda doc: doc[:-2],
-        lambda doc: b'{"version": "\xff"}'],
-        ids=["truncated-head", "truncated-tail", "not-utf8"])
+        lambda doc: b'{"version": "\xff"}',
+        lambda doc: doc.replace(b'"version": 2', b'"version": 1')],
+        ids=["truncated-head", "truncated-tail", "not-utf8", "version-1"])
     def test_unparsable_model_file_named(self, workdir, tmp_path, mangle):
         mangled = tmp_path / "mangled.json"
         mangled.write_bytes(mangle(workdir["model"].read_bytes()))
@@ -374,6 +393,7 @@ class TestEval:
         assert code == 2
         assert records == []
         assert err.startswith(f"error: malformed model file {mangled}: ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("edit", [
         {"mean": [0.0] * 5, "std": [1.0] * 5},
@@ -390,25 +410,6 @@ class TestEval:
         assert code == 2
         assert records == []
         assert f"malformed model file {edited}: normalizer" in err
-
-    @pytest.mark.parametrize("field, entry", [
-        ("bases", "0.5"), ("phases", True), ("classes", "0.5"),
-        ("normalizer.mean", True), ("normalizer.std", "0.5"),
-    ])
-    def test_non_number_model_entry_rejected(self, workdir, tmp_path, field,
-                                             entry):
-        enc, model, stats = load_model(str(workdir["model"]))
-        edited = tmp_path / "edited.json"
-        write_v1_model(str(edited), enc, model, stats)
-        doc = json.loads(edited.read_text())
-        edit_field(doc, field,
-                   lambda node, leaf: node[leaf].__setitem__(0, entry))
-        edited.write_text(json.dumps(doc))
-        code, records, err = run(["eval", "--model", str(edited),
-                                  "--data", str(workdir["data_csv"])])
-        assert code == 2
-        assert records == []
-        assert f"malformed model file {edited}: {field} must be" in err
 
     @pytest.mark.parametrize("field, entry", [
         ("classes", "0.5"), ("normalizer.mean", True),
@@ -487,17 +488,6 @@ class TestEval:
         assert err.splitlines() == [
             f"error: model file {edited} has n=2000000, but the data has 6 "
             "features"]
-
-    def test_version_1_model_evaluates_identically(self, workdir, tmp_path):
-        enc, model, stats = load_model(str(workdir["model"]))
-        v1 = tmp_path / "v1.json"
-        write_v1_model(str(v1), enc, model, stats)
-        argv = ["--data", str(workdir["data_csv"]), "--k", "1,2,3"]
-        _, from_v2, _ = run(["eval", "--model", str(workdir["model"])] + argv)
-        code, from_v1, _ = run(["eval", "--model", str(v1)] + argv)
-        assert code == 0
-        assert ([rec["value"] for rec in from_v1]
-                == [rec["value"] for rec in from_v2])
 
     def test_mirror_writes_record_stream(self, workdir, tmp_path):
         mirror = tmp_path / "records.jsonl"
@@ -659,6 +649,35 @@ class TestNoisesweep:
         assert code == 0
         assert [rec["q"] for rec in records] == [0.0, 0.05, 0.2]
         assert [rec["noise_seed"] for rec in records] == [40, 41, 42]
+
+    @pytest.mark.parametrize("seed, q_list, message", [
+        ("-1", "0.1", "seed must be in [0, 2**64 - 1] (q_list[i] uses "
+                      "seed + i): got -1"),
+        (str(2**64 - 1), "0.1,0.2",
+         f"seed must be in [0, 2**64 - 2] (q_list[i] uses seed + i): "
+         f"got {2**64 - 1}")])
+    def test_out_of_range_noise_seed_rejected_before_loading(
+            self, workdir, monkeypatch, seed, q_list, message):
+        def never(*args, **kwargs):
+            raise AssertionError("noisesweep read the model")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        code, records, err = run(["noisesweep", "--model",
+                                  str(workdir["model"]),
+                                  "--data", str(workdir["data_csv"]),
+                                  "--q", q_list, "--seed", seed])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_last_noise_seed_may_be_the_max_seed(self, workdir):
+        code, records, _ = run(["noisesweep", "--model",
+                                str(workdir["model"]),
+                                "--data", str(workdir["data_csv"]),
+                                "--q", "0.1,0.2", "--seed", str(2**64 - 2)])
+        assert code == 0
+        assert [rec["noise_seed"] for rec in records] == [2**64 - 2,
+                                                          2**64 - 1]
 
     @pytest.mark.parametrize("magnitude", ["nan", "inf"])
     def test_non_finite_magnitude_rejected(self, workdir, magnitude):

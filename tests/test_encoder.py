@@ -124,7 +124,7 @@ class TestEncode:
     def test_quarter_pi_closed_form(self):
         # dot(B_i, F) = pi/4 with zero phase gives cos(pi/4)*sin(pi/4) = 1/2
         e = EncoderState(np.array([[np.pi / 4.0]]), np.array([0.0]),
-                         seed=0, draw_counter=0)
+                         seed=0, draw_counter=0, regen_history=[])
         h = encode(e, np.array([1.0]))
         assert h[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -268,7 +268,7 @@ class TestBatchedRegenerationIsExact:
                                       replace=False)) for _ in range(3)]
         for indices in plans:
             ref = _reference_regenerate(
-                EncoderState(ref[0], ref[1], 31, ref[2]), indices)
+                EncoderState(ref[0], ref[1], 31, ref[2], []), indices)
             e = regenerate_dims(e, plan_for(e, indices))
             assert np.array_equal(e.bases, ref[0])
             assert np.array_equal(e.phases, ref[1])
@@ -283,14 +283,6 @@ class TestBatchedRegenerationIsExact:
         assert [idx.tolist() for idx in e.regen_history] == [[1, 4],
                                                               [0, 4, 7]]
         assert all(idx.dtype == np.int64 for idx in e.regen_history)
-
-    def test_unknown_history_stays_unknown(self):
-        e = init_encoder(3, 2, 8)
-        hand_built = EncoderState(e.bases, e.phases, e.seed, e.draw_counter)
-        e2 = regenerate_dims(hand_built, plan_for(e, [1, 4]))
-        assert e2.regen_history is None
-        assert np.array_equal(
-            e2.bases, regenerate_dims(e, plan_for(e, [1, 4])).bases)
 
 
 class TestReplayEncoder:

@@ -266,6 +266,9 @@ class TestPerturbModel:
             perturb_model(self.model, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             perturb_model(self.model, 0.5, -1.0, seed=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must be in"):
+                perturb_model(self.model, 0.5, 1.0, seed=seed)
 
     @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
     def test_non_finite_magnitude_rejected(self, magnitude):

@@ -8,34 +8,11 @@ import pytest
 
 import dynhd.encoder
 from dynhd.data import NormalizationStats, split
-from dynhd.encoder import init_encoder, regenerate_dims, replay_encoder
+from dynhd.encoder import init_encoder, regenerate_dims
 from dynhd.model import (ClassModel, Dataset, EncoderState, RegenPlan,
                          atomic_write_text, load_model, save_model,
                          validate_dataset)
 from dynhd.trainer import TrainConfig, train
-
-DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-
-
-def write_v1_model(path, encoder, model, normalizer=None):
-    """Write a version-1 model file, the format earlier releases wrote: the
-    encoder's bases, phases and draw counter stored in full."""
-    doc = {
-        "version": 1,
-        "n": encoder.n_features,
-        "D": encoder.dim,
-        "seed": encoder.seed,
-        "draw_counter": encoder.draw_counter,
-        "bases": encoder.bases.ravel().tolist(),
-        "phases": encoder.phases.tolist(),
-        "labels": list(model.labels),
-        "classes": model.classes.ravel().tolist(),
-    }
-    if normalizer is not None:
-        doc["normalizer"] = {"mean": np.asarray(normalizer.mean).tolist(),
-                             "std": np.asarray(normalizer.std).tolist()}
-    atomic_write_text(path, json.dumps(doc) + "\n")
-
 
 def assert_same_encoder(a, b):
     assert np.array_equal(a.bases, b.bases)
@@ -55,35 +32,15 @@ def small_dataset(**kwargs):
 
 class TestEncoderState:
     def test_shape_accessors(self):
-        e = EncoderState(np.zeros((4, 2)), np.zeros(4), seed=1, draw_counter=12)
+        e = EncoderState(np.zeros((4, 2)), np.zeros(4), seed=1,
+                         draw_counter=12, regen_history=[])
         assert e.dim == 4 and e.n_features == 2
-
-    def test_check_rejects_mismatched_phases(self):
-        e = EncoderState(np.zeros((4, 2)), np.zeros(3), seed=1, draw_counter=0)
-        with pytest.raises(ValueError):
-            e.check()
-
-    def test_check_rejects_phase_out_of_range(self):
-        e = EncoderState(np.zeros((2, 2)), np.array([0.0, 7.0]), seed=1,
-                         draw_counter=0)
-        with pytest.raises(ValueError):
-            e.check()
-
-    def test_check_rejects_nan_phase(self):
-        e = EncoderState(np.zeros((2, 2)), np.array([0.0, np.nan]), seed=1,
-                         draw_counter=0)
-        with pytest.raises(ValueError, match="phases must lie"):
-            e.check()
 
     def test_copy_is_independent(self):
         e = init_encoder(3, 2, 4)
         c = e.copy()
         c.bases[0, 0] += 1.0
         assert e.bases[0, 0] != c.bases[0, 0]
-
-    def test_history_defaults_to_unknown(self):
-        e = EncoderState(np.zeros((4, 2)), np.zeros(4), seed=1, draw_counter=0)
-        assert e.regen_history is None and e.copy().regen_history is None
 
     def test_copy_copies_the_history(self):
         e = init_encoder(3, 2, 4)
@@ -196,9 +153,9 @@ BAD_ENTRY = ("must be a non-empty, strictly increasing list of integers in "
 
 
 class TestModelFile:
-    def roundtrip(self, tmp_path, normalizer=None, version=2):
-        """Save a model with two rounds of history in the given file
-        version; returns the encoder, model, path and what loads back."""
+    def roundtrip(self, tmp_path, normalizer=None):
+        """Save a model with two rounds of history; returns the encoder,
+        model, path and what loads back."""
         enc = init_encoder(17, 3, 8)
         for idx in ([1, 5], [0, 5, 7]):
             enc = regenerate_dims(enc, RegenPlan(np.array(idx), np.zeros(8),
@@ -208,15 +165,13 @@ class TestModelFile:
                 (4, 8)),
             ["a", "b", "c", "d"])
         path = os.path.join(tmp_path, "model.json")
-        write = save_model if version == 2 else write_v1_model
-        write(path, enc, model, normalizer=normalizer)
+        save_model(path, enc, model, normalizer=normalizer)
         return enc, model, path, load_model(path)
 
-    def edited(self, tmp_path, field, edit, version=2):
+    def edited(self, tmp_path, field, edit):
         """The path of a saved model whose field was edited in place."""
         norm = NormalizationStats(np.zeros(3), np.ones(3))
-        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm,
-                                       version=version)
+        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         edit_field(doc, field, edit)
@@ -233,12 +188,6 @@ class TestModelFile:
         assert model2.labels == model.labels
         assert stats is None
 
-    def test_v1_roundtrip_has_no_history(self, tmp_path):
-        enc, model, _, (enc2, model2, _) = self.roundtrip(tmp_path, version=1)
-        assert_same_encoder(enc, enc2)
-        assert enc2.regen_history is None
-        np.testing.assert_array_equal(model.classes, model2.classes)
-
     def test_normalizer_roundtrip(self, tmp_path):
         norm = NormalizationStats(np.array([0.25, -1.5, 3.0]),
                                   np.array([1.0, 2.0, 1e-12]))
@@ -253,14 +202,6 @@ class TestModelFile:
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
 
-    def test_file_is_plain_json_with_expected_fields(self, tmp_path):
-        _, _, path, _ = self.roundtrip(tmp_path, version=1)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert {"version", "n", "D", "seed", "draw_counter", "bases",
-                "phases", "labels", "classes"} <= set(doc)
-        assert doc["n"] == 3 and doc["D"] == 8
-
     def test_v2_file_stores_the_replay_log(self, tmp_path):
         norm = NormalizationStats(np.zeros(3), np.ones(3))
         _, model, path, _ = self.roundtrip(tmp_path, normalizer=norm)
@@ -272,20 +213,15 @@ class TestModelFile:
         assert doc["regen_history"] == [[1, 5], [0, 5, 7]]
         assert doc["classes"] == model.classes.ravel().tolist()
 
-    def test_encoder_without_history_is_not_saved(self, tmp_path):
-        enc, model, path, (enc1, _, _) = self.roundtrip(tmp_path, version=1)
-        hand_built = EncoderState(enc.bases, enc.phases, enc.seed,
-                                  enc.draw_counter)
-        for encoder in (enc1, hand_built):
-            with pytest.raises(ValueError, match="history is unknown"):
-                save_model(path + ".v2", encoder, model)
-        assert not os.path.exists(path + ".v2")
-
     def test_unsupported_version_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.json")
-        atomic_write_text(path, json.dumps({"version": 999}))
-        with pytest.raises(ValueError):
-            load_model(path)
+        for version in (1, 999):  # 1 is the retired bases-and-phases format
+            path = self.edited(tmp_path, "version",
+                               lambda node, leaf: node.update({leaf: version}))
+            with pytest.raises(ValueError) as exc:
+                load_model(path)
+            assert str(exc.value) == (
+                f"malformed model file {path}: unsupported model file "
+                f"version {version}")
 
     @pytest.mark.parametrize("edit", [
         {"mean": [0.0, 1.0], "std": [1.0, 1.0]},
@@ -304,20 +240,6 @@ class TestModelFile:
         assert str(exc.value).startswith(f"malformed model file {path}: ")
 
     @pytest.mark.parametrize("key, value", [
-        ("version", True), ("version", 1.0), ("n", 3.0), ("D", "8"),
-        ("seed", True), ("seed", 0.5), ("draw_counter", 320.9),
-        ("draw_counter", None), ("labels", "abcd"), ("labels", [1, 2, 3, 4]),
-    ])
-    def test_wrongly_typed_field_rejected(self, tmp_path, key, value):
-        path = self.edited(tmp_path, key,
-                           lambda node, leaf: node.update({leaf: value}),
-                           version=1)
-        with pytest.raises(ValueError) as exc:
-            load_model(path)
-        assert str(exc.value).startswith(
-            f"malformed model file {path}: {key} must be a JSON ")
-
-    @pytest.mark.parametrize("key, value", [
         ("version", True), ("version", 2.0), ("n", 3.0), ("D", "8"),
         ("seed", True), ("seed", 0.5), ("labels", "abcd"),
         ("labels", [1, 2, 3, 4]), ("classes", 0.5),
@@ -331,19 +253,6 @@ class TestModelFile:
             load_model(path)
         assert str(exc.value).startswith(
             f"malformed model file {path}: {key} must be a JSON ")
-
-    @pytest.mark.parametrize("field", ["bases", "phases", "classes",
-                                       "normalizer.mean", "normalizer.std"])
-    @pytest.mark.parametrize("entry", ["0.5", True, None])
-    def test_non_number_array_entry_rejected(self, tmp_path, field, entry):
-        path = self.edited(tmp_path, field,
-                           lambda node, leaf: node[leaf].__setitem__(1, entry),
-                           version=1)
-        with pytest.raises(ValueError) as exc:
-            load_model(path)
-        assert str(exc.value) == (
-            f"malformed model file {path}: {field} must be a JSON number "
-            f"array, got {entry!r} at index 1")
 
     @pytest.mark.parametrize("field", ["classes", "normalizer.mean",
                                        "normalizer.std"])
@@ -398,41 +307,6 @@ class TestModelFile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(os.path.join(tmp_path, "absent.json"))
-
-
-class TestVersion1File:
-    """A version-1 file written by an earlier release's ``dynhd train``
-    (synthetic n=3, D=16, two rounds of insignificant regeneration at rate
-    0.25; its config and records sit beside it)."""
-
-    PATH = os.path.join(DATA_DIR, "v1_model.json")
-
-    def history(self):
-        """The run's non-empty regen_indices, from its round records."""
-        with open(os.path.join(DATA_DIR, "v1_train_records.jsonl"),
-                  encoding="utf-8") as fh:
-            return [rec["regen_indices"] for rec in map(json.loads, fh)
-                    if rec["type"] == "round" and rec["regen_indices"]]
-
-    def test_loads_to_the_replay_of_its_run(self):
-        enc, model, stats = load_model(self.PATH)
-        assert self.history() == [[6, 7, 13, 15], [6, 7, 13, 15]]
-        assert_same_encoder(enc, replay_encoder(5, 3, 16, self.history()))
-        assert enc.regen_history is None
-        assert model.classes.shape == (3, 16) and stats is not None
-
-    def test_v2_copy_holds_the_same_classes_and_normalizer(self, tmp_path):
-        v1_path = self.PATH
-        enc, model, stats = load_model(v1_path)
-        path = os.path.join(tmp_path, "v2.json")
-        save_model(path, replay_encoder(5, 3, 16, self.history()), model,
-                   stats)
-        with open(v1_path, encoding="utf-8") as a, \
-                open(path, encoding="utf-8") as b:
-            v1, v2 = json.load(a), json.load(b)
-        for key in ("n", "D", "seed", "labels", "classes", "normalizer"):
-            assert json.dumps(v1[key]) == json.dumps(v2[key])
-        assert_same_encoder(load_model(path)[0], enc)
 
 
 def test_train_save_load_roundtrip_is_exact(tmp_path):

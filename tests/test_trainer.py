@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 import dynhd.trainer
-from dynhd.analysis import (misleading_scores, select_insignificant,
-                            select_misleading)
+from dynhd.analysis import (_accumulate, domain_models, misleading_scores,
+                            select_insignificant, select_misleading)
 from dynhd.data import (SyntheticSpec, apply_normalizer, fit_normalizer,
                         make_blobs, split)
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            regenerate_dims)
 from dynhd.inference import model_scores, row_norms, vec_norm
 from dynhd.model import ClassModel, Dataset
-from dynhd.trainer import (TrainConfig, TrainReport, domain_models, train,
-                           _accumulate, _adaptive_pass)
+from dynhd.trainer import TrainConfig, TrainReport, train, _adaptive_pass
 
 
 def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
