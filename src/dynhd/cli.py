@@ -5,8 +5,9 @@ Every subcommand takes its settings from an optional JSON config file
 each command's settings once: their defaults, their flags and the JSON kind
 every value is checked against.  The fully materialized settings, defaults
 included, are echoed into each emitted record, so any record can be
-reproduced by feeding its config echo back.
-Machine output is JSON-lines on stdout; diagnostics go to stderr.
+reproduced by feeding its config echo back.  Every flag but --config and
+--quiet sets a declared setting.  Records are JSON-lines on stdout only;
+diagnostics go to stderr.
 
 Exit codes: 0 ok, 2 config or validation error (settings that run out of
 memory included), 3 I/O error, 4 numeric error.
@@ -29,9 +30,9 @@ from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
 from .encoder import encode_batch
 from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
-from .model import (Dataset, atomic_write_text, check_json_kind, load_model,
-                    save_model, validate_dataset)
-from .rng import MAX_SEED
+from .model import (Dataset, check_json_kind, load_model, save_model,
+                    validate_dataset)
+from .rng import MAX_SEED, check_seed
 from .trainer import TrainConfig, train
 
 EXIT_OK = 0
@@ -43,26 +44,18 @@ DROP_ORDERS = ("lowest", "highest", "both")
 
 
 class Emitter:
-    """Prints JSON records to stdout, mirrors them to an optional file, and
-    routes diagnostics to stderr (silenced by --quiet)."""
+    """Prints JSON records to stdout and routes diagnostics to stderr
+    (silenced by --quiet)."""
 
-    def __init__(self, quiet: bool, mirror_path: Optional[str] = None):
+    def __init__(self, quiet: bool):
         self.quiet = quiet
-        self.mirror_path = mirror_path
-        self.lines: list[str] = []
 
     def record(self, obj: dict) -> None:
-        line = json.dumps(obj)
-        print(line)
-        self.lines.append(line)
+        print(json.dumps(obj))
 
     def diag(self, msg: str) -> None:
         if not self.quiet:
             print(msg, file=sys.stderr)
-
-    def close(self) -> None:
-        if self.mirror_path is not None:
-            atomic_write_text(self.mirror_path, "\n".join(self.lines) + "\n")
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -135,7 +128,8 @@ def _materialize(command: str, settings: dict, config: dict, args=None,
                  prefix: str = "") -> dict:
     """Merge defaults <- config file <- flags, rejecting unknown keys,
     checking that required settings ended up present, and checking each
-    value's JSON kind.  Errors name keys as ``prefix + key``."""
+    value's JSON kind and that each array is non-empty.  Errors name keys as
+    ``prefix + key``."""
     unknown = sorted(prefix + k for k in set(config) - set(settings))
     if unknown:
         raise ValueError(f"{command}: unknown config key(s) {unknown}; "
@@ -150,6 +144,8 @@ def _materialize(command: str, settings: dict, config: dict, args=None,
     for key, (default, kind) in settings.items():
         if merged[key] is not None or default is not None:
             check_json_kind(f"{command}: {prefix}{key}", merged[key], kind)
+            if kind.endswith(" array") and not merged[key]:
+                raise ValueError(f"{command}: {prefix}{key} must be non-empty")
     return merged
 
 
@@ -169,13 +165,15 @@ def _check_dataset(ds: Dataset, source: str) -> Dataset:
 
 
 def _load_queries(cfg: dict):
-    """Load a query CSV and the model that scores it.  The model's ``n`` is
-    checked against the CSV's feature count before its encoder is replayed;
-    the labels are then remapped into the model's order and its stored
-    normalization, if any, applied.  Returns (encoder, model, dataset,
-    seconds the model load took)."""
+    """Load a query CSV, which must have rows, and the model that scores it.
+    The model's ``n`` is checked against the CSV's feature count before its
+    encoder is replayed; the labels, a subset of the model's, are then
+    remapped into its order and its stored normalization, if any, applied.
+    Returns (encoder, model, dataset, seconds the model load took)."""
     ds = _check_dataset(load_csv(cfg["data"], cfg["label_column"],
                                  cfg["domain_column"]), cfg["data"])
+    if len(ds) == 0:
+        raise ValueError(f"{cfg['data']}: no data rows")
     t0 = time.perf_counter()
     enc, model, normalizer = load_model(cfg["model"], n_features=ds.n)
     load_s = time.perf_counter() - t0
@@ -208,13 +206,16 @@ def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
 
 def cmd_train(merged: dict, emitter: Emitter) -> int:
     """train a model from a JSON config"""
+    cfg = _construct(TrainConfig, merged)
+    cfg.validate()
     if merged["split_seed"] is None:
         merged["split_seed"] = merged["seed"]
-    ds, merged["data"] = _load_train_data(merged["data"])
-
+    check_seed(merged["split_seed"], "split_seed")
     vf = merged["valid_fraction"]
     if not 0.0 < vf < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
+    ds, merged["data"] = _load_train_data(merged["data"])
+
     train_ds, valid_ds = split(ds, [1.0 - vf, vf], merged["split_seed"])
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("split produced an empty train or validation set")
@@ -224,9 +225,6 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
         stats = fit_normalizer(train_ds)
         train_ds = apply_normalizer(stats, train_ds)
         valid_ds = apply_normalizer(stats, valid_ds)
-
-    cfg = _construct(TrainConfig, merged)
-    cfg.validate()
 
     emitter.record({"type": "config", "command": "train", "config": merged})
     emitter.diag(f"training on {len(train_ds)} samples, "
@@ -249,8 +247,6 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
     """top-k accuracy of a model on a CSV"""
     enc, model, ds, load_s = _load_queries(merged)
     k_list = merged["k_list"]
-    if not k_list:
-        raise ValueError("k_list must be non-empty")
     # The model is loaded (its encoder replayed) and the query set encoded
     # and scored once; each k only ranks and counts, which is what its
     # wall_ms times.
@@ -276,6 +272,10 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
 def cmd_analyze(merged: dict, emitter: Emitter) -> int:
     """score dimensions and list the regeneration candidates"""
     strategy, rate = merged["strategy"], merged["rate"]
+    if strategy in ("misleading", "domain_variant") and merged["data"] is None:
+        raise ValueError(f"analyze: strategy={strategy} needs data")
+    if strategy == "domain_variant" and merged["domain_column"] is None:
+        raise ValueError(f"analyze: strategy={strategy} needs domain_column")
     t0 = time.perf_counter()
     if merged["data"] is None:
         enc, model, _ = load_model(merged["model"])
@@ -349,7 +349,7 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
     """accuracy after seeded noise on model entries"""
     q_list, magnitude = merged["q_list"], merged["magnitude"]
     base_seed = merged["seed"]
-    points = max(len(q_list), 1)  # q_list[i] draws its noise with seed + i
+    points = len(q_list)  # q_list[i] draws its noise with seed + i
     if not 0 <= base_seed <= MAX_SEED + 1 - points:
         raise ValueError(f"seed must be in [0, 2**64 - {points}] (q_list[i] "
                          f"uses seed + i): got {base_seed}")
@@ -427,8 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--quiet", action="store_true",
                          help="suppress stderr diagnostics")
         settings = SETTINGS[command]
-        if "out" not in settings:
-            sub.add_argument("--out", help="also write the records here")
         for key in TRAIN_FLAGS if command == "train" else settings:
             kind = settings[key][1]
             array = ", comma-separated" * kind.endswith(" array")
@@ -441,10 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # train and synth use --out for their primary artifact; the other
-    # commands use it to mirror their stdout records to a file.
-    mirror = None if "out" in SETTINGS[args.command] else args.out
-    emitter = Emitter(args.quiet, mirror)
+    emitter = Emitter(args.quiet)
     try:
         merged = _materialize(args.command, SETTINGS[args.command],
                               _read_config(args.config), args)
@@ -452,9 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (exit 4), so numpy's floating-point warnings would only repeat
         # them on stderr.
         with np.errstate(all="ignore"):
-            code = COMMANDS[args.command](merged, emitter)
-        emitter.close()
-        return code
+            return COMMANDS[args.command](merged, emitter)
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

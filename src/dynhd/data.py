@@ -70,12 +70,13 @@ def apply_normalizer(stats: NormalizationStats, d: Dataset) -> Dataset:
 
 
 def remap_labels(d: Dataset, label_names: Sequence[str]) -> Dataset:
-    """Reindex the dataset's labels to match another dataset's name order."""
+    """Reindex the labels into ``label_names``, a superset of the dataset's."""
     target = list(label_names)
     if target == list(d.label_names):
         return d
-    if set(target) != set(d.label_names):
-        raise ValueError("label sets differ; cannot remap")
+    unknown = [name for name in d.label_names if name not in target]
+    if unknown:
+        raise ValueError(f"label(s) {unknown} not in {target}")
     lut = np.array([target.index(name) for name in d.label_names])
     doms = None if d.domains is None else d.domains.copy()
     return Dataset(d.features.copy(), lut[d.labels], target, doms,

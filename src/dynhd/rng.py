@@ -27,11 +27,11 @@ TWO_PI = 2.0 * np.pi
 MAX_SEED = 2**64 - 1
 
 
-def check_seed(seed: int) -> int:
-    """Validate a 64-bit non-negative seed and return it as a plain int."""
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Validate the 64-bit non-negative seed ``name``; return it as an int."""
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64): got {seed}")
+        raise ValueError(f"{name} must be in [0, 2**64): got {seed}")
     return seed
 
 

@@ -145,8 +145,6 @@ def train(cfg: TrainConfig, train_ds: Dataset,
         raise ValueError("train and validation datasets must be non-empty")
     if valid_ds.n != train_ds.n:
         raise ValueError("train and validation feature counts differ")
-    if set(valid_ds.label_names) != set(train_ds.label_names):
-        raise ValueError("train and validation label sets differ")
     valid_ds = remap_labels(valid_ds, train_ds.label_names)
     if cfg.strategy == "domain_variant":
         if train_ds.domains is None:

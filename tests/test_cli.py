@@ -207,6 +207,23 @@ class TestTrain:
         assert not out.exists()
         assert "domain" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 0, "dim must be at least 1"),
+        ("valid_fraction", 1.5,
+         "valid_fraction must lie strictly between 0 and 1"),
+        ("split_seed", -1, "split_seed must be in [0, 2**64): got -1")],
+        ids=["dim", "valid_fraction", "split_seed"])
+    def test_settings_checked_before_data_is_read(self, tmp_path, key, value,
+                                                  message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "dim": 64, key: value,
+            "data": {"csv": str(tmp_path / "absent.csv")}}))
+        code, records, err = run(["train", "--config", str(config)])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_unknown_config_key_rejected(self, workdir, tmp_path):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({
@@ -489,13 +506,41 @@ class TestEval:
             f"error: model file {edited} has n=2000000, but the data has 6 "
             "features"]
 
-    def test_mirror_writes_record_stream(self, workdir, tmp_path):
-        mirror = tmp_path / "records.jsonl"
-        _, records, _ = run(["eval", "--model", str(workdir["model"]),
-                             "--data", str(workdir["data_csv"]),
-                             "--k", "1,2", "--out", str(mirror)])
-        lines = mirror.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == records
+    def test_query_csv_may_hold_a_subset_of_classes(self, workdir,
+                                                     tmp_path):
+        header, *rows = workdir["data_csv"].read_text().splitlines()
+        subset = tmp_path / "two_classes.csv"
+        subset.write_text("\n".join(
+            [header] + [row for row in rows
+                        if not row.endswith(",c1")]) + "\n")
+        code, records, _ = run(["eval", "--model", str(workdir["model"]),
+                                "--data", str(subset)])
+        assert code == 0
+        assert records[0]["n_samples"] == 60
+        enc, model, stats = load_model(str(workdir["model"]))
+        ds = apply_normalizer(stats, remap_labels(load_csv(str(subset)),
+                                                  model.labels))
+        assert ds.label_names == model.labels
+        assert records[0]["value"] == topk_accuracy(model, enc, ds, 1)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", []), ("analyze", ["--strategy", "misleading", "--rate",
+                                   "0.1"]),
+        ("dropsweep", []), ("noisesweep", [])],
+        ids=["eval", "analyze", "dropsweep", "noisesweep"])
+    def test_header_only_csv_rejected_before_loading(
+            self, workdir, tmp_path, monkeypatch, command, extra):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} read the model")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        empty = tmp_path / "header_only.csv"
+        empty.write_text("f0,f1,f2,f3,f4,f5,label\n")
+        code, records, err = run([command, "--model", str(workdir["model"]),
+                                  "--data", str(empty)] + extra)
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [f"error: {empty}: no data rows"]
 
 
 class TestAnalyze:
@@ -515,7 +560,8 @@ class TestAnalyze:
         code, _, err = run(["analyze", "--model", str(workdir["model"]),
                             "--strategy", "misleading", "--rate", "0.1"])
         assert code == 2
-        assert "data" in err
+        assert err.splitlines() == [
+            "error: analyze: strategy=misleading needs data"]
         code, records, _ = run(["analyze", "--model", str(workdir["model"]),
                                 "--strategy", "misleading", "--rate", "0.1",
                                 "--data", str(workdir["data_csv"])])
@@ -544,11 +590,24 @@ class TestAnalyze:
         assert records[0]["strategy"] == "domain_variant"
         assert 0 < len(records[0]["selected_indices"]) <= 25
 
-    def test_domain_variant_without_domain_column_rejected(self, workdir):
-        code, _, _ = run(["analyze", "--model", str(workdir["model"]),
-                          "--strategy", "domain_variant", "--rate", "0.2",
-                          "--data", str(workdir["data_csv"])])
-        assert code == 2
+    def test_domain_variant_without_domain_column_rejected(self, workdir,
+                                                            monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("analyze read a file")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        monkeypatch.setattr(dynhd.cli, "load_csv", never)
+        for given, missing in [(["--data", str(workdir["data_csv"])],
+                                "domain_column"),
+                               (["--domain-column", "domain"], "data")]:
+            code, records, err = run(["analyze", "--model",
+                                      str(workdir["model"]), "--strategy",
+                                      "domain_variant", "--rate", "0.2"]
+                                     + given)
+            assert code == 2
+            assert records == []
+            assert err.splitlines() == [
+                f"error: analyze: strategy=domain_variant needs {missing}"]
 
     def test_rate_out_of_range_rejected(self, workdir):
         code, _, _ = run(["analyze", "--model", str(workdir["model"]),
@@ -763,21 +822,43 @@ class TestTypedSettings:
         assert records == [] and not out.exists()
         assert f"{command}: {key} must be a JSON " in err
 
+    @pytest.mark.parametrize("command, key, flag", [
+        ("eval", "k_list", "--k"), ("dropsweep", "fractions", "--fractions"),
+        ("noisesweep", "q_list", "--q")])
+    def test_empty_list_rejected(self, workdir, tmp_path, monkeypatch,
+                                 command, key, flag):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} read a file")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        monkeypatch.setattr(dynhd.cli, "load_csv", never)
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps({key: []}))
+        scored = ["--model", str(workdir["model"]),
+                  "--data", str(workdir["data_csv"])]
+        for argv in ([command, "--config", str(config)] + scored,
+                     [command, flag, ""] + scored):
+            code, records, err = run(argv)
+            assert code == 2
+            assert records == []
+            assert err.splitlines() == [
+                f"error: {command}: {key} must be non-empty"]
+
 
 class TestFlags:
     def test_each_command_has_its_flags(self):
-        common = {"-h", "--help", "--config", "--quiet", "--out"}
+        common = {"-h", "--help", "--config", "--quiet"}
         scored = common | {"--model", "--data", "--label-column",
                            "--domain-column"}
         expected = {
-            "train": common | {"--seed"},
+            "train": common | {"--seed", "--out"},
             "eval": scored | {"--k"},
             "analyze": scored | {"--strategy", "--rate"},
             "dropsweep": scored | {"--fractions", "--order"},
             "noisesweep": scored | {"--q", "--magnitude", "--seed"},
             "synth": common | {"--n", "--classes", "--domains", "--samples",
                                "--separation", "--intra-std",
-                               "--domain-offset-std", "--seed"},
+                               "--domain-offset-std", "--seed", "--out"},
         }
         subs = next(action for action in _build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -787,10 +868,16 @@ class TestFlags:
         assert flags == expected
 
     def test_retired_bench_command_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        # the bench command and the --out record mirror of the query
+        # commands are both gone
+        for argv, message in [
+                (["bench"], "invalid choice: 'bench'"),
+                (["eval", "--model", "m.json", "--data", "d.csv", "--out",
+                  "x"], "unrecognized arguments: --out x")]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestQuietFlag:

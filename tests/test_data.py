@@ -164,9 +164,15 @@ class TestRemapLabels:
         assert out.labels.tolist() == [1, 0]
         np.testing.assert_array_equal(out.features, d.features)
 
+    def test_subset_maps_into_target(self):
+        d = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ["c", "a"])
+        out = remap_labels(d, ["a", "b", "c"])
+        assert out.label_names == ["a", "b", "c"]
+        assert out.labels.tolist() == [2, 0]
+
     def test_disjoint_names_rejected(self):
         d = Dataset(np.zeros((1, 1)), np.array([0]), ["a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"label\(s\) \['a'\] not in"):
             remap_labels(d, ["z"])
 
 
