@@ -18,8 +18,7 @@ from .encoder import (encode, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims, replay_encoder)
 from .inference import perturb_model, score_queries, topk_accuracy
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
-                    EncoderState, RegenPlan, ValidationReport,
-                    load_model, save_model, validate_dataset)
+                    EncoderState, RegenPlan, load_model, save_model)
 from .rng import UniformStream
 from .trainer import (EpochRecord, RoundRecord, TimingRecord, TrainConfig,
                       TrainReport, train)
@@ -31,7 +30,6 @@ __all__ = [
     "NormalizationStats", "REGEN_STRATEGIES",
     "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
     "TimingRecord", "TrainConfig", "TrainReport", "UniformStream",
-    "ValidationReport",
     "apply_normalizer",
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",
@@ -41,6 +39,6 @@ __all__ = [
     "regenerate_dims", "remap_labels", "replay_encoder", "save_model",
     "score_queries",
     "select_domain_variant", "select_insignificant", "select_misleading",
-    "split", "topk_accuracy", "train", "validate_dataset",
+    "split", "topk_accuracy", "train",
     "variance_over_classes", "write_csv",
 ]

@@ -30,8 +30,7 @@ from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
 from .encoder import encode_batch
 from .inference import (model_scores, perturb_model, row_norms, score_queries,
                         topk_accuracy, topk_hits)
-from .model import (Dataset, check_json_kind, load_model, save_model,
-                    validate_dataset)
+from .model import Dataset, check_json_kind, load_model, save_model
 from .rng import MAX_SEED, check_seed
 from .trainer import TrainConfig, train
 
@@ -157,27 +156,20 @@ def _floats_arg(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _check_dataset(ds: Dataset, source: str) -> Dataset:
-    report = validate_dataset(ds)
-    if not report.ok:
-        raise ValueError(f"{source}: " + "; ".join(report.failures))
-    return ds
-
-
 def _load_queries(cfg: dict):
-    """Load a query CSV, which must have rows, and the model that scores it.
-    The model's ``n`` is checked against the CSV's feature count before its
-    encoder is replayed; the labels, a subset of the model's, are then
-    remapped into its order and its stored normalization, if any, applied.
+    """Load a query CSV and the model that scores it.  The model's ``n`` is
+    checked against the CSV's feature count before its encoder is replayed;
+    the labels, a subset of the model's, are then remapped into its order
+    and its stored normalization, if any, applied.
     Returns (encoder, model, dataset, seconds the model load took)."""
-    ds = _check_dataset(load_csv(cfg["data"], cfg["label_column"],
-                                 cfg["domain_column"]), cfg["data"])
-    if len(ds) == 0:
-        raise ValueError(f"{cfg['data']}: no data rows")
+    ds = load_csv(cfg["data"], cfg["label_column"], cfg["domain_column"])
     t0 = time.perf_counter()
     enc, model, normalizer = load_model(cfg["model"], n_features=ds.n)
     load_s = time.perf_counter() - t0
-    ds = remap_labels(ds, model.labels)
+    try:
+        ds = remap_labels(ds, model.labels, f"model {cfg['model']}")
+    except ValueError as exc:
+        raise ValueError(f"{cfg['data']}: {exc}") from None
     if normalizer is not None:
         ds = apply_normalizer(normalizer, ds)
     return enc, model, ds, load_s
@@ -195,13 +187,12 @@ def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
     if "csv" in data_cfg:
         sub = _materialize("train", DATA_CSV_SETTINGS, data_cfg,
                            prefix="data.")
-        ds = load_csv(sub["csv"], sub["label_column"], sub["domain_column"])
-        return _check_dataset(ds, sub["csv"]), sub
+        return load_csv(sub["csv"], sub["label_column"],
+                        sub["domain_column"]), sub
     check_json_kind("train: data.synthetic", data_cfg["synthetic"], "object")
     sub = _materialize("train", SYNTHETIC_SETTINGS, data_cfg["synthetic"],
                        prefix="data.synthetic.")
-    ds = make_blobs(_construct(SyntheticSpec, sub))
-    return _check_dataset(ds, "synthetic"), {"synthetic": sub}
+    return make_blobs(_construct(SyntheticSpec, sub)), {"synthetic": sub}
 
 
 def cmd_train(merged: dict, emitter: Emitter) -> int:

@@ -4,14 +4,16 @@ CSV files are comma-separated with a mandatory header row.  Feature columns
 are every column except the label column (and the optional domain column),
 taken in header order.  Label and domain strings are mapped to dense ids in
 first-appearance order, and the name tables travel with the Dataset so the
-same strings resolve to the same ids downstream.
+same strings resolve to the same ids downstream.  Every Dataset, a derived
+one included, checks its invariants when it is built (``model.Dataset``).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -63,24 +65,22 @@ def apply_normalizer(stats: NormalizationStats, d: Dataset) -> Dataset:
     if stats.mean.shape[0] != d.n:
         raise ValueError(f"normalizer expects {stats.mean.shape[0]} features, "
                          f"dataset has {d.n}")
-    doms = None if d.domains is None else d.domains.copy()
-    return Dataset((d.features - stats.mean) / stats.std, d.labels.copy(),
-                   list(d.label_names), doms,
-                   None if d.domain_names is None else list(d.domain_names))
+    return replace(d, features=(d.features - stats.mean) / stats.std)
 
 
-def remap_labels(d: Dataset, label_names: Sequence[str]) -> Dataset:
-    """Reindex the labels into ``label_names``, a superset of the dataset's."""
+def remap_labels(d: Dataset, label_names: Sequence[str],
+                 owner: str = "the target") -> Dataset:
+    """Reindex the labels into ``label_names``, a superset of the dataset's
+    held by ``owner``; an unknown label raises ValueError naming both."""
     target = list(label_names)
     if target == list(d.label_names):
         return d
     unknown = [name for name in d.label_names if name not in target]
     if unknown:
-        raise ValueError(f"label(s) {unknown} not in {target}")
+        raise ValueError(f"label(s) {unknown} not among the {len(target)} "
+                         f"labels of {owner}")
     lut = np.array([target.index(name) for name in d.label_names])
-    doms = None if d.domains is None else d.domains.copy()
-    return Dataset(d.features.copy(), lut[d.labels], target, doms,
-                   None if d.domain_names is None else list(d.domain_names))
+    return replace(d, labels=lut[d.labels], label_names=target)
 
 
 @dataclass
@@ -133,7 +133,7 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
 
 def load_csv(path: str, label_column: str = "label",
              domain_column: Optional[str] = None) -> Dataset:
-    """Parse a headered CSV into a Dataset.
+    """Parse a headered CSV, which must have data rows, into a Dataset.
 
     Errors carry 1-based line numbers (the header is line 1).
     """
@@ -182,11 +182,12 @@ def load_csv(path: str, label_column: str = "label",
             if domain_pos is not None:
                 domain_strs.append(cells[domain_pos])
 
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     label_names = list(dict.fromkeys(label_strs))  # first-appearance order
     label_ids = {name: i for i, name in enumerate(label_names)}
     labels = np.array([label_ids[s] for s in label_strs], dtype=np.int64)
-    features = (np.array(rows) if rows
-                else np.empty((0, len(feature_pos))))
+    features = np.array(rows)
     if domain_pos is None:
         return Dataset(features, labels, label_names)
     domain_names = list(dict.fromkeys(domain_strs))
@@ -198,19 +199,22 @@ def load_csv(path: str, label_column: str = "label",
 def write_csv(path: str, d: Dataset) -> None:
     """Emit a Dataset as CSV with columns f0..f{n-1}, label[, domain].
 
-    Floats are written with repr so a load round-trips values exactly.
+    Floats are written with repr so a load round-trips values exactly; a
+    name holding a comma, a quote or a line break is quoted.
     """
     header = [f"f{i}" for i in range(d.n)] + ["label"]
     if d.domains is not None:
         header.append("domain")
-    lines = [",".join(header)]
+    rows = [header]
     for i in range(len(d)):
         cells = [repr(float(v)) for v in d.features[i]]
         cells.append(d.label_names[int(d.labels[i])])
         if d.domains is not None:
             cells.append(d.domain_names[int(d.domains[i])])
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.append(cells)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, text.getvalue())
 
 
 def split(d: Dataset, fractions: Sequence[float], seed: int) -> tuple:

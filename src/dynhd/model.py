@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,13 +25,6 @@ REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
 MODEL_FILE_VERSION = 2
-
-
-def as_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
 
 
 # JSON value kinds, checked by exact Python type, so a JSON boolean is
@@ -151,7 +144,12 @@ class RegenPlan:
 @dataclass
 class Dataset:
     """Columnar sample store: (N, n) features, dense label ids, optional
-    dense domain ids, plus the id -> name tables."""
+    dense domain ids, plus the id -> name tables.
+
+    Construction raises ValueError on the first broken invariant: finite 2-D
+    features; one label (and domain, if any) per sample, each within unique
+    names; ``domains`` and ``domain_names`` both present or both absent.
+    """
 
     features: np.ndarray  # (N, n) float64
     labels: np.ndarray  # (N,) int64
@@ -160,10 +158,22 @@ class Dataset:
     domain_names: Optional[list[str]] = None
 
     def __post_init__(self):
-        self.features = as_float_matrix(self.features, "features")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise ValueError("features must be a 2-D array, "
+                             f"got shape {self.features.shape}")
+        bad = ~np.isfinite(self.features).all(axis=1)
+        if bad.any():
+            raise ValueError("non-finite feature in sample(s) "
+                             f"{np.flatnonzero(bad).tolist()}")
+        self.labels = _check_ids("label", self.labels, self.label_names,
+                                 len(self))
+        if (self.domains is None) != (self.domain_names is None):
+            raise ValueError("domains and domain_names must both be present "
+                             "or both absent")
         if self.domains is not None:
-            self.domains = np.asarray(self.domains, dtype=np.int64)
+            self.domains = _check_ids("domain", self.domains,
+                                      self.domain_names, len(self))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -178,59 +188,24 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        doms = None if self.domains is None else self.domains[idx]
-        return Dataset(self.features[idx], self.labels[idx],
-                       list(self.label_names), doms,
-                       None if self.domain_names is None
-                       else list(self.domain_names))
+        return replace(self, features=self.features[idx],
+                       labels=self.labels[idx],
+                       domains=None if self.domains is None
+                       else self.domains[idx])
 
 
-@dataclass
-class ValidationReport:
-    """Per-invariant findings from validate_dataset; empty means valid."""
-
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def validate_dataset(d: Dataset) -> ValidationReport:
-    """Check dataset invariants without mutating; failures are collected,
-    never raised."""
-    report = ValidationReport()
-    fail = report.failures.append
-
-    if d.features.ndim != 2:
-        fail("features must be a 2-D array")
-        return report
-    bad = ~np.isfinite(d.features)
-    if bad.any():
-        rows = np.unique(np.nonzero(bad)[0])
-        fail(f"non-finite feature in sample(s) {rows.tolist()}")
-    if d.labels.shape != (len(d),):
-        fail("labels length must equal the sample count")
-    else:
-        out = (d.labels < 0) | (d.labels >= len(d.label_names))
-        if out.any():
-            fail(f"label out of set in sample(s) "
-                 f"{np.nonzero(out)[0].tolist()}")
-    if len(set(d.label_names)) != len(d.label_names):
-        fail("label names must be unique")
-    if (d.domains is None) != (d.domain_names is None):
-        fail("domains and domain_names must both be present or both absent")
-    if d.domains is not None and d.domain_names is not None:
-        if d.domains.shape != (len(d),):
-            fail("domains length must equal the sample count")
-        else:
-            out = (d.domains < 0) | (d.domains >= len(d.domain_names))
-            if out.any():
-                fail(f"domain out of set in sample(s) "
-                     f"{np.nonzero(out)[0].tolist()}")
-        if len(set(d.domain_names)) != len(d.domain_names):
-            fail("domain names must be unique")
-    return report
+def _check_ids(kind: str, ids, names: list[str], count: int) -> np.ndarray:
+    """``ids`` as int64: one per sample, each within unique ``names``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != (count,):
+        raise ValueError(f"{kind}s length must equal the sample count")
+    out = (ids < 0) | (ids >= len(names))
+    if out.any():
+        raise ValueError(f"{kind} out of set in sample(s) "
+                         f"{np.flatnonzero(out).tolist()}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{kind} names must be unique")
+    return ids
 
 
 # ---------------------------------------------------------------------------

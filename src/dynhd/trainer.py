@@ -145,7 +145,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
         raise ValueError("train and validation datasets must be non-empty")
     if valid_ds.n != train_ds.n:
         raise ValueError("train and validation feature counts differ")
-    valid_ds = remap_labels(valid_ds, train_ds.label_names)
+    valid_ds = remap_labels(valid_ds, train_ds.label_names, "the training set")
     if cfg.strategy == "domain_variant":
         if train_ds.domains is None:
             raise ValueError("strategy=domain_variant needs domain ids "

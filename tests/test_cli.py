@@ -224,6 +224,19 @@ class TestTrain:
         assert records == []
         assert err.splitlines() == [f"error: {message}"]
 
+    def test_header_only_csv_rejected(self, tmp_path):
+        empty = tmp_path / "header_only.csv"
+        empty.write_text("f0,f1,label\n")
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dim": 16,
+                                      "data": {"csv": str(empty)}}))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err.splitlines() == [f"error: {empty}: no data rows"]
+
     def test_unknown_config_key_rejected(self, workdir, tmp_path):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({
@@ -392,10 +405,15 @@ class TestEval:
 
     def test_label_set_mismatch_rejected(self, workdir, tmp_path):
         other = tmp_path / "other.csv"
-        other.write_text("f0,f1,f2,f3,f4,f5,label\n0,0,0,0,0,0,zebra\n")
-        code, _, _ = run(["eval", "--model", str(workdir["model"]),
-                          "--data", str(other)])
+        other.write_text("f0,f1,f2,f3,f4,f5,label\n0,0,0,0,0,0,zebra\n"
+                         "1,1,1,1,1,1,c0\n")
+        code, records, err = run(["eval", "--model", str(workdir["model"]),
+                                  "--data", str(other)])
         assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: {other}: label(s) ['zebra'] not among the 3 labels of "
+            f"model {workdir['model']}"]
 
     @pytest.mark.parametrize("mangle", [
         lambda doc: doc[:21], lambda doc: doc[:-2],
@@ -784,6 +802,15 @@ class TestSynth:
         code, _, _ = run(["synth", "--n", "3", "--classes", "2",
                           "--samples", "5"])
         assert code == 2
+
+    def test_non_finite_draws_rejected(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        code, records, err = run(["synth", "--n", "16", "--classes", "4",
+                                  "--samples", "2", "--separation", "1e308",
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err.startswith("error: non-finite feature in sample(s) [")
 
 
 class TestTypedSettings:

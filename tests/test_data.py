@@ -100,14 +100,18 @@ class TestWriteCsvRoundTrip:
         np.testing.assert_array_equal(realigned.labels, d.labels)
 
     def test_domains_round_trip(self, tmp_path):
-        d = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ["a", "b"],
-                    np.array([1, 0]), ["d0", "d1"])
+        d = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]),
+                    ["a,b", 'say "hi"'], np.array([1, 0]), ["d0", "d,1"])
         path = tmp_path / "dom.csv"
         write_csv(str(path), d)
+        # only the names holding a comma or a quote are quoted
+        assert path.read_text() == ('f0,label,domain\n1.0,"a,b","d,1"\n'
+                                    '2.0,"say ""hi""",d0\n')
         back = load_csv(str(path), domain_column="domain")
+        assert back.label_names == ["a,b", 'say "hi"']
         # ids re-densify by first appearance: original id 1 appears first
-        assert back.domain_names == ["d1", "d0"]
-        assert [back.domain_names[i] for i in back.domains] == ["d1", "d0"]
+        assert back.domain_names == ["d,1", "d0"]
+        assert [back.domain_names[i] for i in back.domains] == ["d,1", "d0"]
 
 
 class TestNormalizer:
@@ -172,7 +176,8 @@ class TestRemapLabels:
 
     def test_disjoint_names_rejected(self):
         d = Dataset(np.zeros((1, 1)), np.array([0]), ["a"])
-        with pytest.raises(ValueError, match=r"label\(s\) \['a'\] not in"):
+        with pytest.raises(ValueError, match=r"label\(s\) \['a'\] not among "
+                           r"the 1 labels of the target"):
             remap_labels(d, ["z"])
 
 

@@ -2,16 +2,16 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dynhd.encoder
-from dynhd.data import NormalizationStats, split
+from dynhd.data import NormalizationStats, apply_normalizer, split
 from dynhd.encoder import init_encoder, regenerate_dims
 from dynhd.model import (ClassModel, Dataset, EncoderState, RegenPlan,
-                         atomic_write_text, load_model, save_model,
-                         validate_dataset)
+                         atomic_write_text, load_model, save_model)
 from dynhd.trainer import TrainConfig, train
 
 def assert_same_encoder(a, b):
@@ -95,36 +95,72 @@ class TestRegenPlan:
 
 
 class TestValidateDataset:
+    """A Dataset checks its invariants when it is built."""
+
     def test_well_formed_dataset_has_no_failures(self):
-        assert validate_dataset(small_dataset()).ok
+        d = small_dataset(domains=[1, 0, 1], domain_names=["d0", "d1"])
+        assert len(d) == 3 and d.n == 2 and d.n_classes == 2
+        assert d.labels.dtype == d.domains.dtype == np.int64
 
     def test_nan_feature_flagged(self):
-        d = small_dataset(
-            features=np.array([[0.0, np.nan], [1.0, 0.0], [0.5, 0.5]]))
-        report = validate_dataset(d)
-        assert not report.ok
-        assert any("non-finite" in f for f in report.failures)
+        with pytest.raises(ValueError, match=r"non-finite feature in "
+                           r"sample\(s\) \[0, 2\]"):
+            small_dataset(features=np.array([[0.0, np.nan], [1.0, 0.0],
+                                             [np.inf, -np.inf]]))
 
     def test_unknown_label_flagged(self):
-        d = small_dataset(labels=np.array([0, 2, 0]))
-        report = validate_dataset(d)
-        assert any("label out of set" in f for f in report.failures)
+        # 2 == L names no class; -1 would wrap around to the last class
+        for labels in ([0, 2, 0], [0, -1, 0], [0, 7, 0]):
+            with pytest.raises(ValueError,
+                               match=r"label out of set in sample\(s\) \[1\]"):
+                small_dataset(labels=np.array(labels))
 
     def test_domain_consistency_flagged(self):
-        d = small_dataset(domains=np.array([0, 0, 1]))  # no domain_names
-        report = validate_dataset(d)
-        assert not report.ok
+        for kwargs in (dict(domains=np.array([0, 0, 1])),
+                       dict(domain_names=["d0", "d1"])):
+            with pytest.raises(ValueError, match="domains and domain_names "
+                               "must both be present or both absent"):
+                small_dataset(**kwargs)
 
     def test_domain_id_out_of_set_flagged(self):
-        d = small_dataset(domains=np.array([0, 0, 5]), domain_names=["d0"])
-        report = validate_dataset(d)
-        assert any("domain out of set" in f for f in report.failures)
+        with pytest.raises(ValueError,
+                           match=r"domain out of set in sample\(s\) \[2\]"):
+            small_dataset(domains=np.array([0, 0, 5]), domain_names=["d0"])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(features=np.zeros(3)), "features must be a 2-D array"),
+        (dict(labels=np.array([0, 1])),
+         "labels length must equal the sample count"),
+        (dict(label_names=["a", "a"]), "label names must be unique"),
+        (dict(domains=np.array([0, 0]), domain_names=["d0"]),
+         "domains length must equal the sample count"),
+        (dict(domains=np.array([0, 0, 0]), domain_names=["d0", "d0"]),
+         "domain names must be unique")],
+        ids=["features-1d", "labels-length", "label-names", "domains-length",
+             "domain-names"])
+    def test_each_invariant_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            small_dataset(**kwargs)
+
+    def test_derived_datasets_are_checked(self):
+        d = small_dataset()
+        with pytest.raises(ValueError, match="label out of set"):
+            replace(d, label_names=["a"])
+        tiny = NormalizationStats([0.0, 0.0], [1e-320, 1.0])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite feature"):
+            apply_normalizer(tiny, d)
 
     def test_never_mutates(self):
-        d = small_dataset()
-        before = d.features.copy()
-        validate_dataset(d)
-        np.testing.assert_array_equal(d.features, before)
+        """Construction leaves the caller's arrays unchanged."""
+        features = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        labels = np.array([0, 1, 0])
+        Dataset(features, labels, ["a", "b"])
+        with pytest.raises(ValueError):
+            Dataset(features, labels, ["a"])
+        np.testing.assert_array_equal(
+            features, [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        np.testing.assert_array_equal(labels, [0, 1, 0])
 
 
 class TestDataset:
