@@ -20,16 +20,15 @@ from .inference import perturb_model, score_queries, topk_accuracy
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, RegenPlan, load_model, save_model)
 from .rng import UniformStream
-from .trainer import (EpochRecord, RoundRecord, TimingRecord, TrainConfig,
-                      TrainReport, train)
+from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassModel", "Dataset", "EncoderState", "EpochRecord",
+    "ClassModel", "Dataset", "EncoderState",
     "NormalizationStats", "REGEN_STRATEGIES",
-    "RegenPlan", "RoundRecord", "SyntheticSpec", "TRAIN_STRATEGIES",
-    "TimingRecord", "TrainConfig", "TrainReport", "UniformStream",
+    "RegenPlan", "SyntheticSpec", "TRAIN_STRATEGIES",
+    "TrainConfig", "UniformStream",
     "apply_normalizer",
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",

@@ -220,10 +220,10 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
     emitter.record({"type": "config", "command": "train", "config": merged})
     emitter.diag(f"training on {len(train_ds)} samples, "
                  f"validating on {len(valid_ds)}")
-    enc, model, report = train(cfg, train_ds, valid_ds)
+    enc, model, records = train(cfg, train_ds, valid_ds)
     if not np.isfinite(model.classes).all():
         raise ArithmeticError("training produced non-finite class values")
-    for rec in report.records():
+    for rec in records:
         emitter.record(rec)
     save_model(merged["out"], enc, model, normalizer=stats)
     emitter.diag(f"wrote model to {merged['out']}")

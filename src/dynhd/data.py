@@ -43,14 +43,14 @@ class NormalizationStats:
 
     def check(self, n: int) -> None:
         """Raise ValueError unless the stats cover n features with finite
-        means and finite, positive stds."""
+        means and finite stds of at least STD_FLOOR."""
         if self.mean.shape != (n,):
             raise ValueError(f"normalizer has {self.mean.shape[0]} features, "
                              f"expected {n}")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()
-                and (self.std > 0.0).all()):
+                and (self.std >= STD_FLOOR).all()):
             raise ValueError("normalizer means must be finite and its stds "
-                             "finite and positive")
+                             f"finite and at least {STD_FLOOR}")
 
 
 def fit_normalizer(train: Dataset) -> NormalizationStats:
@@ -62,9 +62,7 @@ def fit_normalizer(train: Dataset) -> NormalizationStats:
 
 
 def apply_normalizer(stats: NormalizationStats, d: Dataset) -> Dataset:
-    if stats.mean.shape[0] != d.n:
-        raise ValueError(f"normalizer expects {stats.mean.shape[0]} features, "
-                         f"dataset has {d.n}")
+    stats.check(d.n)
     return replace(d, features=(d.features - stats.mean) / stats.std)
 
 
@@ -114,7 +112,8 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
     Each sample is center[class] + offset[domain] + noise.  Centers and
     offsets are drawn once from the seeded stream, then per-sample noise;
     samples are laid out domain-major, then class, then repetition, so a
-    fixed seed reproduces the dataset bit-identically.
+    fixed seed reproduces the dataset bit-identically.  Features that
+    overflow raise ValueError naming the settings whose draws overflowed.
     """
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -127,6 +126,13 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
     labels = np.tile(np.repeat(np.arange(L), S), M)
     domains = np.repeat(np.arange(M), L * S)
     features = centers[labels] + offsets[domains] + noise
+    if not np.isfinite(features).all():
+        draws = {"separation": centers, "domain_offset_std": offsets,
+                 "intra_std": noise}
+        # Finite draws can still overflow when summed: name all three.
+        bad = [k for k, v in draws.items() if not np.isfinite(v).all()]
+        raise ValueError("synthetic features overflow at " + ", ".join(
+            f"{k}={getattr(spec, k)!r}" for k in bad or draws))
     return Dataset(features, labels, [f"c{i}" for i in range(L)],
                    domains, [f"d{i}" for i in range(M)])
 

@@ -19,10 +19,9 @@ shuffle flag is set.  Validation top-1 accuracy is measured after each
 segment, before any regeneration; early stopping fires when it fails to
 improve by more than 1e-4 for ``patience`` consecutive segments
 (patience=0 disables).  An update that leaves a class norm non-finite
-raises ArithmeticError naming the segment and the epoch.  Each round's
-record carries its plan's size against floor(rate * D), and a timing record
-per step that ran at the segment's end (validate, plan, regenerate,
-reencode) gives its wall time.
+raises ArithmeticError naming the segment and the epoch.  ``train``
+returns a JSON-ready record per epoch, per round (with its plan's size
+against floor(rate * D)) and per timed step of a round's end, then a summary.
 
 The pass scores rows in blocks, one batched call per block (bit-identical
 to one row at a time), and caches each row's class scores.  A block starts
@@ -35,8 +34,7 @@ clears the cache; nothing else changes a score, so a cached row is exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,63 +80,24 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-@dataclass
-class EpochRecord:
-    segment: int
-    epoch: int
-    train_accuracy: float
-    updates: int
-    wall_ms: float
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    val_accuracy: float
-    # None: no regeneration step ran; []: the selector found nothing.
-    regen_indices: Optional[list[int]]
-    # The plan's size against the floor(rate * D) the selector may fill;
-    # None when no regeneration step ran.
-    planned: Optional[int]
-    target: Optional[int]
-    wall_ms: float
-
-
-@dataclass
-class TimingRecord:
-    """Wall time of one step of a round's end: ``validate``, ``plan``,
-    ``regenerate`` (the redraw) or ``reencode`` (the class reset, and the
-    cached train and validation encodings with their norms)."""
-    round: int
-    step: str
-    wall_ms: float
-
-
-@dataclass
-class TrainReport:
-    epochs: list[EpochRecord] = field(default_factory=list)
-    rounds: list[RoundRecord] = field(default_factory=list)
-    timings: list[TimingRecord] = field(default_factory=list)
-    stopped_early: bool = False
-
-    def records(self) -> list[dict]:
-        """Report as JSON-ready dicts, epoch rows, round rows, timing rows,
-        then a summary, in run order within each kind.  Only ``wall_ms``
-        fields vary between runs of one config."""
-        return ([{"type": "epoch", **vars(rec)} for rec in self.epochs]
-                + [{"type": "round", **vars(rec)} for rec in self.rounds]
-                + [{"type": "timing", **vars(rec)} for rec in self.timings]
-                + [{"type": "summary", "total_epochs": len(self.epochs),
-                    "stopped_early": self.stopped_early}])
-
-
 def train(cfg: TrainConfig, train_ds: Dataset,
-          valid_ds: Dataset) -> tuple[EncoderState, ClassModel, TrainReport]:
+          valid_ds: Dataset) -> tuple[EncoderState, ClassModel, list[dict]]:
     """Run the full regenerate-retrain schedule.
 
-    Returns the final encoder, model, and a report carrying per-epoch train
-    accuracy, per-segment validation accuracy, and every regenerated index
-    set.  Identical config and datasets reproduce the run bit-for-bit.
+    Returns the final encoder, the model and the run's records: JSON-ready
+    dicts keyed by ``type``, grouped in this order, each group in run order.
+    Only ``wall_ms`` varies between runs of one config and datasets.
+
+    - ``epoch``: segment, epoch, train_accuracy, updates, wall_ms.
+    - ``round``: round, val_accuracy, regen_indices (None when no
+      regeneration step ran, [] when the selector found nothing), planned
+      and target (the plan's size against the floor(rate * D) the selector
+      may fill; None when no step ran), wall_ms.
+    - ``timing``: round, step, wall_ms; one per step of a round's end:
+      ``validate``, ``plan``, ``regenerate`` (the redraw) or ``reencode``
+      (the class reset, and the cached train and validation encodings with
+      their norms).
+    - ``summary``, one: total_epochs, stopped_early.
     """
     cfg.validate()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -169,7 +128,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     shuffle_rng = (np.random.Generator(np.random.Philox(key=cfg.seed + (1 << 64)))
                    if cfg.shuffle else None)
 
-    report = TrainReport()
+    epochs, rounds, timings = [], [], []
     best_val = -np.inf
     stale = 0
     n_train = len(train_ds)
@@ -187,8 +146,10 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"segment {segment}, epoch {epoch}: {exc}") from None
-            report.epochs.append(EpochRecord(segment, epoch, acc, updates,
-                                             (time.perf_counter() - t0) * 1e3))
+            epochs.append({"type": "epoch", "segment": segment,
+                           "epoch": epoch, "train_accuracy": acc,
+                           "updates": updates,
+                           "wall_ms": (time.perf_counter() - t0) * 1e3})
 
         clock = [("", time.perf_counter())]  # (step, its end) in order
         val_scores = model_scores(model.classes, class_norms, valid_encs,
@@ -223,16 +184,19 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                 train_norms = row_norms(train_encs)
                 valid_norms = row_norms(valid_encs)[:, None]
                 clock.append(("reencode", time.perf_counter()))
-        report.timings += [TimingRecord(segment, step, (end - start) * 1e3)
-                           for (_, start), (step, end)
-                           in zip(clock, clock[1:])]
-        report.rounds.append(RoundRecord(
-            segment, val_acc, regen_indices, planned, target,
-            (time.perf_counter() - clock[0][1]) * 1e3))
+        timings += [{"type": "timing", "round": segment, "step": step,
+                     "wall_ms": (end - start) * 1e3}
+                    for (_, start), (step, end) in zip(clock, clock[1:])]
+        rounds.append({"type": "round", "round": segment,
+                       "val_accuracy": val_acc,
+                       "regen_indices": regen_indices, "planned": planned,
+                       "target": target,
+                       "wall_ms": (time.perf_counter() - clock[0][1]) * 1e3})
         if stopping:
-            report.stopped_early = True
             break
-    return enc, model, report
+    summary = {"type": "summary", "total_epochs": len(epochs),
+               "stopped_early": stopping}
+    return enc, model, epochs + rounds + timings + [summary]
 
 
 def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,

@@ -18,9 +18,11 @@ import dynhd.trainer
 from dynhd.analysis import (domain_models, domain_variance,
                             misleading_scores, variance_over_classes)
 from dynhd.cli import _build_parser, main
-from dynhd.data import apply_normalizer, load_csv, remap_labels
+from dynhd.data import (apply_normalizer, fit_normalizer, load_csv,
+                        remap_labels, split)
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
+from dynhd.trainer import TrainConfig, train
 from test_model import edit_field
 
 
@@ -104,6 +106,20 @@ class TestTrain:
                                if k not in ("wall_ms", "config")}
                               for rec in recs]
         assert strip(records) == strip(workdir["train_records"])
+
+    def test_records_are_what_train_returns(self, workdir):
+        # the workdir config, split and normalized as the CLI does
+        ds = load_csv(str(workdir["data_csv"]))
+        train_ds, valid_ds = split(ds, [0.8, 0.2], seed=7)
+        stats = fit_normalizer(train_ds)
+        _, _, records = train(TrainConfig(dim=256, epochs_per_round=3, seed=7),
+                              apply_normalizer(stats, train_ds),
+                              apply_normalizer(stats, valid_ds))
+        for rec in records:
+            assert json.loads(json.dumps(rec)) == rec
+        strip = lambda recs: [{k: v for k, v in rec.items() if k != "wall_ms"}
+                              for rec in recs]
+        assert strip(records) == strip(workdir["train_records"][1:])
 
     def test_record_schemas(self, workdir):
         schemas = {
@@ -434,6 +450,7 @@ class TestEval:
         {"mean": [0.0] * 5, "std": [1.0] * 5},
         {"std": [1.0] * 5 + [float("nan")]},
         {"std": [1.0] * 5 + [0.0]},
+        {"std": [1.0] * 5 + [1e-320]},
     ])
     def test_inconsistent_normalizer_rejected(self, workdir, tmp_path, edit):
         doc = json.loads(workdir["model"].read_text())
@@ -803,14 +820,18 @@ class TestSynth:
                           "--samples", "5"])
         assert code == 2
 
-    def test_non_finite_draws_rejected(self, tmp_path):
+    @pytest.mark.parametrize("setting", ["separation", "intra_std",
+                                         "domain_offset_std"])
+    def test_non_finite_draws_rejected(self, tmp_path, setting):
         out = tmp_path / "huge.csv"
         code, records, err = run(["synth", "--n", "16", "--classes", "4",
-                                  "--samples", "2", "--separation", "1e308",
+                                  "--samples", "2",
+                                  "--" + setting.replace("_", "-"), "1e308",
                                   "--out", str(out)])
         assert code == 2
         assert records == [] and not out.exists()
-        assert err.startswith("error: non-finite feature in sample(s) [")
+        assert err == (f"error: synthetic features overflow at "
+                       f"{setting}=1e+308\n")
 
 
 class TestTypedSettings:

@@ -1,5 +1,7 @@
 """CSV ingestion and round trip, normalization, synthetic blobs, and splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             apply_normalizer(stats, d)
 
+    def test_std_below_floor_rejected(self):
+        # a std under STD_FLOOR is refused before it can overflow a feature
+        stats = NormalizationStats([0.0, 0.0], [1e-320, 1.0])
+        d = Dataset(np.ones((2, 2)), np.array([0, 0]), ["a"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stds finite and at least "
+                                                 "1e-12$"):
+                apply_normalizer(stats, d)
+
     def test_input_dataset_unmodified(self):
         d = Dataset(np.array([[0.0], [2.0]]), np.array([0, 1]), ["a", "b"])
         before = d.features.copy()
@@ -265,6 +277,17 @@ class TestMakeBlobs:
             make_blobs(SyntheticSpec(n=2, classes=2, domains=1,
                                      samples_per_class_per_domain=1,
                                      intra_std=-1.0))
+
+    def test_summed_overflow_names_every_setting(self):
+        # each draw is finite here; only their sums overflow
+        spec = SyntheticSpec(n=2, classes=2, domains=1,
+                             samples_per_class_per_domain=1, separation=1e308,
+                             intra_std=0.0, domain_offset_std=1e308, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^synthetic features overflow at "
+                r"separation=1e\+308, domain_offset_std=1e\+308, "
+                r"intra_std=0\.0$"):
+            make_blobs(spec)
 
 
 class TestSplit:

@@ -146,10 +146,11 @@ class TestValidateDataset:
         d = small_dataset()
         with pytest.raises(ValueError, match="label out of set"):
             replace(d, label_names=["a"])
-        tiny = NormalizationStats([0.0, 0.0], [1e-320, 1.0])
+        far = NormalizationStats([-1e308, 0.0], [1.0, 1.0])
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="non-finite feature"):
-            apply_normalizer(tiny, d)
+            apply_normalizer(far, small_dataset(
+                features=np.array([[1e308, 1.0], [0.0, 0.0], [0.5, 0.5]])))
 
     def test_never_mutates(self):
         """Construction leaves the caller's arrays unchanged."""
@@ -267,6 +268,7 @@ class TestModelFile:
         {"std": [1.0, float("inf"), 1.0]},
         {"std": [1.0, 0.0, 1.0]},
         {"std": [1.0, -2.0, 1.0]},
+        {"std": [1.0, 1e-320, 1.0]},
     ])
     def test_inconsistent_normalizer_rejected(self, tmp_path, edit):
         path = self.edited(tmp_path, "normalizer",
@@ -352,8 +354,9 @@ def test_train_save_load_roundtrip_is_exact(tmp_path):
     train_ds, valid_ds = split(data, [0.75, 0.25], seed=1)
     cfg = TrainConfig(dim=64, epochs_per_round=1, rounds=3, regen_rate=0.25,
                       strategy="insignificant", shuffle=True, seed=9)
-    enc, model, report = train(cfg, train_ds, valid_ds)
-    logged = [rec.regen_indices for rec in report.rounds[:-1]]
+    enc, model, records = train(cfg, train_ds, valid_ds)
+    logged = [rec["regen_indices"] for rec in records
+              if rec["type"] == "round"][:-1]
     assert [idx.tolist() for idx in enc.regen_history] == logged
     path = os.path.join(tmp_path, "trained.json")
     save_model(path, enc, model)

@@ -1,5 +1,5 @@
 """Training loop: bundling, similarity-weighted updates, the
-regenerate-retrain schedule, early stopping, and report plumbing."""
+regenerate-retrain schedule, early stopping, and the run's records."""
 
 import json
 
@@ -15,7 +15,7 @@ from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            regenerate_dims)
 from dynhd.inference import model_scores, row_norms, vec_norm
 from dynhd.model import ClassModel, Dataset
-from dynhd.trainer import TrainConfig, TrainReport, train, _adaptive_pass
+from dynhd.trainer import TrainConfig, train, _adaptive_pass
 
 
 def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
@@ -26,6 +26,11 @@ def blob_data(seed=3, classes=3, n=4, per=10, separation=6.0, domains=1,
                         seed=seed)
     d = make_blobs(spec)
     return apply_normalizer(fit_normalizer(d), d)
+
+
+def of_type(records, kind):
+    """The records of one type, in run order."""
+    return [rec for rec in records if rec["type"] == kind]
 
 
 def _reference_pass(classes, class_norms, encodings, sample_norms, labels,
@@ -239,7 +244,7 @@ def assert_pass_exact(classes, encodings, epochs, eta=0.05):
 
 
 def assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
-                                   enc, model, report):
+                                   enc, model, records):
     """Train again with the per-sample loop in place of the cached pass:
     the encoder bases, the classes and the records must be equal."""
     def reference(classes, class_norms, encodings, sample_norms, labels,
@@ -248,12 +253,12 @@ def assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
                                labels, order, eta)
 
     monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", reference)
-    ref_enc, ref_model, ref_report = train(cfg, train_ds, valid_ds)
+    ref_enc, ref_model, ref_records = train(cfg, train_ds, valid_ds)
     assert np.array_equal(model.classes, ref_model.classes)
     assert np.array_equal(enc.bases, ref_enc.bases)
     strip = lambda recs: [{k: v for k, v in rec.items()
                            if k != "wall_ms"} for rec in recs]
-    assert strip(report.records()) == strip(ref_report.records())
+    assert strip(records) == strip(ref_records)
 
 
 class TestCachedPassIsExact:
@@ -358,11 +363,11 @@ class TestCachedPassIsExact:
         cfg = TrainConfig(dim=96, eta=0.05, epochs_per_round=3, rounds=3,
                           regen_rate=rate, strategy="insignificant",
                           shuffle=shuffle, seed=8)
-        enc, model, report = train(cfg, train_ds, valid_ds)
+        enc, model, records = train(cfg, train_ds, valid_ds)
         assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
-                                       enc, model, report)
-        assert sum(rec.updates for rec in report.epochs) > 0
-        assert any(rec.regen_indices for rec in report.rounds)
+                                       enc, model, records)
+        assert sum(rec["updates"] for rec in of_type(records, "epoch")) > 0
+        assert any(rec["regen_indices"] for rec in of_type(records, "round"))
 
     def test_empty_regeneration_keeps_cache(self, monkeypatch):
         # rate 0 plans no dimension, so the scores cached at the end of a
@@ -381,15 +386,17 @@ class TestCachedPassIsExact:
             return result
 
         monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", recording)
-        enc, model, report = train(cfg, train_ds, valid_ds)
-        assert [rec.regen_indices for rec in report.rounds] == [[], [], None]
-        assert report.epochs[0].updates > 0
+        enc, model, records = train(cfg, train_ds, valid_ds)
+        epochs = of_type(records, "epoch")
+        assert ([rec["regen_indices"] for rec in of_type(records, "round")]
+                == [[], [], None])
+        assert epochs[0]["updates"] > 0
         # segment 0 ends clean, so segments 1 and 2 never rescore a row
-        assert [rec.updates for rec in report.epochs[2:]] == [0] * 7
+        assert [rec["updates"] for rec in epochs[2:]] == [0] * 7
         assert passes[3:] == [[]] * 6
         monkeypatch.undo()
         assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
-                                       enc, model, report)
+                                       enc, model, records)
 
 
 class TestEpochUpdates:
@@ -397,12 +404,13 @@ class TestEpochUpdates:
         data = blob_data(seed=29, classes=3, n=4, per=20, separation=1.0)
         train_ds, valid_ds = split(data, [0.75, 0.25], seed=4)
         cfg = TrainConfig(dim=32, epochs_per_round=4, seed=3, shuffle=True)
-        _, _, report = train(cfg, train_ds, valid_ds)
+        _, _, records = train(cfg, train_ds, valid_ds)
+        epochs = of_type(records, "epoch")
         n = len(train_ds)
-        for rec in report.epochs:
-            assert type(rec.updates) is int
-            assert rec.train_accuracy == (n - rec.updates) / n
-        assert report.epochs[0].updates > 0
+        for rec in epochs:
+            assert type(rec["updates"]) is int
+            assert rec["train_accuracy"] == (n - rec["updates"]) / n
+        assert epochs[0]["updates"] > 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_class_norm_names_segment_and_epoch(self):
@@ -421,7 +429,7 @@ class TestTrainBaseline:
         train_ds, valid_ds = split(data, [0.75, 0.25], seed=1)
         cfg = TrainConfig(dim=64, eta=0.05, epochs_per_round=3, rounds=0,
                           seed=17)
-        enc, model, report = train(cfg, train_ds, valid_ds)
+        enc, model, records = train(cfg, train_ds, valid_ds)
 
         e = init_encoder(17, 4, 64)
         m = bundle(e, train_ds)
@@ -429,9 +437,10 @@ class TestTrainBaseline:
             reference_epoch(m, e, train_ds, eta=0.05)
         np.testing.assert_array_equal(model.classes, m.classes)
         np.testing.assert_array_equal(enc.bases, e.bases)
-        assert len(report.epochs) == 3
-        assert len(report.rounds) == 1
-        assert report.rounds[0].regen_indices is None
+        assert len(of_type(records, "epoch")) == 3
+        rounds = of_type(records, "round")
+        assert len(rounds) == 1
+        assert rounds[0]["regen_indices"] is None
 
     def test_zero_rate_matches_flat_run_bit_exact(self):
         data = blob_data(seed=7, classes=3, n=4, per=12)
@@ -444,7 +453,8 @@ class TestTrainBaseline:
         _, m2, r2 = train(flat, train_ds, valid_ds)
         np.testing.assert_array_equal(m1.classes, m2.classes)
         # empty plans are recorded as [], the final segment as None
-        assert [rec.regen_indices for rec in r1.rounds] == [[], [], None]
+        assert ([rec["regen_indices"] for rec in of_type(r1, "round")]
+                == [[], [], None])
 
     def test_deterministic_across_runs(self):
         data = blob_data(seed=8, classes=3, n=4, per=10)
@@ -456,10 +466,11 @@ class TestTrainBaseline:
         np.testing.assert_array_equal(m1.classes, m2.classes)
         np.testing.assert_array_equal(enc1.bases, enc2.bases)
         assert enc1.draw_counter == enc2.draw_counter
-        assert ([rec.val_accuracy for rec in r1.rounds]
-                == [rec.val_accuracy for rec in r2.rounds])
-        assert ([rec.regen_indices for rec in r1.rounds]
-                == [rec.regen_indices for rec in r2.rounds])
+        rounds1, rounds2 = of_type(r1, "round"), of_type(r2, "round")
+        assert ([rec["val_accuracy"] for rec in rounds1]
+                == [rec["val_accuracy"] for rec in rounds2])
+        assert ([rec["regen_indices"] for rec in rounds1]
+                == [rec["regen_indices"] for rec in rounds2])
 
 
 class TestTrainRegeneration:
@@ -485,7 +496,7 @@ class TestTrainRegeneration:
         train_ds, valid_ds = split(data, [0.8, 0.2], seed=4)
         cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=3,
                           regen_rate=0.2, strategy="insignificant", seed=23)
-        enc, model, report = train(cfg, train_ds, valid_ds)
+        enc, model, records = train(cfg, train_ds, valid_ds)
         e, m, plans = self.replicate(
             cfg, train_ds,
             lambda model_, enc_: select_insignificant(model_,
@@ -494,14 +505,15 @@ class TestTrainRegeneration:
         np.testing.assert_array_equal(enc.bases, e.bases)
         np.testing.assert_array_equal(enc.phases, e.phases)
         assert enc.draw_counter == e.draw_counter
-        assert [rec.regen_indices for rec in report.rounds[:-1]] == plans
+        rounds = of_type(records, "round")
+        assert [rec["regen_indices"] for rec in rounds[:-1]] == plans
 
     def test_misleading_schedule_matches_replication(self):
         data = blob_data(seed=10, classes=3, n=4, per=10, separation=2.0)
         train_ds, valid_ds = split(data, [0.8, 0.2], seed=5)
         cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=2,
                           regen_rate=0.15, strategy="misleading", seed=29)
-        enc, model, report = train(cfg, train_ds, valid_ds)
+        enc, model, records = train(cfg, train_ds, valid_ds)
         e, m, plans = self.replicate(
             cfg, train_ds,
             lambda model_, enc_: select_misleading(
@@ -509,7 +521,8 @@ class TestTrainRegeneration:
         np.testing.assert_array_equal(model.classes, m.classes)
         np.testing.assert_array_equal(enc.bases, e.bases)
         assert enc.draw_counter == e.draw_counter
-        assert [rec.regen_indices for rec in report.rounds[:-1]] == plans
+        rounds = of_type(records, "round")
+        assert [rec["regen_indices"] for rec in rounds[:-1]] == plans
 
     def test_dimensionality_never_changes(self):
         data = blob_data(seed=11, classes=2, n=3, per=8)
@@ -528,20 +541,21 @@ class TestEarlyStopping:
         cfg = TrainConfig(dim=128, epochs_per_round=1, rounds=5,
                           regen_rate=0.1, strategy="insignificant",
                           patience=1, seed=3)
-        _, _, report = train(cfg, train_ds, valid_ds)
-        assert report.stopped_early
-        assert len(report.rounds) < 6
+        _, _, records = train(cfg, train_ds, valid_ds)
+        rounds = of_type(records, "round")
+        assert records[-1]["stopped_early"]
+        assert len(rounds) < 6
         # no regeneration runs on the stopping segment
-        assert report.rounds[-1].regen_indices is None
+        assert rounds[-1]["regen_indices"] is None
 
     def test_patience_zero_never_stops(self):
         data = blob_data(seed=12, classes=2, n=4, per=20, separation=10.0)
         train_ds, valid_ds = split(data, [0.75, 0.25], seed=7)
         cfg = TrainConfig(dim=128, epochs_per_round=1, rounds=3,
                           patience=0, seed=3)
-        _, _, report = train(cfg, train_ds, valid_ds)
-        assert not report.stopped_early
-        assert len(report.rounds) == 4
+        _, _, records = train(cfg, train_ds, valid_ds)
+        assert not records[-1]["stopped_early"]
+        assert len(of_type(records, "round")) == 4
 
 
 class TestTrainValidation:
@@ -594,9 +608,9 @@ class TestTrainValidation:
         cfg = TrainConfig(dim=128, epochs_per_round=2, seed=4)
         _, _, straight = train(cfg, train_ds, valid_ds)
         _, _, remapped = train(cfg, train_ds, flipped)
-        assert (straight.rounds[0].val_accuracy
-                == remapped.rounds[0].val_accuracy)
-        assert straight.rounds[0].val_accuracy > 0.9
+        val_acc = of_type(straight, "round")[0]["val_accuracy"]
+        assert val_acc == of_type(remapped, "round")[0]["val_accuracy"]
+        assert val_acc > 0.9
 
 
 class TestShuffle:
@@ -647,8 +661,7 @@ class TestTrainReport:
         train_ds, valid_ds = split(data, [0.75, 0.25], seed=11)
         cfg = TrainConfig(dim=16, epochs_per_round=2, rounds=1,
                           regen_rate=0.25, strategy="insignificant", seed=1)
-        _, _, report = train(cfg, train_ds, valid_ds)
-        records = report.records()
+        _, _, records = train(cfg, train_ds, valid_ds)
         kinds = [rec["type"] for rec in records]
         # round 0 validates, plans, regenerates and re-encodes; round 1
         # only validates
@@ -663,12 +676,8 @@ class TestTrainReport:
         data = blob_data(seed=18, classes=3, n=4, per=8)
         train_ds, valid_ds = split(data, [0.75, 0.25], seed=12)
         cfg = TrainConfig(dim=16, epochs_per_round=3, seed=2)
-        _, _, report = train(cfg, train_ds, valid_ds)
-        for rec in report.epochs:
-            assert 0.0 <= rec.train_accuracy <= 1.0
-        for rec in report.rounds:
-            assert 0.0 <= rec.val_accuracy <= 1.0
-
-    def test_empty_report_summary(self):
-        assert TrainReport().records() == [
-            {"type": "summary", "total_epochs": 0, "stopped_early": False}]
+        _, _, records = train(cfg, train_ds, valid_ds)
+        for rec in of_type(records, "epoch"):
+            assert 0.0 <= rec["train_accuracy"] <= 1.0
+        for rec in of_type(records, "round"):
+            assert 0.0 <= rec["val_accuracy"] <= 1.0
