@@ -63,7 +63,9 @@ def fit_normalizer(train: Dataset) -> NormalizationStats:
 
 def apply_normalizer(stats: NormalizationStats, d: Dataset) -> Dataset:
     stats.check(d.n)
-    return replace(d, features=(d.features - stats.mean) / stats.std)
+    with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects inf
+        features = (d.features - stats.mean) / stats.std
+    return replace(d, features=features)
 
 
 def remap_labels(d: Dataset, label_names: Sequence[str],
@@ -119,13 +121,13 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     M, L, S, n = (spec.domains, spec.classes,
                   spec.samples_per_class_per_domain, spec.n)
-    centers = rng.standard_normal((L, n)) * spec.separation
-    offsets = rng.standard_normal((M, n)) * spec.domain_offset_std
-    noise = rng.standard_normal((M * L * S, n)) * spec.intra_std
-
     labels = np.tile(np.repeat(np.arange(L), S), M)
     domains = np.repeat(np.arange(M), L * S)
-    features = centers[labels] + offsets[domains] + noise
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        centers = rng.standard_normal((L, n)) * spec.separation
+        offsets = rng.standard_normal((M, n)) * spec.domain_offset_std
+        noise = rng.standard_normal((M * L * S, n)) * spec.intra_std
+        features = centers[labels] + offsets[domains] + noise
     if not np.isfinite(features).all():
         draws = {"separation": centers, "domain_offset_std": offsets,
                  "intra_std": noise}

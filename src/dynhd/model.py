@@ -8,6 +8,7 @@ throughout.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import os
@@ -24,7 +25,7 @@ Hypervector = np.ndarray
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
-MODEL_FILE_VERSION = 2
+MODEL_FILE_VERSION = 3
 
 
 # JSON value kinds, checked by exact Python type, so a JSON boolean is
@@ -209,13 +210,14 @@ def _check_ids(kind: str, ids, names: list[str], count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model file format (version 2): one JSON document holding the encoder and
+# Model file format (version 3): one JSON document holding the encoder and
 # the class model.  The encoder is stored as its replay log: ``n``, ``D``,
 # ``seed`` and ``regen_history``, the regenerated index sets in order, from
 # which loading rebuilds the bases, phases and draw counter bit-identically.
-# Numeric arrays are row-major lists of Python floats, which repr
-# round-trips exactly.  ``normalizer`` is optional per-feature z-score stats
-# applied to inputs before encoding.
+# Float arrays (``classes``, row-major, and the optional ``normalizer``'s
+# per-feature z-score ``mean`` and ``std``, applied to inputs before
+# encoding) are base64 strings of their little-endian float64 bytes, standard
+# alphabet, no line breaks, so every bit round-trips.
 
 def save_model(path: str, encoder: EncoderState, model: ClassModel,
                normalizer=None) -> None:
@@ -230,18 +232,18 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
         "seed": encoder.seed,
         "regen_history": [idx.tolist() for idx in encoder.regen_history],
         "labels": list(model.labels),
-        "classes": model.classes.ravel().tolist(),
+        "classes": _pack(model.classes),
     }
     if normalizer is not None:
-        doc["normalizer"] = {"mean": np.asarray(normalizer.mean).tolist(),
-                             "std": np.asarray(normalizer.std).tolist()}
+        doc["normalizer"] = {"mean": _pack(normalizer.mean),
+                             "std": _pack(normalizer.std)}
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 def load_model(path: str, n_features: Optional[int] = None):
     """Read a model file; returns (EncoderState, ClassModel, normalizer).
 
-    Only version 2 is read.  Its ``regen_history`` is checked (a JSON array
+    Only version 3 is read.  Its ``regen_history`` is checked (a JSON array
     of non-empty, strictly increasing integer arrays within [0, D)) and
     replayed.  ``normalizer`` is a NormalizationStats or None.  Any
     malformed content raises ValueError prefixed ``malformed model file
@@ -264,20 +266,19 @@ def load_model(path: str, n_features: Optional[int] = None):
                          f"{n_features} features")
     with _malformed(path):
         check_json_kind("labels", doc["labels"], "string array")
-        check_json_kind("classes", doc["classes"], "number array")
         labels = doc["labels"]
-        classes = np.asarray(doc["classes"],
-                             dtype=np.float64).reshape(len(labels), dim)
-        model = ClassModel(classes, labels)
+        classes = _unpack("classes", doc["classes"], len(labels) * dim)
+        model = ClassModel(classes.reshape(len(labels), dim), labels)
         model.check()
         normalizer = None
         if "normalizer" in doc:
             from .data import NormalizationStats  # deferred: data imports model
 
             norm = doc["normalizer"]
-            for key in ("mean", "std"):
-                check_json_kind(f"normalizer.{key}", norm[key], "number array")
-            normalizer = NormalizationStats(norm["mean"], norm["std"])
+            # any length: check(n) below names a wrong feature count
+            normalizer = NormalizationStats(
+                *(_unpack(f"normalizer.{key}", norm[key])
+                  for key in ("mean", "std")))
             normalizer.check(n)
         from .encoder import replay_encoder  # deferred: encoder imports model
 
@@ -291,6 +292,28 @@ def load_model(path: str, n_features: Optional[int] = None):
             raise ValueError(f"n={n} and D={dim} need more memory than is "
                              "available") from None
     return encoder, model, normalizer
+
+
+def _pack(array) -> str:
+    """Base64 of the array's row-major little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode()
+
+
+def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
+    """The 1-D float64 array a ``_pack`` string holds: ``count`` values, or
+    any whole number of them when ``count`` is None."""
+    check_json_kind(name, text, "string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} is not base64: {exc}") from None
+    if count is None and len(raw) % 8:
+        raise ValueError(f"{name} must hold whole float64 values, got "
+                         f"{len(raw)} bytes")
+    if count is not None and len(raw) != 8 * count:
+        raise ValueError(f"{name} must hold {count} float64 values "
+                         f"({8 * count} bytes), got {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 @contextlib.contextmanager

@@ -139,10 +139,11 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             t0 = time.perf_counter()
             order = (shuffle_rng.permutation(n_train) if shuffle_rng is not None
                      else np.arange(n_train))
-            try:
-                acc, updates = _adaptive_pass(
-                    model.classes, class_norms, train_encs, train_norms,
-                    labels, order, cfg.eta, scores, fresh)
+            try:  # an overflow surfaces as the pass's non-finite norm
+                with np.errstate(over="ignore", invalid="ignore"):
+                    acc, updates = _adaptive_pass(
+                        model.classes, class_norms, train_encs, train_norms,
+                        labels, order, cfg.eta, scores, fresh)
             except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"segment {segment}, epoch {epoch}: {exc}") from None

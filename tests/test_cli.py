@@ -23,7 +23,7 @@ from dynhd.data import (apply_normalizer, fit_normalizer, load_csv,
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
 from dynhd.trainer import TrainConfig, train
-from test_model import edit_field
+from test_model import NORMALIZER_RANGE, edit_field, pack, unpack
 
 
 def run(argv):
@@ -166,7 +166,6 @@ class TestTrain:
                         if t["round"] == r["round"])
             assert 0.0 < spent <= r["wall_ms"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_class_norm_overflow_exits_numeric(self, tmp_path):
         # eta=1e300 keeps the class entries finite but not their norms
         config = tmp_path / "huge_eta.json"
@@ -434,7 +433,7 @@ class TestEval:
     @pytest.mark.parametrize("mangle", [
         lambda doc: doc[:21], lambda doc: doc[:-2],
         lambda doc: b'{"version": "\xff"}',
-        lambda doc: doc.replace(b'"version": 2', b'"version": 1')],
+        lambda doc: doc.replace(b'"version": 3', b'"version": 1')],
         ids=["truncated-head", "truncated-tail", "not-utf8", "version-1"])
     def test_unparsable_model_file_named(self, workdir, tmp_path, mangle):
         mangled = tmp_path / "mangled.json"
@@ -446,22 +445,43 @@ class TestEval:
         assert err.startswith(f"error: malformed model file {mangled}: ")
         assert len(err.splitlines()) == 1
 
+    def test_v2_model_file_exits_two(self, workdir, tmp_path):
+        # the retired layout: the same fields, float arrays as number lists
+        doc = json.loads(workdir["model"].read_text())
+        doc["version"] = 2
+        doc["classes"] = unpack(doc["classes"]).tolist()
+        for key in ("mean", "std"):
+            doc["normalizer"][key] = unpack(doc["normalizer"][key]).tolist()
+        v2 = tmp_path / "v2.json"
+        v2.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(v2),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {v2}: unsupported model file "
+            "version 2"]
+
+    # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
-        {"mean": [0.0] * 5, "std": [1.0] * 5},
-        {"std": [1.0] * 5 + [float("nan")]},
-        {"std": [1.0] * 5 + [0.0]},
-        {"std": [1.0] * 5 + [1e-320]},
+        ({"mean": [0.0] * 5, "std": [1.0] * 5},
+         "normalizer has 5 features, expected 6"),
+        ({"std": [1.0] * 5 + [float("nan")]}, NORMALIZER_RANGE),
+        ({"std": [1.0] * 5 + [0.0]}, NORMALIZER_RANGE),
+        ({"std": [1.0] * 5 + [1e-320]}, NORMALIZER_RANGE),
     ])
     def test_inconsistent_normalizer_rejected(self, workdir, tmp_path, edit):
+        arrays, message = edit
         doc = json.loads(workdir["model"].read_text())
-        doc["normalizer"].update(edit)
+        doc["normalizer"].update({k: pack(v) for k, v in arrays.items()})
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         code, records, err = run(["eval", "--model", str(edited),
                                   "--data", str(workdir["data_csv"])])
         assert code == 2
         assert records == []
-        assert f"malformed model file {edited}: normalizer" in err
+        assert err.splitlines() == [
+            f"error: malformed model file {edited}: {message}"]
 
     @pytest.mark.parametrize("field, entry", [
         ("classes", "0.5"), ("normalizer.mean", True),
@@ -469,16 +489,20 @@ class TestEval:
     ])
     def test_non_number_v2_model_entry_rejected(self, workdir, tmp_path,
                                                 field, entry):
+        """A float array written as a v2 number list is not a packed
+        string, whatever its entries."""
         doc = json.loads(workdir["model"].read_text())
-        edit_field(doc, field,
-                   lambda node, leaf: node[leaf].__setitem__(0, entry))
+        values = [entry, 1.0]
+        edit_field(doc, field, lambda node, leaf: node.update({leaf: values}))
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         code, records, err = run(["eval", "--model", str(edited),
                                   "--data", str(workdir["data_csv"])])
         assert code == 2
         assert records == []
-        assert f"malformed model file {edited}: {field} must be" in err
+        assert err.splitlines() == [
+            f"error: malformed model file {edited}: {field} must be a JSON "
+            f"string, got {values!r}"]
 
     @pytest.mark.parametrize("history, message", [
         ({"0": [1]}, "regen_history must be a JSON array"),

@@ -283,10 +283,9 @@ class TestMakeBlobs:
         spec = SyntheticSpec(n=2, classes=2, domains=1,
                              samples_per_class_per_domain=1, separation=1e308,
                              intra_std=0.0, domain_offset_std=1e308, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"^synthetic features overflow at "
-                r"separation=1e\+308, domain_offset_std=1e\+308, "
-                r"intra_std=0\.0$"):
+        with pytest.raises(ValueError, match=r"^synthetic features overflow "
+                           r"at separation=1e\+308, "
+                           r"domain_offset_std=1e\+308, intra_std=0\.0$"):
             make_blobs(spec)
 
 

@@ -1,5 +1,6 @@
 """Domain types, dataset validation, and the model file round-trip."""
 
+import base64
 import json
 import os
 from dataclasses import replace
@@ -147,8 +148,7 @@ class TestValidateDataset:
         with pytest.raises(ValueError, match="label out of set"):
             replace(d, label_names=["a"])
         far = NormalizationStats([-1e308, 0.0], [1.0, 1.0])
-        with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="non-finite feature"):
+        with pytest.raises(ValueError, match="non-finite feature"):
             apply_normalizer(far, small_dataset(
                 features=np.array([[1e308, 1.0], [0.0, 0.0], [0.5, 0.5]])))
 
@@ -184,6 +184,20 @@ def edit_field(doc, field, edit):
         node = node[part]
     edit(node, leaf)
 
+
+def pack(values):
+    """A float array as a model file stores it: base64 of its little-endian
+    float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def unpack(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+PACKED_FIELDS = ["classes", "normalizer.mean", "normalizer.std"]
+NORMALIZER_RANGE = ("normalizer means must be finite and its stds finite and "
+                    "at least 1e-12")
 
 BAD_ENTRY = ("must be a non-empty, strictly increasing list of integers in "
              "[0, 8), got ")
@@ -239,19 +253,36 @@ class TestModelFile:
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
 
-    def test_v2_file_stores_the_replay_log(self, tmp_path):
-        norm = NormalizationStats(np.zeros(3), np.ones(3))
+    def test_file_stores_the_replay_log_and_packed_arrays(self, tmp_path):
+        norm = NormalizationStats(np.array([0.25, -0.0, 3.0]),
+                                  np.array([1.0, 2.0, 1e-12]))
         _, model, path, _ = self.roundtrip(tmp_path, normalizer=norm)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert list(doc) == ["version", "n", "D", "seed", "regen_history",
                              "labels", "classes", "normalizer"]
-        assert doc["version"] == 2 and doc["n"] == 3 and doc["D"] == 8
+        assert doc["version"] == 3 and doc["n"] == 3 and doc["D"] == 8
         assert doc["regen_history"] == [[1, 5], [0, 5, 7]]
-        assert doc["classes"] == model.classes.ravel().tolist()
+        assert (base64.b64decode(doc["classes"], validate=True)
+                == model.classes.astype("<f8").tobytes())
+        assert doc["normalizer"] == {"mean": pack(norm.mean),
+                                     "std": pack(norm.std)}
+
+    def test_signed_zeros_and_subnormals_roundtrip(self, tmp_path):
+        classes = np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 0.0]])
+        norm = NormalizationStats([-0.0, 5e-324], [1e-12, 1e300])
+        path = os.path.join(tmp_path, "model.json")
+        save_model(path, init_encoder(5, 2, 4), ClassModel(classes, ["a"]),
+                   normalizer=norm)
+        _, model, stats = load_model(path)
+        assert model.classes.tobytes() == classes.tobytes()
+        assert stats.mean.tobytes() == norm.mean.tobytes()
+        assert stats.std.tobytes() == norm.std.tobytes()
 
     def test_unsupported_version_rejected(self, tmp_path):
-        for version in (1, 999):  # 1 is the retired bases-and-phases format
+        # 1 and 2 are the retired formats: bases and phases, then JSON
+        # number lists for the float arrays
+        for version in (1, 2, 999):
             path = self.edited(tmp_path, "version",
                                lambda node, leaf: node.update({leaf: version}))
             with pytest.raises(ValueError) as exc:
@@ -260,22 +291,27 @@ class TestModelFile:
                 f"malformed model file {path}: unsupported model file "
                 f"version {version}")
 
+    # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
-        {"mean": [0.0, 1.0], "std": [1.0, 1.0]},
-        {"mean": [0.0] * 4, "std": [1.0] * 4},
-        {"std": [1.0, 2.0]},
-        {"mean": [0.0, float("nan"), 1.0]},
-        {"std": [1.0, float("inf"), 1.0]},
-        {"std": [1.0, 0.0, 1.0]},
-        {"std": [1.0, -2.0, 1.0]},
-        {"std": [1.0, 1e-320, 1.0]},
+        ({"mean": [0.0, 1.0], "std": [1.0, 1.0]},
+         "normalizer has 2 features, expected 3"),
+        ({"mean": [0.0] * 4, "std": [1.0] * 4},
+         "normalizer has 4 features, expected 3"),
+        ({"std": [1.0, 2.0]},
+         "mean and std must be 1-D arrays of equal length"),
+        ({"mean": [0.0, float("nan"), 1.0]}, NORMALIZER_RANGE),
+        ({"std": [1.0, float("inf"), 1.0]}, NORMALIZER_RANGE),
+        ({"std": [1.0, 0.0, 1.0]}, NORMALIZER_RANGE),
+        ({"std": [1.0, -2.0, 1.0]}, NORMALIZER_RANGE),
+        ({"std": [1.0, 1e-320, 1.0]}, NORMALIZER_RANGE),
     ])
     def test_inconsistent_normalizer_rejected(self, tmp_path, edit):
-        path = self.edited(tmp_path, "normalizer",
-                           lambda node, leaf: node[leaf].update(edit))
+        arrays, message = edit
+        path = self.edited(tmp_path, "normalizer", lambda node, leaf: node[
+            leaf].update({k: pack(v) for k, v in arrays.items()}))
         with pytest.raises(ValueError) as exc:
             load_model(path)
-        assert str(exc.value).startswith(f"malformed model file {path}: ")
+        assert str(exc.value) == f"malformed model file {path}: {message}"
 
     @pytest.mark.parametrize("key, value", [
         ("version", True), ("version", 2.0), ("n", 3.0), ("D", "8"),
@@ -292,17 +328,56 @@ class TestModelFile:
         assert str(exc.value).startswith(
             f"malformed model file {path}: {key} must be a JSON ")
 
-    @pytest.mark.parametrize("field", ["classes", "normalizer.mean",
-                                       "normalizer.std"])
+    @pytest.mark.parametrize("field", PACKED_FIELDS)
     @pytest.mark.parametrize("entry", ["0.5", True, None])
     def test_non_number_v2_array_entry_rejected(self, tmp_path, field, entry):
+        """A float array written the retired way, as a JSON number list
+        (here with a non-number entry), is not a packed string."""
+        values = [0.0, entry, 1.0]
         path = self.edited(tmp_path, field,
-                           lambda node, leaf: node[leaf].__setitem__(1, entry))
+                           lambda node, leaf: node.update({leaf: values}))
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value) == (
-            f"malformed model file {path}: {field} must be a JSON number "
-            f"array, got {entry!r} at index 1")
+            f"malformed model file {path}: {field} must be a JSON string, "
+            f"got {values!r}")
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS)
+    @pytest.mark.parametrize("text, problem", [
+        (0.5, "must be a JSON string, got 0.5"),
+        # the decoder's own wording follows "is not base64: "
+        ("AAAA AAAAAAA", "is not base64: "),
+        ("AAAAAAAAAAA=\n", "is not base64: "),
+        ("AAAAAAAAAAA", "is not base64: "),
+        ("AAAA\u00e9AAA", "is not base64: "),
+        ("AAAAAAAAAAAAAAAA", None),  # 12 bytes, not whole float64 values
+    ], ids=["number", "space", "line-break", "padding", "non-ascii",
+            "byte-count"])
+    def test_corrupt_packed_array_rejected(self, tmp_path, field, text,
+                                           problem):
+        if problem is None:
+            problem = ("must hold 32 float64 values (256 bytes), got 12 "
+                       "bytes" if field == "classes" else
+                       "must hold whole float64 values, got 12 bytes")
+        path = self.edited(tmp_path, field,
+                           lambda node, leaf: node.update({leaf: text}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(
+            f"malformed model file {path}: {field} {problem}")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_packed_non_finite_class_entry_rejected(self, tmp_path, value):
+        def poison(node, leaf):
+            classes = unpack(node[leaf]).copy()
+            classes[5] = value
+            node[leaf] = pack(classes)
+
+        path = self.edited(tmp_path, "classes", poison)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: class "
+                                  "hypervectors contain non-finite entries")
 
     @pytest.mark.parametrize("history, message", [
         ([[3, 1]], "regen_history[0] " + BAD_ENTRY + "[3, 1]"),

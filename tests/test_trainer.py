@@ -412,7 +412,6 @@ class TestEpochUpdates:
             assert rec["train_accuracy"] == (n - rec["updates"]) / n
         assert epochs[0]["updates"] > 0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_class_norm_names_segment_and_epoch(self):
         # eta=1e300 keeps every class entry finite but overflows the norms
         data = blob_data(seed=30, classes=3, n=4, per=20, separation=1.0)
