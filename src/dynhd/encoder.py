@@ -29,7 +29,11 @@ place.  Projections deliberately use einsum rather than BLAS matmul: einsum
 reduces each output element with the same loop regardless of how many rows
 or dimensions are projected, so a block of samples encodes each row exactly
 as it encodes alone, and re-encoding a subset of dimensions reproduces the
-corresponding entries of a full encode bit-for-bit.
+corresponding entries of a full encode bit-for-bit.  The same property lets
+the kernel tile the projection over base rows: at n=617, D=10000 the bases
+take 49 MB, and one einsum over all of them streams the whole matrix from
+memory once per sample row, where a tile of ``TILE_BYTES`` is read from
+cache by every row of the block.
 
 A batch's (N, D) output of ``MAPPED_BYTES`` or more gets its own anonymous
 memory mapping, unmapped when the array is freed.  From ``np.empty`` it would
@@ -54,6 +58,11 @@ from .rng import TWO_PI, UniformStream, check_seed, paired_normals
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
 # (BLOCK_ROWS, D) floats whatever the number of samples.
 BLOCK_ROWS = 64
+
+# Base rows per einsum call: max(32, TILE_BYTES // (8 * n)), so that one
+# tile of bases stays in cache while every row of a block is projected on it
+# (see the module docstring).
+TILE_BYTES = 1 << 18
 
 # Batch outputs of at least this size get their own mapping (see the module
 # docstring); numpy itself advises huge pages from the same size on.
@@ -82,7 +91,17 @@ def _encode_block(rows: np.ndarray, bases: np.ndarray, phases: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases.T, computed in
     ``out``; ``sin_phases`` is np.sin(phases)."""
-    x = np.einsum("Nn,dn->Nd", rows, bases, out=out)
+    step = max(32, TILE_BYTES // (8 * bases.shape[1]))
+    if step >= bases.shape[0]:
+        # One tile: the plain call.  A one-pass loop over views of the
+        # same arrays measured 5-8% slower end to end at n=16, D=2048 on a
+        # 2-vCPU host, for a cause not pinned down.
+        x = np.einsum("Nn,dn->Nd", rows, bases, out=out)
+    else:
+        x = np.empty((rows.shape[0], bases.shape[0])) if out is None else out
+        for d0 in range(0, bases.shape[0], step):
+            np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
+                      out=x[:, d0:d0 + step])
     x += x
     x += phases
     np.sin(x, out=x)

@@ -25,13 +25,26 @@ Hypervector = np.ndarray
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
+
+# The top-level keys of a model file; "normalizer" is optional.
+MODEL_FILE_KEYS = ("version", "n", "D", "seed", "regen_history", "labels",
+                   "classes", "normalizer")
 
 
 # JSON value kinds, checked by exact Python type, so a JSON boolean is
 # neither an integer nor a number.
 JSON_KINDS = {"boolean": (bool,), "integer": (int,), "number": (int, float),
               "string": (str,), "object": (dict,), "array": (list,)}
+
+# Longest repr of an offending value that an error message echoes in full.
+REPR_CHARS = 80
+
+
+def _short_repr(value) -> str:
+    """repr(value), cut to REPR_CHARS characters plus "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= REPR_CHARS else text[:REPR_CHARS] + "..."
 
 
 def check_json_kind(name: str, value, kind: str) -> None:
@@ -43,9 +56,10 @@ def check_json_kind(name: str, value, kind: str) -> None:
             i = next(i for i, v in enumerate(value)
                      if type(v) not in item_types)  # name the entry
             raise ValueError(f"{name} must be a JSON {kind}, "
-                             f"got {value[i]!r} at index {i}")
+                             f"got {_short_repr(value[i])} at index {i}")
     elif kind.endswith(" array") or type(value) not in JSON_KINDS[kind]:
-        raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
+        raise ValueError(f"{name} must be a JSON {kind}, "
+                         f"got {_short_repr(value)}")
 
 
 @dataclass
@@ -210,14 +224,17 @@ def _check_ids(kind: str, ids, names: list[str], count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model file format (version 3): one JSON document holding the encoder and
+# Model file format (version 4): one JSON document holding the encoder and
 # the class model.  The encoder is stored as its replay log: ``n``, ``D``,
 # ``seed`` and ``regen_history``, the regenerated index sets in order, from
 # which loading rebuilds the bases, phases and draw counter bit-identically.
-# Float arrays (``classes``, row-major, and the optional ``normalizer``'s
-# per-feature z-score ``mean`` and ``std``, applied to inputs before
-# encoding) are base64 strings of their little-endian float64 bytes, standard
-# alphabet, no line breaks, so every bit round-trips.
+# Binary values are base64 strings, standard alphabet, no line breaks.  Each
+# ``regen_history`` entry is its round's D-bit membership mask, packed
+# little-endian by bit (index i is bit i % 8 of byte i // 8) into ceil(D/8)
+# bytes, the padding bits clear.  Float arrays (``classes``, row-major, and
+# the optional ``normalizer``'s per-feature z-score ``mean`` and ``std``,
+# applied to inputs before encoding) are their little-endian float64 bytes,
+# so every bit round-trips.
 
 def save_model(path: str, encoder: EncoderState, model: ClassModel,
                normalizer=None) -> None:
@@ -230,7 +247,8 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
         "n": encoder.n_features,
         "D": encoder.dim,
         "seed": encoder.seed,
-        "regen_history": [idx.tolist() for idx in encoder.regen_history],
+        "regen_history": [_pack_mask(idx, encoder.dim)
+                          for idx in encoder.regen_history],
         "labels": list(model.labels),
         "classes": _pack(model.classes),
     }
@@ -243,8 +261,10 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
 def load_model(path: str, n_features: Optional[int] = None):
     """Read a model file; returns (EncoderState, ClassModel, normalizer).
 
-    Only version 3 is read.  Its ``regen_history`` is checked (a JSON array
-    of non-empty, strictly increasing integer arrays within [0, D)) and
+    Only version 4 is read, and a key outside ``MODEL_FILE_KEYS`` is
+    rejected.  Each ``regen_history`` entry must be a base64 string of
+    exactly ceil(D/8) bytes whose mask sets at least one bit and none at D
+    or above; its set bits, ascending, are the round's indices, which are
     replayed.  ``normalizer`` is a NormalizationStats or None.  Any
     malformed content raises ValueError prefixed ``malformed model file
     <path>:``.  With ``n_features``, the feature count of the data the model
@@ -258,6 +278,10 @@ def load_model(path: str, n_features: Optional[int] = None):
         check_json_kind("version", version, "integer")
         if version != MODEL_FILE_VERSION:
             raise ValueError(f"unsupported model file version {version}")
+        unknown = sorted(set(doc) - set(MODEL_FILE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}; expected a subset "
+                             f"of {sorted(MODEL_FILE_KEYS)}")
         for key in ("n", "D", "seed"):
             check_json_kind(key, doc[key], "integer")
     n, dim = doc["n"], doc["D"]
@@ -282,16 +306,24 @@ def load_model(path: str, n_features: Optional[int] = None):
             normalizer.check(n)
         from .encoder import replay_encoder  # deferred: encoder imports model
 
-        history = doc["regen_history"]
-        check_json_kind("regen_history", history, "array")
-        for i, entry in enumerate(history):
-            check_json_kind(f"regen_history[{i}]", entry, "integer array")
+        check_json_kind("regen_history", doc["regen_history"], "array")
+        history = [_unpack_mask(f"regen_history[{i}]", entry, dim)
+                   for i, entry in enumerate(doc["regen_history"])]
         try:
             encoder = replay_encoder(doc["seed"], n, dim, history)
         except MemoryError:  # nothing else in the file bounds n * D
             raise ValueError(f"n={n} and D={dim} need more memory than is "
                              "available") from None
     return encoder, model, normalizer
+
+
+def _b64decode(name: str, text) -> bytes:
+    """The bytes a base64 string holds; ``name`` labels the errors."""
+    check_json_kind(name, text, "string")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} is not base64: {exc}") from None
 
 
 def _pack(array) -> str:
@@ -302,11 +334,7 @@ def _pack(array) -> str:
 def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
     """The 1-D float64 array a ``_pack`` string holds: ``count`` values, or
     any whole number of them when ``count`` is None."""
-    check_json_kind(name, text, "string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"{name} is not base64: {exc}") from None
+    raw = _b64decode(name, text)
     if count is None and len(raw) % 8:
         raise ValueError(f"{name} must hold whole float64 values, got "
                          f"{len(raw)} bytes")
@@ -314,6 +342,31 @@ def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"{name} must hold {count} float64 values "
                          f"({8 * count} bytes), got {len(raw)} bytes")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _pack_mask(indices: np.ndarray, dim: int) -> str:
+    """Base64 of the little-endian packed ``dim``-bit mask of ``indices``."""
+    mask = np.zeros(dim, dtype=bool)
+    mask[indices] = True
+    return base64.b64encode(np.packbits(mask, bitorder="little")).decode()
+
+
+def _unpack_mask(name: str, text, dim: int) -> np.ndarray:
+    """The ascending int64 indices a ``_pack_mask`` string holds."""
+    raw = _b64decode(name, text)
+    nbytes = -(-dim // 8)
+    expected = f"{name} must be a non-empty {dim}-bit mask ({nbytes} bytes)"
+    if len(raw) != nbytes:
+        raise ValueError(f"{expected}, got {len(raw)} bytes")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")
+    if bits[dim:].any():
+        raise ValueError(f"{expected}, got bit "
+                         f"{dim + int(np.argmax(bits[dim:]))} set")
+    indices = np.flatnonzero(bits).astype(np.int64, copy=False)
+    if indices.size == 0:
+        raise ValueError(f"{expected}, got no bit set")
+    return indices
 
 
 @contextlib.contextmanager

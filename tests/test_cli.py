@@ -23,7 +23,8 @@ from dynhd.data import (apply_normalizer, fit_normalizer, load_csv,
 from dynhd.inference import topk_accuracy
 from dynhd.model import load_model
 from dynhd.trainer import TrainConfig, train
-from test_model import NORMALIZER_RANGE, edit_field, pack, unpack
+from test_model import (NORMALIZER_RANGE, REPR_CHARS, b64, edit_field, pack,
+                        unpack)
 
 
 def run(argv):
@@ -433,7 +434,7 @@ class TestEval:
     @pytest.mark.parametrize("mangle", [
         lambda doc: doc[:21], lambda doc: doc[:-2],
         lambda doc: b'{"version": "\xff"}',
-        lambda doc: doc.replace(b'"version": 3', b'"version": 1')],
+        lambda doc: doc.replace(b'"version": 4', b'"version": 1')],
         ids=["truncated-head", "truncated-tail", "not-utf8", "version-1"])
     def test_unparsable_model_file_named(self, workdir, tmp_path, mangle):
         mangled = tmp_path / "mangled.json"
@@ -461,6 +462,49 @@ class TestEval:
         assert err.splitlines() == [
             f"error: malformed model file {v2}: unsupported model file "
             "version 2"]
+
+    def test_v3_model_file_exits_two(self, workdir, tmp_path):
+        # the retired layout: the history as lists of JSON integers
+        doc = json.loads(workdir["model"].read_text())
+        doc["version"] = 3
+        doc["regen_history"] = [[1, 5], [0, 5, 7]]
+        v3 = tmp_path / "v3.json"
+        v3.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(v3),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {v3}: unsupported model file "
+            "version 3"]
+
+    def test_unknown_model_key_exits_two(self, workdir, tmp_path):
+        doc = json.loads(workdir["model"].read_text())
+        doc["bases"] = []
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.startswith(f"error: malformed model file {edited}: "
+                              "unknown key(s) ['bases']; ")
+        assert len(err.splitlines()) == 1
+
+    def test_list_valued_classes_echo_is_short(self, workdir, tmp_path):
+        """A v2-style class list of 768 numbers prints one short line that
+        still names ``classes``."""
+        doc = json.loads(workdir["model"].read_text())
+        doc["classes"] = unpack(doc["classes"]).tolist()
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {edited}: classes must be a JSON "
+            f"string, got {repr(doc['classes'])[:REPR_CHARS]}..."]
 
     # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
@@ -504,19 +548,21 @@ class TestEval:
             f"error: malformed model file {edited}: {field} must be a JSON "
             f"string, got {values!r}"]
 
+    # At D=256 a mask is 32 bytes with no padding bits.
     @pytest.mark.parametrize("history, message", [
         ({"0": [1]}, "regen_history must be a JSON array"),
-        ([[3, 1]], "regen_history[0] must be a non-empty, strictly "
-                   "increasing list of integers in [0, 256), got [3, 1]"),
-        ([[2, 2]], "regen_history[0] must be a non-empty, strictly "
-                   "increasing list of integers in [0, 256), got [2, 2]"),
-        ([[-1]], "regen_history[0] must be a non-empty, strictly "
-                 "increasing list of integers in [0, 256), got [-1]"),
-        ([[256]], "regen_history[0] must be a non-empty, strictly "
-                  "increasing list of integers in [0, 256), got [256]"),
-        ([[1.0]], "regen_history[0] must be a JSON integer array"),
-        ([[True]], "regen_history[0] must be a JSON integer array"),
-        ([["1"]], "regen_history[0] must be a JSON integer array"),
+        ([b64(*[0xff] * 31)], "regen_history[0] must be a non-empty 256-bit "
+                              "mask (32 bytes), got 31 bytes"),
+        ([b64(*[0] * 32)], "regen_history[0] must be a non-empty 256-bit "
+                           "mask (32 bytes), got no bit set"),
+        ([b64(*[0x01] * 33)], "regen_history[0] must be a non-empty 256-bit "
+                              "mask (32 bytes), got 33 bytes"),
+        ([""], "regen_history[0] must be a non-empty 256-bit mask (32 bytes), "
+               "got 0 bytes"),
+        ([[1, 5]], "regen_history[0] must be a JSON string, got [1, 5]"),
+        ([True], "regen_history[0] must be a JSON string, got True"),
+        ([3], "regen_history[0] must be a JSON string, got 3"),
+        (["AAA"], "regen_history[0] is not base64: "),
     ])
     def test_corrupt_regen_history_rejected(self, workdir, tmp_path, history,
                                             message):
@@ -528,7 +574,9 @@ class TestEval:
                                   "--data", str(workdir["data_csv"])])
         assert code == 2
         assert records == []
-        assert f"error: malformed model file {edited}: {message}" in err
+        assert err.startswith(
+            f"error: malformed model file {edited}: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_replay_out_of_memory_exits_two(self, workdir, monkeypatch):
         def out_of_memory(seed, n, dim):

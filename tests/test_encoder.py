@@ -420,3 +420,68 @@ class TestRowBlocksAreExact:
         with pytest.raises(ValueError, match=msg):
             reencode_dims(e, feats, np.zeros((3 * BLOCK_ROWS, 16)),
                           plan_for(e, [0]), inplace=True)
+
+
+def untiled_encode(feats, bases, phases):
+    """The kernel without tiles: one einsum over every base row."""
+    x = np.einsum("Nn,dn->Nd", feats, bases)
+    return 0.5 * (np.sin(2.0 * x + phases) - np.sin(phases))
+
+
+def count_einsums(monkeypatch):
+    """Record the base-row count of every einsum the encoder calls."""
+    einsums = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def einsum(self, *args, **kwargs):
+            einsums.append(args[2].shape[0])
+            return np.einsum(*args, **kwargs)
+
+    monkeypatch.setattr(dynhd.encoder, "np", CountingNumpy())
+    return einsums
+
+
+class TestTiledProjectionIsExact:
+    """Tiling the projection over base rows changes no bit: every entry is
+    the same einsum reduction over n."""
+
+    # (n, TILE_BYTES, D): tiles of 32, 40 and 33 base rows, none dividing D
+    @pytest.mark.parametrize("n, tile_bytes, dim", [
+        (5, 1, 101), (37, 8 * 37 * 40, 130), (617, 8 * 617 * 33, 70)])
+    def test_uneven_tiles_equal_the_untiled_einsum(self, monkeypatch, n,
+                                                   tile_bytes, dim):
+        monkeypatch.setattr(dynhd.encoder, "TILE_BYTES", tile_bytes)
+        step = max(32, tile_bytes // (8 * n))
+        assert step < dim and dim % step
+        einsums = count_einsums(monkeypatch)
+        e = init_encoder(11, n, dim)
+        feats = np.random.Generator(np.random.Philox(key=n)).standard_normal(
+            (BLOCK_ROWS + 6, n)) * 3.0
+        batched = encode_batch(e, feats)
+        # two row blocks, each split into the same uneven tiles
+        assert einsums == ([step] * (dim // step) + [dim % step]) * 2
+        assert batched.tobytes() == untiled_encode(feats, e.bases,
+                                                   e.phases).tobytes()
+        assert encode(e, feats[3]).tobytes() == batched[3].tobytes()
+
+        idx = np.arange(1, dim, 2)  # more planned rows than one tile holds
+        plan = plan_for(e, idx)
+        e2 = regenerate_dims(e, plan)
+        expected = untiled_encode(feats, e2.bases, e2.phases)
+        assert reencode_dims(e2, feats, batched, plan,
+                             inplace=True) is batched
+        assert batched.tobytes() == expected.tobytes()
+        assert (reencode_dims(e2, feats[3], encode(e, feats[3]),
+                              plan).tobytes() == expected[3].tobytes())
+        planned = untiled_encode(feats, e2.bases[idx], e2.phases[idx])
+        assert batched[:, idx].tobytes() == planned.tobytes()
+
+    def test_one_tile_covers_the_small_shape(self, monkeypatch):
+        """At n=16 a tile holds TILE_BYTES // 128 = 2048 base rows, so
+        D=2048 projects in one einsum per row block."""
+        einsums = count_einsums(monkeypatch)
+        encode_batch(init_encoder(3, 16, 2048), np.ones((BLOCK_ROWS + 1, 16)))
+        assert einsums == [2048, 2048]

@@ -11,8 +11,10 @@ import pytest
 import dynhd.encoder
 from dynhd.data import NormalizationStats, apply_normalizer, split
 from dynhd.encoder import init_encoder, regenerate_dims
-from dynhd.model import (ClassModel, Dataset, EncoderState, RegenPlan,
-                         atomic_write_text, load_model, save_model)
+from dynhd.inference import score_queries, topk_accuracy
+from dynhd.model import (MODEL_FILE_KEYS, REPR_CHARS, ClassModel, Dataset,
+                         EncoderState, RegenPlan, atomic_write_text,
+                         check_json_kind, load_model, save_model)
 from dynhd.trainer import TrainConfig, train
 
 def assert_same_encoder(a, b):
@@ -195,34 +197,48 @@ def unpack(text):
     return np.frombuffer(base64.b64decode(text), dtype="<f8")
 
 
+def pack_mask(indices, dim):
+    """A regenerated index set as a model file stores it: base64 of its
+    dim-bit mask, bit i of the mask being bit i % 8 of byte i // 8."""
+    raw = bytearray(-(-dim // 8))
+    for i in indices:
+        raw[i // 8] |= 1 << (i % 8)
+    return base64.b64encode(bytes(raw)).decode()
+
+
+def b64(*octets):
+    return base64.b64encode(bytes(octets)).decode()
+
+
 PACKED_FIELDS = ["classes", "normalizer.mean", "normalizer.std"]
 NORMALIZER_RANGE = ("normalizer means must be finite and its stds finite and "
                     "at least 1e-12")
 
-BAD_ENTRY = ("must be a non-empty, strictly increasing list of integers in "
-             "[0, 8), got ")
+BAD_MASK = "must be a non-empty 13-bit mask (2 bytes), got "
 
 
 class TestModelFile:
-    def roundtrip(self, tmp_path, normalizer=None):
-        """Save a model with two rounds of history; returns the encoder,
-        model, path and what loads back."""
-        enc = init_encoder(17, 3, 8)
-        for idx in ([1, 5], [0, 5, 7]):
-            enc = regenerate_dims(enc, RegenPlan(np.array(idx), np.zeros(8),
+    def roundtrip(self, tmp_path, normalizer=None, dim=8,
+                  history=([1, 5], [0, 5, 7])):
+        """Save a model with the given rounds of history; returns the
+        encoder, model, path and what loads back."""
+        enc = init_encoder(17, 3, dim)
+        for idx in history:
+            enc = regenerate_dims(enc, RegenPlan(np.array(idx),
+                                                 np.zeros(dim),
                                                  "insignificant", 0.25))
         model = ClassModel(
             np.random.Generator(np.random.Philox(key=2)).standard_normal(
-                (4, 8)),
+                (4, dim)),
             ["a", "b", "c", "d"])
         path = os.path.join(tmp_path, "model.json")
         save_model(path, enc, model, normalizer=normalizer)
         return enc, model, path, load_model(path)
 
-    def edited(self, tmp_path, field, edit):
+    def edited(self, tmp_path, field, edit, dim=8):
         """The path of a saved model whose field was edited in place."""
         norm = NormalizationStats(np.zeros(3), np.ones(3))
-        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm)
+        _, _, path, _ = self.roundtrip(tmp_path, normalizer=norm, dim=dim)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         edit_field(doc, field, edit)
@@ -261,8 +277,9 @@ class TestModelFile:
             doc = json.load(fh)
         assert list(doc) == ["version", "n", "D", "seed", "regen_history",
                              "labels", "classes", "normalizer"]
-        assert doc["version"] == 3 and doc["n"] == 3 and doc["D"] == 8
-        assert doc["regen_history"] == [[1, 5], [0, 5, 7]]
+        assert doc["version"] == 4 and doc["n"] == 3 and doc["D"] == 8
+        # {1, 5} is the byte 0b00100010, {0, 5, 7} the byte 0b10100001
+        assert doc["regen_history"] == ["Ig==", "oQ=="]
         assert (base64.b64decode(doc["classes"], validate=True)
                 == model.classes.astype("<f8").tobytes())
         assert doc["normalizer"] == {"mean": pack(norm.mean),
@@ -279,10 +296,45 @@ class TestModelFile:
         assert stats.mean.tobytes() == norm.mean.tobytes()
         assert stats.std.tobytes() == norm.std.tobytes()
 
+    def test_history_roundtrips_at_an_uneven_dim(self, tmp_path):
+        """At D=13 the mask's second byte holds bits 8-12 and three
+        padding bits."""
+        history = ([0, 8, 12], [12], [3, 7, 8])
+        enc, _, path, (enc2, _, _) = self.roundtrip(tmp_path, dim=13,
+                                                    history=history)
+        assert_same_encoder(enc, enc2)
+        assert [idx.tolist() for idx in enc2.regen_history] == list(history)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["regen_history"] == [
+                b64(0x01, 0x11), b64(0x00, 0x10), b64(0x88, 0x01)]
+
+    @pytest.mark.parametrize("dim", [1, 8, 13, 24, 25, 48, 49, 2048])
+    def test_history_entry_is_the_base64_of_ceil_d_over_8_bytes(
+            self, tmp_path, dim):
+        _, _, path, _ = self.roundtrip(tmp_path, dim=dim,
+                                       history=([0], [dim - 1]))
+        with open(path, encoding="utf-8") as fh:
+            history = json.load(fh)["regen_history"]
+        nbytes = -(-dim // 8)
+        assert [len(entry) for entry in history] == [4 * -(-nbytes // 3)] * 2
+
+    def test_unknown_key_rejected(self, tmp_path):
+        def extend(node, leaf):
+            node.update(feature_names=["x", "y", "z"], bases="")
+
+        path = self.edited(tmp_path, "version", extend)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"malformed model file {path}: unknown key(s) ['bases', "
+            f"'feature_names']; expected a subset of "
+            f"{sorted(MODEL_FILE_KEYS)}")
+
     def test_unsupported_version_rejected(self, tmp_path):
-        # 1 and 2 are the retired formats: bases and phases, then JSON
-        # number lists for the float arrays
-        for version in (1, 2, 999):
+        # 1-3 are the retired formats: bases and phases, then JSON number
+        # lists for the float arrays, then JSON integer lists for the
+        # history
+        for version in (1, 2, 3, 999):
             path = self.edited(tmp_path, "version",
                                lambda node, leaf: node.update({leaf: version}))
             with pytest.raises(ValueError) as exc:
@@ -379,30 +431,56 @@ class TestModelFile:
         assert str(exc.value) == (f"malformed model file {path}: class "
                                   "hypervectors contain non-finite entries")
 
+    # Cases 1 and 7 break the second round; "1" is not a list at all.
     @pytest.mark.parametrize("history, message", [
-        ([[3, 1]], "regen_history[0] " + BAD_ENTRY + "[3, 1]"),
-        ([[1, 5], [2, 2]], "regen_history[1] " + BAD_ENTRY + "[2, 2]"),
-        ([[-1]], "regen_history[0] " + BAD_ENTRY + "[-1]"),
-        ([[8]], "regen_history[0] " + BAD_ENTRY + "[8]"),
-        ([[0, 2**70]],
-         "regen_history[0] " + BAD_ENTRY + "[0, 1180591620717411303424]"),
-        ([[]], "regen_history[0] " + BAD_ENTRY + "[]"),
-        ([[1.0]], "regen_history[0] must be a JSON integer array, got 1.0 "
-                  "at index 0"),
-        ([[1, 5], [True]], "regen_history[1] must be a JSON integer array, "
-                           "got True at index 0"),
-        ([["1"]], "regen_history[0] must be a JSON integer array, got '1' "
-                  "at index 0"),
-        ([1, 5], "regen_history[0] must be a JSON integer array, got 1"),
+        ([[1, 5]], "regen_history[0] must be a JSON string, got [1, 5]"),
+        ([pack_mask([1, 5], 13), b64(0x00, 0x20)],
+         "regen_history[1] " + BAD_MASK + "bit 13 set"),
+        ([b64(0x01, 0x80)], "regen_history[0] " + BAD_MASK + "bit 15 set"),
+        ([b64(0x00, 0x00)], "regen_history[0] " + BAD_MASK + "no bit set"),
+        ([""], "regen_history[0] " + BAD_MASK + "0 bytes"),
+        ([b64(0x01, 0x00, 0x00)], "regen_history[0] " + BAD_MASK + "3 bytes"),
+        ([1], "regen_history[0] must be a JSON string, got 1"),
+        ([pack_mask([1, 5], 13), None],
+         "regen_history[1] must be a JSON string, got None"),
+        ([True], "regen_history[0] must be a JSON string, got True"),
+        ([[0, 2**70]], "regen_history[0] must be a JSON string, got "
+                       "[0, 1180591620717411303424]"),
         ("1", "regen_history must be a JSON array, got '1'"),
     ])
     def test_corrupt_regen_history_rejected(self, tmp_path, history,
                                             message):
         path = self.edited(tmp_path, "regen_history",
-                           lambda node, leaf: node.update({leaf: history}))
+                           lambda node, leaf: node.update({leaf: history}),
+                           dim=13)
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value) == f"malformed model file {path}: {message}"
+
+    @pytest.mark.parametrize("text", ["AAA", "AA A", "AAA=\n", "AA\u00e9="],
+                             ids=["padding", "space", "line-break",
+                                  "non-ascii"])
+    def test_non_base64_regen_history_rejected(self, tmp_path, text):
+        path = self.edited(tmp_path, "regen_history",
+                           lambda node, leaf: node.update({leaf: [text]}),
+                           dim=13)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        # the decoder's own wording follows
+        assert str(exc.value).startswith(
+            f"malformed model file {path}: regen_history[0] is not base64: ")
+
+    def test_long_offending_value_is_cut_short(self, tmp_path):
+        """A float array written as a list echoes only the head of its
+        repr, whatever its length."""
+        values = [0.125] * 32
+        path = self.edited(tmp_path, "classes",
+                           lambda node, leaf: node.update({leaf: values}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"malformed model file {path}: classes must be a JSON string, "
+            f"got {repr(values)[:REPR_CHARS]}...")
 
     def test_replay_out_of_memory_names_the_shape(self, tmp_path,
                                                   monkeypatch):
@@ -439,6 +517,44 @@ def test_train_save_load_roundtrip_is_exact(tmp_path):
     assert_same_encoder(enc, enc2)
     assert [idx.tolist() for idx in enc2.regen_history] == logged
     assert np.array_equal(model.classes, model2.classes)
+
+
+def test_regenerated_run_predicts_the_same_after_reload(tmp_path):
+    """Save then load replays the bases, phases and draw counter of a run
+    that regenerated, so every score and top-k figure is unchanged."""
+    data = Dataset(
+        np.random.Generator(np.random.Philox(key=6)).standard_normal(
+            (120, 6)) + np.repeat(np.eye(4, 6) * 2.0, 30, axis=0),
+        np.repeat(np.arange(4), 30), ["a", "b", "c", "d"])
+    train_ds, test_ds = split(data, [0.75, 0.25], seed=2)
+    cfg = TrainConfig(dim=300, epochs_per_round=2, rounds=5, regen_rate=0.2,
+                      strategy="insignificant", shuffle=True, seed=3)
+    enc, model, _ = train(cfg, train_ds, test_ds)
+    assert len(enc.regen_history) == 5
+    path = os.path.join(tmp_path, "regenerated.json")
+    save_model(path, enc, model)
+    enc2, model2, _ = load_model(path)
+    assert enc2.draw_counter == enc.draw_counter
+    scores, _, _ = score_queries(model, enc, test_ds)
+    scores2, _, _ = score_queries(model2, enc2, test_ds)
+    assert scores2.tobytes() == scores.tobytes()
+    for k in (1, 2):
+        assert (topk_accuracy(model2, enc2, test_ds, k)
+                == topk_accuracy(model, enc, test_ds, k))
+
+
+class TestCheckJsonKind:
+    @pytest.mark.parametrize("value, kind, tail", [
+        ("x" * 200, "integer", "got " + repr("x" * 200)[:REPR_CHARS]
+         + "..."),
+        ([1, "y" * 200], "integer array",
+         "got " + repr("y" * 200)[:REPR_CHARS] + "... at index 1"),
+        ("x" * 78, "integer", "got " + repr("x" * 78)),
+    ], ids=["value", "entry", "at-the-cap"])
+    def test_echo_is_capped(self, value, kind, tail):
+        with pytest.raises(ValueError) as exc:
+            check_json_kind("field", value, kind)
+        assert str(exc.value) == f"field must be a JSON {kind}, {tail}"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
