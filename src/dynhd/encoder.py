@@ -52,7 +52,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import EncoderState, FeatureVector, Hypervector, RegenPlan
+from .model import (EncoderState, FeatureVector, Hypervector, RegenPlan,
+                    check_history_entry)
 from .rng import TWO_PI, UniformStream, check_seed, paired_normals
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
@@ -92,16 +93,10 @@ def _encode_block(rows: np.ndarray, bases: np.ndarray, phases: np.ndarray,
     """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases.T, computed in
     ``out``; ``sin_phases`` is np.sin(phases)."""
     step = max(32, TILE_BYTES // (8 * bases.shape[1]))
-    if step >= bases.shape[0]:
-        # One tile: the plain call.  A one-pass loop over views of the
-        # same arrays measured 5-8% slower end to end at n=16, D=2048 on a
-        # 2-vCPU host, for a cause not pinned down.
-        x = np.einsum("Nn,dn->Nd", rows, bases, out=out)
-    else:
-        x = np.empty((rows.shape[0], bases.shape[0])) if out is None else out
-        for d0 in range(0, bases.shape[0], step):
-            np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
-                      out=x[:, d0:d0 + step])
+    x = np.empty((rows.shape[0], bases.shape[0])) if out is None else out
+    for d0 in range(0, bases.shape[0], step):
+        np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
+                  out=x[:, d0:d0 + step])
     x += x
     x += phases
     np.sin(x, out=x)
@@ -217,18 +212,12 @@ def replay_encoder(seed: int, n: int, dim: int,
     """Rebuild an encoder from its replay log: ``init_encoder(seed, n,
     dim)``, then one ``regenerate_dims`` per entry of ``history``, in order.
 
-    Each entry must be a non-empty, strictly increasing sequence of integers
-    in [0, dim), else a ValueError names it as ``regen_history[i]``.
+    Each entry must pass ``check_history_entry``: a non-empty, strictly
+    increasing sequence of integers in [0, dim).
     """
     e = init_encoder(seed, n, dim)
     for i, entry in enumerate(history):
-        idx = np.asarray(entry)
-        if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu"
-                or idx[0] < 0 or idx[-1] >= dim or np.any(np.diff(idx) <= 0)):
-            raise ValueError(f"regen_history[{i}] must be a non-empty, "
-                             f"strictly increasing list of integers in "
-                             f"[0, {dim}), got {entry!r}")
-        e = _redraw(e, idx.astype(np.int64))
+        e = _redraw(e, check_history_entry(i, entry, dim))
     return e
 
 

@@ -47,6 +47,19 @@ def _short_repr(value) -> str:
     return text if len(text) <= REPR_CHARS else text[:REPR_CHARS] + "..."
 
 
+def check_history_entry(i: int, entry, dim: int) -> np.ndarray:
+    """``entry`` as int64 indices; a ValueError names it as
+    ``regen_history[i]`` unless it is a non-empty, strictly increasing
+    sequence of integers in [0, dim)."""
+    idx = np.asarray(entry)
+    if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu"
+            or idx[0] < 0 or idx[-1] >= dim or np.any(np.diff(idx) <= 0)):
+        raise ValueError(f"regen_history[{i}] must be a non-empty, strictly "
+                         f"increasing list of integers in [0, {dim}), "
+                         f"got {_short_repr(entry)}")
+    return idx.astype(np.int64)
+
+
 def check_json_kind(name: str, value, kind: str) -> None:
     """Raise ValueError unless value is of the JSON kind: a JSON_KINDS key,
     or "<key> array" for a list of that kind."""
@@ -247,8 +260,8 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
         "n": encoder.n_features,
         "D": encoder.dim,
         "seed": encoder.seed,
-        "regen_history": [_pack_mask(idx, encoder.dim)
-                          for idx in encoder.regen_history],
+        "regen_history": [_pack_mask(i, idx, encoder.dim)
+                          for i, idx in enumerate(encoder.regen_history)],
         "labels": list(model.labels),
         "classes": _pack(model.classes),
     }
@@ -344,10 +357,12 @@ def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
-def _pack_mask(indices: np.ndarray, dim: int) -> str:
-    """Base64 of the little-endian packed ``dim``-bit mask of ``indices``."""
+def _pack_mask(i: int, indices, dim: int) -> str:
+    """Base64 of the little-endian packed ``dim``-bit mask of
+    ``regen_history[i]``, which ``check_history_entry`` must accept: a mask
+    cannot keep an order or a repeat."""
     mask = np.zeros(dim, dtype=bool)
-    mask[indices] = True
+    mask[check_history_entry(i, indices, dim)] = True
     return base64.b64encode(np.packbits(mask, bitorder="little")).decode()
 
 

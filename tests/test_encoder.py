@@ -11,7 +11,8 @@ import dynhd.encoder
 from dynhd.encoder import (BLOCK_ROWS, MAPPED_BYTES, encode, encode_batch,
                            init_encoder, reencode_dims, regenerate_dims,
                            replay_encoder)
-from dynhd.model import EncoderState, RegenPlan, load_model, save_model
+from dynhd.model import (REPR_CHARS, EncoderState, RegenPlan, load_model,
+                         save_model)
 from dynhd.rng import TWO_PI, UniformStream
 
 
@@ -306,14 +307,17 @@ class TestReplayEncoder:
     @pytest.mark.parametrize("history, bad", [
         ([[3, 1]], 0), ([[1], [2, 2]], 1), ([[-1]], 0), ([[8]], 0),
         ([[]], 0), ([[1.0]], 0), ([[True]], 0), ([["1"]], 0), ([[[1]]], 0),
-        ([[2**70]], 0),
+        ([[2**70]], 0), ([list(range(1000, 0, -1))], 0),
     ])
     def test_bad_entry_rejected(self, history, bad):
         with pytest.raises(ValueError) as exc:
             replay_encoder(8, 2, 8, history)
+        echo = repr(history[bad])
+        if len(echo) > REPR_CHARS:
+            echo = echo[:REPR_CHARS] + "..."
         assert str(exc.value) == (
             f"regen_history[{bad}] must be a non-empty, strictly increasing "
-            f"list of integers in [0, 8), got {history[bad]!r}")
+            f"list of integers in [0, 8), got {echo}")
 
 
 class TestReencodeDims:

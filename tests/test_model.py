@@ -470,17 +470,19 @@ class TestModelFile:
         assert str(exc.value).startswith(
             f"malformed model file {path}: regen_history[0] is not base64: ")
 
-    def test_long_offending_value_is_cut_short(self, tmp_path):
-        """A float array written as a list echoes only the head of its
-        repr, whatever its length."""
-        values = [0.125] * 32
-        path = self.edited(tmp_path, "classes",
-                           lambda node, leaf: node.update({leaf: values}))
+    @pytest.mark.parametrize("entry", [[5, 1], [1, 1, 5], [], [-1], [8]])
+    def test_hand_built_bad_history_is_not_saved(self, tmp_path, entry):
+        """A mask would silently sort, merge or drop such an entry and so
+        save a different encoder; save_model refuses it, writing nothing."""
+        enc, model, path, _ = self.roundtrip(tmp_path)
+        os.remove(path)
+        bad = replace(enc, regen_history=[np.array([2]), np.array(entry)])
         with pytest.raises(ValueError) as exc:
-            load_model(path)
+            save_model(path, bad, model)
         assert str(exc.value) == (
-            f"malformed model file {path}: classes must be a JSON string, "
-            f"got {repr(values)[:REPR_CHARS]}...")
+            "regen_history[1] must be a non-empty, strictly increasing list "
+            f"of integers in [0, 8), got {np.array(entry)!r}")
+        assert os.listdir(tmp_path) == []
 
     def test_replay_out_of_memory_names_the_shape(self, tmp_path,
                                                   monkeypatch):
