@@ -55,11 +55,9 @@ def variance_over_classes(m: ClassModel) -> np.ndarray:
 
 def select_insignificant(m: ClassModel, rate: float) -> RegenPlan:
     """Plan the floor(rate*D) dimensions with the lowest class variance."""
-    variances = variance_over_classes(m)
-    count = plan_size(rate, m.dim)
-    order = np.lexsort((np.arange(m.dim), variances))
-    picked = np.sort(order[:count])
-    return RegenPlan(picked, -variances, "insignificant", rate)
+    scores = -variance_over_classes(m)
+    picked = np.sort(ranked_classes(scores)[:plan_size(rate, m.dim)])
+    return RegenPlan(picked, scores, "insignificant", rate)
 
 
 def misleading_scores(m: ClassModel, e: EncoderState, train: Dataset,
@@ -136,13 +134,11 @@ def domain_variance(models: Sequence[ClassModel]) -> np.ndarray:
     for other in models[1:]:
         if other.dim != first.dim or list(other.labels) != list(first.labels):
             raise ValueError("domain models must share labels and dimension")
-    total = np.zeros(first.dim)
-    units = [_unit_rows(mod.classes) for mod in models]
-    for label_idx in range(first.n_classes):
-        rows = np.stack([u[label_idx] for u in units])
-        mu = rows.mean(axis=0)
-        total += np.mean((rows - mu) ** 2, axis=0)
-    return total
+    units = np.stack([_unit_rows(mod.classes) for mod in models])
+    per_class = np.mean((units - units.mean(axis=0)) ** 2, axis=0)
+    # Adds the classes in order for every D, where sum(axis=0) would switch
+    # to pairwise summation over a single column.
+    return np.add.accumulate(per_class, axis=0)[-1]
 
 
 def select_domain_variant(scores: np.ndarray, rate: float) -> RegenPlan:
@@ -154,7 +150,7 @@ def _select_top_positive(scores: np.ndarray, rate: float,
                          strategy: str) -> RegenPlan:
     scores = np.asarray(scores, dtype=np.float64)
     count = plan_size(rate, scores.shape[0])
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
+    order = ranked_classes(scores)
     eligible = order[scores[order] > 0.0]
     picked = np.sort(eligible[:count])
     return RegenPlan(picked, scores, strategy, rate)

@@ -28,8 +28,8 @@ from .analysis import plan_regeneration, variance_over_classes
 from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
                    make_blobs, remap_labels, split, write_csv)
 from .encoder import encode_batch
-from .inference import (model_scores, perturb_model, row_norms, score_queries,
-                        topk_accuracy, topk_hits)
+from .inference import (model_scores, perturb_model, ranked_classes,
+                        row_norms, score_queries, topk_accuracy, topk_hits)
 from .model import Dataset, check_json_kind, load_model, save_model
 from .rng import MAX_SEED, check_seed
 from .trainer import TrainConfig, train
@@ -306,10 +306,8 @@ def cmd_dropsweep(merged: dict, emitter: Emitter) -> int:
     encodings = encode_batch(enc, ds.features)
     variances = variance_over_classes(model)
     dim = model.dim
-    by_variance = {
-        "lowest": np.lexsort((np.arange(dim), variances)),
-        "highest": np.lexsort((np.arange(dim), -variances)),
-    }
+    by_variance = {"lowest": ranked_classes(-variances),
+                   "highest": ranked_classes(variances)}
     for order in orders:
         for fraction in fractions:
             t0 = time.perf_counter()

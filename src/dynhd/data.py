@@ -192,16 +192,18 @@ def load_csv(path: str, label_column: str = "label",
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    label_names = list(dict.fromkeys(label_strs))  # first-appearance order
-    label_ids = {name: i for i, name in enumerate(label_names)}
-    labels = np.array([label_ids[s] for s in label_strs], dtype=np.int64)
     features = np.array(rows)
     if domain_pos is None:
-        return Dataset(features, labels, label_names)
-    domain_names = list(dict.fromkeys(domain_strs))
-    domain_ids = {name: i for i, name in enumerate(domain_names)}
-    domains = np.array([domain_ids[s] for s in domain_strs], dtype=np.int64)
-    return Dataset(features, labels, label_names, domains, domain_names)
+        return Dataset(features, *_dense_ids(label_strs))
+    return Dataset(features, *_dense_ids(label_strs),
+                   *_dense_ids(domain_strs))
+
+
+def _dense_ids(strings: list[str]) -> tuple[np.ndarray, list[str]]:
+    """(int64 ids, names): names in first-appearance order."""
+    names = list(dict.fromkeys(strings))
+    ids = {name: i for i, name in enumerate(names)}
+    return np.array([ids[s] for s in strings], dtype=np.int64), names
 
 
 def write_csv(path: str, d: Dataset) -> None:
@@ -242,17 +244,15 @@ def split(d: Dataset, fractions: Sequence[float], seed: int) -> tuple:
     check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    buckets = [[] for _ in fracs]
+    cuts = []  # per class, its members cut into one piece per split
     for c in range(d.n_classes):
         members = rng.permutation(np.flatnonzero(d.labels == c))
         counts = _largest_remainder(fracs, members.size)
-        start = 0
-        for j, count in enumerate(counts):
-            buckets[j].extend(members[start:start + count].tolist())
-            start += count
+        cuts.append(np.split(members, np.cumsum(counts[:-1])))
     parts = []
-    for bucket in buckets:
-        idx = np.array(bucket, dtype=np.int64)
+    for j in range(len(fracs)):
+        idx = np.concatenate([np.empty(0, dtype=np.int64)]  # if no classes
+                             + [pieces[j] for pieces in cuts])
         parts.append(d.subset(idx[rng.permutation(idx.size)]))
     return tuple(parts)
 

@@ -23,6 +23,10 @@ rows bit-identical.  An encoder is therefore a pure function of its seed, its
 shape and the ordered index sets regenerated so far: ``replay_encoder``
 rebuilds it from them, which is how a model file stores it.
 
+A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
+run it as row 0 of the batch paths, whose one input check names the
+offending row.
+
 Every encode runs through one kernel that projects a block of at most
 ``BLOCK_ROWS`` samples with ``einsum("Nn,dn->Nd")`` and applies the sine in
 place.  Projections deliberately use einsum rather than BLAS matmul: einsum
@@ -52,8 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (EncoderState, FeatureVector, Hypervector, RegenPlan,
-                    check_history_entry)
+from .model import EncoderState, RegenPlan, check_history_entry
 from .rng import TWO_PI, UniformStream, check_seed, paired_normals
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
@@ -110,16 +113,6 @@ def _blocks(count: int):
             for start in range(0, count, BLOCK_ROWS))
 
 
-def _check_features(f, n: int) -> np.ndarray:
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"feature vector must have shape ({n},), "
-                         f"got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("feature vector contains non-finite entries")
-    return arr
-
-
 def _check_batch(samples, n: int) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -151,22 +144,19 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
     return EncoderState(bases, phases, seed, stream.position, [])
 
 
-def encode(e: EncoderState, f: FeatureVector) -> Hypervector:
+def encode(e: EncoderState, f) -> np.ndarray:
     """Encode one sample: h_i = cos(B_i.f + c_i) * sin(B_i.f), computed as
-    0.5 * (sin(2 B_i.f + c_i) - sin(c_i))."""
-    arr = _check_features(f, e.n_features)
-    return _encode_block(arr[None, :], e.bases, e.phases,
-                         np.sin(e.phases))[0]
+    0.5 * (sin(2 B_i.f + c_i) - sin(c_i)); row 0 of a batch of one."""
+    return encode_batch(e, [f])[0]
 
 
-def encode_batch(e: EncoderState,
-                 samples: Sequence[FeatureVector]) -> np.ndarray:
+def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
     """Encode a sequence of samples; row i equals encode(e, samples[i]).
 
     Returns an (N, D) array; empty input yields shape (0, D).
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
+    if arr.shape[:1] == (0,):
         return np.empty((0, e.dim))
     arr = _check_batch(arr, e.n_features)
     out = _empty_encodings(arr.shape[0], e.dim)
@@ -221,8 +211,8 @@ def replay_encoder(seed: int, n: int, dim: int,
     return e
 
 
-def reencode_dims(e: EncoderState, f: FeatureVector, h: Hypervector,
-                  plan: RegenPlan, inplace: bool = False) -> Hypervector:
+def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
+                  inplace: bool = False) -> np.ndarray:
     """Recompute only the planned entries of ``h``; equals encode(e, f)
     exactly when ``h`` came from an encoder that matches ``e`` elsewhere.
 
@@ -231,14 +221,12 @@ def reencode_dims(e: EncoderState, f: FeatureVector, h: Hypervector,
     of ``h``, which must then be a float64 array, are overwritten and ``h``
     is returned; otherwise ``h`` is left untouched and a copy is returned.
     """
-    single = np.ndim(f) == 1
-    rows = (_check_features(f, e.n_features)[None, :] if single
-            else _check_batch(f, e.n_features))
+    rows = _check_batch(np.atleast_2d(f), e.n_features)
     if inplace and not (isinstance(h, np.ndarray)
                         and h.dtype == np.float64):
         raise ValueError("an in-place re-encode needs a float64 array")
     h = np.asarray(h, dtype=np.float64)
-    expected = (e.dim,) if single else (rows.shape[0], e.dim)
+    expected = np.shape(f)[:-1] + (e.dim,)
     if h.shape != expected:
         raise ValueError(f"hypervectors must have shape {expected}, "
                          f"got {h.shape}")
@@ -249,7 +237,7 @@ def reencode_dims(e: EncoderState, f: FeatureVector, h: Hypervector,
         # temporary is built beside it.
         bases, phases = e.bases[idx], e.phases[idx]
         sin_phases = np.sin(phases)
-        encodings = out[None, :] if single else out
+        encodings = np.atleast_2d(out)
         for block in _blocks(rows.shape[0]):
             encodings[block, idx] = _encode_block(rows[block], bases, phases,
                                                   sin_phases)

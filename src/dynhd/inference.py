@@ -46,8 +46,8 @@ def model_scores(classes: np.ndarray, class_norms: np.ndarray,
 
 
 def ranked_classes(scores: np.ndarray) -> np.ndarray:
-    """Class indices by descending score along the last axis, ties toward
-    the lower index."""
+    """Indices by descending score along the last axis, ties toward the
+    lower index: classes by similarity, and dimensions by detector score."""
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
@@ -101,7 +101,8 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
 
     Exactly floor(q * L * D) entries (chosen without replacement) receive
     noise with standard deviation magnitude * RMS(all model entries).  The
-    input model is left untouched.
+    input model is left untouched.  Noise that leaves a class norm
+    non-finite raises ArithmeticError naming ``q`` and ``magnitude``.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -115,7 +116,12 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
         return out
     rng = np.random.Generator(np.random.Philox(key=seed))
     picked = rng.permutation(total)[:count]
-    rms = float(np.sqrt(np.mean(m.classes ** 2)))
-    noise = rng.standard_normal(count) * (magnitude * rms)
-    out.classes.ravel()[picked] += noise
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rms = float(np.sqrt(np.mean(m.classes ** 2)))
+        noise = rng.standard_normal(count) * (magnitude * rms)
+        out.classes.ravel()[picked] += noise
+        norms = row_norms(out.classes)
+    if not np.isfinite(norms).all():
+        raise ArithmeticError(f"noise at q={q!r}, magnitude={magnitude!r} "
+                              "makes a class norm non-finite")
     return out

@@ -18,10 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-# Type aliases for readability; both are 1-D float64 arrays.
-FeatureVector = np.ndarray
-Hypervector = np.ndarray
-
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
@@ -137,6 +133,11 @@ class ClassModel:
             raise ValueError("labels must be unique")
         if not np.isfinite(self.classes).all():
             raise ValueError("class hypervectors contain non-finite entries")
+        with np.errstate(over="ignore"):  # finite entries can overflow
+            bad = ~np.isfinite(np.vecdot(self.classes, self.classes))
+        if bad.any():
+            raise ValueError(f"class row(s) {np.flatnonzero(bad).tolist()} "
+                             "have non-finite norms")
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,46 @@ class TestMisleadingScores:
             misleading_scores(m, e, data)
 
 
+class TestSelectionTies:
+    """Every selector ranks dimensions by ``ranked_classes``: descending
+    score, ties (0.0 and -0.0 included) toward the lower index."""
+
+    SCORES = np.array([0.0, 2.0, -0.0, 2.0, 1.0, 2.0, -1.0, 0.0])
+
+    def test_rank_equals_index_tiebroken_lexsort(self):
+        want = np.lexsort((np.arange(8), -self.SCORES))
+        assert np.array_equal(dynhd.analysis.ranked_classes(self.SCORES),
+                              want)
+        assert want.tolist() == [1, 3, 5, 4, 0, 2, 7, 6]
+
+    @pytest.mark.parametrize("select", [select_misleading,
+                                        select_domain_variant])
+    @pytest.mark.parametrize("rate, picked", [
+        (0.25, [1, 3]), (0.375, [1, 3, 5]), (1.0, [1, 3, 4, 5])])
+    def test_positive_selectors_keep_ties_in_index_order(self, select,
+                                                         rate, picked):
+        assert select(self.SCORES, rate).indices.tolist() == picked
+
+    @pytest.mark.parametrize("rate, picked", [
+        (0.25, [0, 2]), (0.5, [0, 2, 4, 7]), (0.625, [0, 1, 2, 4, 7]),
+        (0.875, [0, 1, 2, 3, 4, 6, 7])])
+    def test_insignificant_keeps_zero_variance_ties_in_index_order(
+            self, rate, picked):
+        # Columns 0, 2, 4, 7 have variance 0 (score -0.0), columns 1, 3, 6
+        # tie at 2/3 and column 5 has variance 6.
+        m = model_from_rows(TIED_VARIANCE_CLASSES)
+        plan = select_insignificant(m, rate)
+        assert plan.indices.tolist() == picked
+        assert np.signbit(plan.scores[[0, 2, 4, 7]]).all()
+
+
+# Class rows whose column variances tie: 0 at columns 0, 2, 4 and 7, 2/3 at
+# columns 1, 3 and 6, and 6 at column 5.
+TIED_VARIANCE_CLASSES = [[1.0, 0.0, 2.0, 1.0, 5.0, 0.0, 1.0, -1.0],
+                         [1.0, 1.0, 2.0, 2.0, 5.0, 3.0, 2.0, -1.0],
+                         [1.0, 2.0, 2.0, 3.0, 5.0, 6.0, 3.0, -1.0]]
+
+
 class TestSelectMisleading:
     def test_hand_example_with_tie(self):
         plan = select_misleading(np.array([1.0, 1.0]), 0.5)
@@ -217,7 +257,34 @@ class TestSelectMisleading:
         assert plan.indices.tolist() == [1, 2]
 
 
+def per_class_domain_variance(models):
+    """The per-class loop that the batched domain_variance replaced; its
+    exactness reference."""
+    units = [dynhd.analysis._unit_rows(m.classes) for m in models]
+    total = np.zeros(models[0].dim)
+    for label_idx in range(models[0].n_classes):
+        rows = np.stack([u[label_idx] for u in units])
+        mu = rows.mean(axis=0)
+        total += np.mean((rows - mu) ** 2, axis=0)
+    return total
+
+
 class TestDomainVariance:
+    @pytest.mark.parametrize("dim", [1, 7, 10000])
+    @pytest.mark.parametrize("classes", [1, 2, 26])
+    @pytest.mark.parametrize("domains", [2, 3, 4])
+    def test_equals_per_class_loop_bit_for_bit(self, domains, classes, dim):
+        rng = np.random.Generator(np.random.Philox(key=domains * 100
+                                                   + classes))
+        # Entries spread over twelve decades, so that any change in the
+        # order of the additions shows in the last bits.
+        models = [model_from_rows(
+            rng.standard_normal((classes, dim))
+            * 10.0 ** rng.uniform(-6.0, 6.0, (classes, dim)))
+            for _ in range(domains)]
+        assert (domain_variance(models).tobytes()
+                == per_class_domain_variance(models).tobytes())
+
     def test_identical_models_zero(self):
         rows = np.array([[1.0, 2.0], [0.5, -1.0]])
         models = [model_from_rows(rows, ["a", "b"]) for _ in range(3)]

@@ -19,10 +19,12 @@ from dynhd.analysis import (domain_models, domain_variance,
                             misleading_scores, variance_over_classes)
 from dynhd.cli import _build_parser, main
 from dynhd.data import (apply_normalizer, fit_normalizer, load_csv,
-                        remap_labels, split)
+                        remap_labels, split, write_csv)
+from dynhd.encoder import init_encoder
 from dynhd.inference import topk_accuracy
-from dynhd.model import load_model
+from dynhd.model import ClassModel, Dataset, load_model, save_model
 from dynhd.trainer import TrainConfig, train
+from test_analysis import TIED_VARIANCE_CLASSES
 from test_model import (NORMALIZER_RANGE, REPR_CHARS, b64, edit_field, pack,
                         unpack)
 
@@ -506,6 +508,21 @@ class TestEval:
             f"error: malformed model file {edited}: classes must be a JSON "
             f"string, got {repr(doc['classes'])[:REPR_CHARS]}..."]
 
+    def test_overflowing_class_norms_exit_two(self, workdir, tmp_path):
+        """Finite class entries whose norms overflow would score every
+        query 0 (chance accuracy) if the model were accepted."""
+        doc = json.loads(workdir["model"].read_text())
+        doc["classes"] = pack(unpack(doc["classes"]) * 1e200)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {edited}: class row(s) [0, 1, 2] "
+            "have non-finite norms"]
+
     # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
         ({"mean": [0.0] * 5, "std": [1.0] * 5},
@@ -750,6 +767,33 @@ class TestDropsweep:
                              "--data", str(workdir["data_csv"])])
         return records[0]["value"]
 
+    @pytest.mark.parametrize("order, dropped", [
+        ("lowest", [[0, 2], [0, 2, 4, 7], [0, 1, 2, 4, 7]]),
+        ("highest", [[1, 5], [1, 3, 5, 6], [0, 1, 3, 5, 6]])])
+    def test_variance_ties_drop_the_lower_index_first(
+            self, tmp_path, monkeypatch, order, dropped):
+        # Column variances: 0 at 0, 2, 4 and 7 (negated, -0.0 for the
+        # lowest order), 2/3 at 1, 3 and 6, and 6 at 5.
+        classes = np.array(TIED_VARIANCE_CLASSES)
+        model, data = tmp_path / "tied.json", tmp_path / "tied.csv"
+        save_model(str(model), init_encoder(1, 2, 8),
+                   ClassModel(classes, ["a", "b", "c"]))
+        write_csv(str(data), Dataset(np.ones((3, 2)), [0, 1, 2],
+                                     ["a", "b", "c"]))
+        zeroed = []
+        scorer = dynhd.cli.model_scores
+
+        def recording(classes, *args):
+            zeroed.append(np.flatnonzero(~classes.any(axis=0)).tolist())
+            return scorer(classes, *args)
+
+        monkeypatch.setattr(dynhd.cli, "model_scores", recording)
+        code, _, _ = run(["dropsweep", "--model", str(model), "--data",
+                          str(data), "--order", order,
+                          "--fractions", "0.25,0.5,0.625"])
+        assert code == 0
+        assert zeroed == dropped
+
     def test_fraction_zero_equals_eval_baseline(self, workdir):
         code, records, _ = run(["dropsweep", "--model",
                                 str(workdir["model"]),
@@ -854,6 +898,20 @@ class TestNoisesweep:
         assert code == 2
         assert records == []
         assert "magnitude" in err
+
+    @pytest.mark.parametrize("magnitude", ["1e305", "1e308"])
+    def test_norm_overflow_exits_numeric_without_its_record(
+            self, workdir, magnitude):
+        code, records, err = run(["noisesweep", "--model",
+                                  str(workdir["model"]),
+                                  "--data", str(workdir["data_csv"]),
+                                  "--q", "0,0.1,0.2",
+                                  "--magnitude", magnitude])
+        assert code == 4
+        assert [rec["q"] for rec in records] == [0.0]
+        assert err.splitlines() == [
+            f"numeric error: noise at q=0.1, magnitude={float(magnitude)!r} "
+            "makes a class norm non-finite"]
 
     def test_deterministic_across_runs(self, workdir):
         argv = ["noisesweep", "--model", str(workdir["model"]),

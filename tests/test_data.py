@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dynhd.data import (NormalizationStats, SyntheticSpec, apply_normalizer,
-                        fit_normalizer, leave_one_domain_out, load_csv,
-                        make_blobs, remap_labels, split, write_csv)
+from dynhd.data import (NormalizationStats, SyntheticSpec, _largest_remainder,
+                        apply_normalizer, fit_normalizer, leave_one_domain_out,
+                        load_csv, make_blobs, remap_labels, split, write_csv)
 from dynhd.model import Dataset
 
 
@@ -344,6 +344,25 @@ class TestSplit:
         assert ((train.domains == 0).sum() + (test.domains == 0).sum()
                 == (d.domains == 0).sum())
 
+    @pytest.mark.parametrize("fractions", [
+        [0.8, 0.2], [0.55, 0.45], [0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3],
+        [0.7, 0.0, 0.3]])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_equals_list_bucketing(self, fractions, seed):
+        # Class sizes 7, 1, 4, 12 and 0: one class has a single sample
+        # and one has none.
+        labels = np.repeat(np.arange(5), [7, 1, 4, 12, 0])
+        rng = np.random.Generator(np.random.Philox(key=seed % 97))
+        d = Dataset(rng.standard_normal((labels.size, 3)), labels,
+                    [f"c{i}" for i in range(5)], labels % 2, ["a", "b"])
+        got = split(d, fractions, seed)
+        want = list_bucketed_split(d, fractions, seed)
+        assert len(got) == len(want) == len(fractions)
+        for part, expected in zip(got, want):
+            assert part.features.tobytes() == expected.features.tobytes()
+            assert part.labels.tolist() == expected.labels.tolist()
+            assert part.domains.tolist() == expected.domains.tolist()
+
     def test_invalid_fractions_rejected(self):
         d = self.balanced()
         with pytest.raises(ValueError):
@@ -352,6 +371,25 @@ class TestSplit:
             split(d, [1.2, -0.2], seed=0)
         with pytest.raises(ValueError):
             split(d, [], seed=0)
+
+
+def list_bucketed_split(d, fractions, seed):
+    """The list-extending split that the np.split one replaced; its
+    exactness reference."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    buckets = [[] for _ in fractions]
+    for c in range(d.n_classes):
+        members = rng.permutation(np.flatnonzero(d.labels == c))
+        start = 0
+        for j, count in enumerate(_largest_remainder(fractions,
+                                                     members.size)):
+            buckets[j].extend(members[start:start + count].tolist())
+            start += count
+    parts = []
+    for bucket in buckets:
+        idx = np.array(bucket, dtype=np.int64)
+        parts.append(d.subset(idx[rng.permutation(idx.size)]))
+    return parts
 
 
 class TestLeaveOneDomainOut:

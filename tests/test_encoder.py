@@ -156,6 +156,45 @@ class TestEncode:
             encode(e, np.array([np.nan, 0.0]))
 
 
+class TestSingleSampleErrors:
+    """A single sample is checked as a batch of one, so its errors read as
+    the batch check's for row 0."""
+
+    @pytest.mark.parametrize("f, shape", [
+        (np.zeros(3), "(1, 3)"), (np.zeros(0), "(1, 0)"),
+        (np.zeros((1, 4)), "(1, 1, 4)"), (2.0, "(1,)")])
+    def test_wrong_shape(self, f, shape):
+        e = init_encoder(5, 4, 8)
+        with pytest.raises(ValueError) as exc:
+            encode(e, f)
+        assert str(exc.value) == f"batch must have shape (N, 4), got {shape}"
+
+    def test_wrong_shape_in_reencode(self):
+        e = init_encoder(5, 4, 8)
+        with pytest.raises(ValueError) as exc:
+            reencode_dims(e, np.zeros(3), np.zeros(8), plan_for(e, [1]))
+        assert str(exc.value) == "batch must have shape (N, 4), got (1, 3)"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, value):
+        e = init_encoder(5, 2, 8)
+        f = np.array([0.0, value])
+        for call in (lambda: encode(e, f),
+                     lambda: reencode_dims(e, f, np.zeros(8),
+                                           plan_for(e, [1]))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == ("sample 0: feature vector contains "
+                                      "non-finite entries")
+
+    def test_hypervector_shape_follows_the_sample(self):
+        e = init_encoder(5, 2, 8)
+        with pytest.raises(ValueError) as exc:
+            reencode_dims(e, np.zeros(2), np.zeros((1, 8)), plan_for(e, [1]))
+        assert str(exc.value) == ("hypervectors must have shape (8,), "
+                                  "got (1, 8)")
+
+
 class TestEncodeBatch:
     def test_singleton_equals_encode(self):
         e = init_encoder(2, 3, 16)

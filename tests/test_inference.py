@@ -270,6 +270,14 @@ class TestPerturbModel:
             with pytest.raises(ValueError, match="seed must be in"):
                 perturb_model(self.model, 0.5, 1.0, seed=seed)
 
+    @pytest.mark.parametrize("magnitude", [1e305, 1e308])
+    def test_overflowing_norm_raises_naming_the_point(self, magnitude):
+        with pytest.raises(ArithmeticError) as exc:
+            perturb_model(self.model, 0.1, magnitude, seed=0)
+        assert str(exc.value) == (f"noise at q=0.1, magnitude={magnitude!r} "
+                                  "makes a class norm non-finite")
+        assert np.isfinite(self.model.classes).all()
+
     @pytest.mark.parametrize("magnitude", [np.nan, np.inf])
     def test_non_finite_magnitude_rejected(self, magnitude):
         with pytest.raises(ValueError, match="magnitude"):

@@ -71,6 +71,18 @@ class TestClassModel:
         with pytest.raises(ValueError):
             m.check()
 
+    def test_check_rejects_overflowing_norms_of_finite_rows(self):
+        classes = np.ones((3, 4))
+        classes[[0, 2]] *= 1e200  # finite entries, squared norm 4e400
+        m = ClassModel(classes, ["x", "y", "z"])
+        assert np.isfinite(m.classes).all()
+        with pytest.raises(ValueError) as exc:
+            m.check()
+        assert str(exc.value) == "class row(s) [0, 2] have non-finite norms"
+
+    def test_check_accepts_the_largest_finite_norm(self):
+        ClassModel(np.full((1, 4), 1e153), ["x"]).check()
+
 
 class TestRegenPlan:
     def test_valid_plan(self):
@@ -430,6 +442,16 @@ class TestModelFile:
             load_model(path)
         assert str(exc.value) == (f"malformed model file {path}: class "
                                   "hypervectors contain non-finite entries")
+
+    def test_overflowing_class_norms_rejected(self, tmp_path):
+        def scale(node, leaf):
+            node[leaf] = pack(unpack(node[leaf]) * 1e200)
+
+        path = self.edited(tmp_path, "classes", scale)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: class "
+                                  "row(s) [0, 1, 2, 3] have non-finite norms")
 
     # Cases 1 and 7 break the second round; "1" is not a list at all.
     @pytest.mark.parametrize("history, message", [
