@@ -145,6 +145,9 @@ def load_csv(path: str, label_column: str = "label",
 
     Errors carry 1-based line numbers (the header is line 1).
     """
+    if domain_column == label_column:
+        raise ValueError(f"{path}: column {label_column!r} cannot be both "
+                         "the label and the domain column")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

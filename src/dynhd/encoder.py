@@ -24,8 +24,8 @@ shape and the ordered index sets regenerated so far: ``replay_encoder``
 rebuilds it from them, which is how a model file stores it.
 
 A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
-run it as row 0 of the batch paths, whose one input check names the
-offending row.
+run it as row 0 of the batch paths, whose one input check, and whose check
+for a projection that overflows (NaN after the sine), name the offending row.
 
 Every encode runs through one kernel that projects a block of at most
 ``BLOCK_ROWS`` samples with ``einsum("Nn,dn->Nd")`` and applies the sine in
@@ -91,18 +91,26 @@ def _empty_encodings(count: int, dim: int) -> np.ndarray:
 
 
 def _encode_block(rows: np.ndarray, bases: np.ndarray, phases: np.ndarray,
-                  sin_phases: np.ndarray,
+                  sin_phases: np.ndarray, start: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases.T, computed in
-    ``out``; ``sin_phases`` is np.sin(phases)."""
+    ``out``; ``sin_phases`` is np.sin(phases).  A projection that overflows
+    raises ValueError naming its sample, numbered from ``start`` for the
+    block's first row."""
     step = max(32, TILE_BYTES // (8 * bases.shape[1]))
     x = np.empty((rows.shape[0], bases.shape[0])) if out is None else out
-    for d0 in range(0, bases.shape[0], step):
-        np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
-                  out=x[:, d0:d0 + step])
-    x += x
-    x += phases
-    np.sin(x, out=x)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for d0 in range(0, bases.shape[0], step):
+            np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
+                      out=x[:, d0:d0 + step])
+        x += x
+        x += phases
+        np.sin(x, out=x)
+    # sin is finite on finite input, so an overflow shows only as NaN.
+    if np.isnan(x).any():
+        bad = int(np.argmax(np.isnan(x).any(axis=1)))
+        raise ValueError(f"sample {start + bad}: encoding is not finite "
+                         "(the projection of its features overflows)")
     x -= sin_phases
     x *= 0.5
     return x
@@ -162,7 +170,7 @@ def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
     out = _empty_encodings(arr.shape[0], e.dim)
     sin_phases = np.sin(e.phases)
     for rows in _blocks(arr.shape[0]):
-        _encode_block(arr[rows], e.bases, e.phases, sin_phases,
+        _encode_block(arr[rows], e.bases, e.phases, sin_phases, rows.start,
                       out=out[rows])
     return out
 
@@ -220,6 +228,7 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
     (N, n) with its encodings (N, D).  With ``inplace`` the planned entries
     of ``h``, which must then be a float64 array, are overwritten and ``h``
     is returned; otherwise ``h`` is left untouched and a copy is returned.
+    A projection that overflows may leave an in-place ``h`` partly patched.
     """
     rows = _check_batch(np.atleast_2d(f), e.n_features)
     if inplace and not (isinstance(h, np.ndarray)
@@ -240,5 +249,5 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
         encodings = np.atleast_2d(out)
         for block in _blocks(rows.shape[0]):
             encodings[block, idx] = _encode_block(rows[block], bases, phases,
-                                                  sin_phases)
+                                                  sin_phases, block.start)
     return out

@@ -10,8 +10,8 @@ Conventions shared across the package:
 - cosine similarity with a zero vector is 0 (keeps scoring total while
   classes are still empty during training);
 - rank ties break toward the lower class index;
-- norms are always sqrt(dot(v, v)) per row (``vecdot`` for a matrix), so
-  cached, fresh and batched norms agree bit-for-bit.
+- ``row_norms`` is the one norm kernel, sqrt(vecdot(v, v)) per row of a
+  matrix, so cached, fresh and batched norms agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ import numpy as np
 from .encoder import encode_batch
 from .model import ClassModel, Dataset, EncoderState
 from .rng import check_seed
-
-
-def vec_norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(v, v)))
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
@@ -118,6 +114,9 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
     picked = rng.permutation(total)[:count]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         rms = float(np.sqrt(np.mean(m.classes ** 2)))
+        if not rms < np.inf:  # the squares overflow: scale them first
+            s = float(np.abs(m.classes).max())
+            rms = s * float(np.sqrt(np.mean((m.classes / s) ** 2)))
         noise = rng.standard_normal(count) * (magnitude * rms)
         out.classes.ravel()[picked] += noise
         norms = row_norms(out.classes)

@@ -5,7 +5,11 @@ A training run is (rounds + 1) segments of ``epochs_per_round`` adaptive
 epochs; after each segment except the last, the configured detector selects
 dimensions to regenerate, the encoder redraws them, the class entries at
 those dimensions are reset to zero (their old values describe the discarded
-bases), and cached encodings are refreshed in place via reencode_dims.
+bases), and cached encodings are refreshed in place via reencode_dims.  The
+training rows, then the validation rows, are encoded as one block; both
+sets and their norms are row-slice views of it, so one re-encode and one
+norm refresh per round keep both current.  An encoding that overflows
+raises ValueError naming its row in that block.
 
 Updates are mispredict-only and similarity-weighted: for a sample of class y
 encoded as H with scores delta and top-1 prediction p != y,
@@ -42,7 +46,7 @@ from .analysis import _accumulate, plan_regeneration, plan_size
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
-from .inference import model_scores, row_norms, topk_hits, vec_norm
+from .inference import model_scores, row_norms, topk_hits
 from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
 from .rng import check_seed
 
@@ -114,10 +118,12 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                              "2 domains in the training data")
 
     enc = init_encoder(cfg.seed, train_ds.n, cfg.dim)
-    train_encs = encode_batch(enc, train_ds.features)
-    valid_encs = encode_batch(enc, valid_ds.features)
-    train_norms = row_norms(train_encs)
-    valid_norms = row_norms(valid_encs)[:, None]
+    n_train = len(train_ds)
+    features = np.concatenate([train_ds.features, valid_ds.features])
+    encs = encode_batch(enc, features)
+    norms = row_norms(encs)
+    train_encs, valid_encs = encs[:n_train], encs[n_train:]
+    train_norms, valid_norms = norms[:n_train], norms[n_train:, None]
     labels = train_ds.labels
     model = ClassModel(_accumulate(train_encs, labels, train_ds.n_classes),
                        list(train_ds.label_names))
@@ -131,7 +137,6 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     epochs, rounds, timings = [], [], []
     best_val = -np.inf
     stale = 0
-    n_train = len(train_ds)
     scores = np.empty((n_train, train_ds.n_classes))
     fresh = np.zeros(n_train, dtype=bool)
     for segment in range(cfg.rounds + 1):
@@ -178,12 +183,8 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                 model.classes[:, plan.indices] = 0.0
                 class_norms = row_norms(model.classes)
                 fresh[:] = False
-                reencode_dims(enc, train_ds.features, train_encs, plan,
-                              inplace=True)
-                reencode_dims(enc, valid_ds.features, valid_encs, plan,
-                              inplace=True)
-                train_norms = row_norms(train_encs)
-                valid_norms = row_norms(valid_encs)[:, None]
+                reencode_dims(enc, features, encs, plan, inplace=True)
+                norms[:] = row_norms(encs)  # in place: the views stay valid
                 clock.append(("reencode", time.perf_counter()))
         timings += [{"type": "timing", "round": segment, "step": step,
                      "wall_ms": (end - start) * 1e3}
@@ -227,8 +228,7 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
         y, pred = int(labels[i]), int(s.argmax())
         classes[y] += eta * (1.0 - s[y]) * h
         classes[pred] -= eta * (1.0 - s[pred]) * h
-        class_norms[y] = vec_norm(classes[y])
-        class_norms[pred] = vec_norm(classes[pred])
+        class_norms[[y, pred]] = row_norms(classes[[y, pred]])
         fresh[:] = False
         updates, block = updates + 1, 1
         # A finite norm is below 1.4e154, so the sum is finite iff both are.

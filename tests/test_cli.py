@@ -242,6 +242,20 @@ class TestTrain:
         assert records == []
         assert err.splitlines() == [f"error: {message}"]
 
+    def test_label_column_as_domain_column_rejected(self, workdir, tmp_path):
+        config = tmp_path / "same_column.json"
+        config.write_text(json.dumps({
+            "dim": 16, "data": {"csv": str(workdir["data_csv"]),
+                                "domain_column": "label"}}))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err.splitlines() == [
+            f"error: {workdir['data_csv']}: column 'label' cannot be both "
+            "the label and the domain column"]
+
     def test_header_only_csv_rejected(self, tmp_path):
         empty = tmp_path / "header_only.csv"
         empty.write_text("f0,f1,label\n")
@@ -913,6 +927,21 @@ class TestNoisesweep:
             f"numeric error: noise at q=0.1, magnitude={float(magnitude)!r} "
             "makes a class norm non-finite"]
 
+    def test_entries_whose_squares_overflow_keep_a_finite_rms(self,
+                                                               tmp_path):
+        # every row norm is finite (12e153), the sum of all squares is not
+        model = tmp_path / "big.json"
+        save_model(str(model), init_encoder(0, 2, 4),
+                   ClassModel(np.full((4, 4), 6e153), ["a", "b", "c", "d"]))
+        queries = tmp_path / "queries.csv"
+        write_csv(str(queries), Dataset(np.eye(4)[:, :2], np.arange(4),
+                                        ["a", "b", "c", "d"]))
+        code, records, err = run(["noisesweep", "--model", str(model),
+                                  "--data", str(queries), "--q", "0,0.5",
+                                  "--magnitude", "1e-9"])
+        assert code == 0, err
+        assert [rec["q"] for rec in records] == [0.0, 0.5]
+
     def test_deterministic_across_runs(self, workdir):
         argv = ["noisesweep", "--model", str(workdir["model"]),
                 "--data", str(workdir["data_csv"]), "--q", "0.1,0.3",
@@ -921,6 +950,50 @@ class TestNoisesweep:
         _, second, _ = run(argv)
         assert ([rec["value"] for rec in first]
                 == [rec["value"] for rec in second])
+
+
+class TestOverflowingProjection:
+    """Finite features whose projection overflows exit 2 naming the first
+    such sample; their NaN encodings would score 0 against every class."""
+
+    ERROR = ("error: sample 0: encoding is not finite (the projection of "
+             "its features overflows)")
+
+    @pytest.fixture
+    def csvs(self, tmp_path):
+        clean = tmp_path / "clean.csv"
+        code, _, _ = run(["synth", "--n", "4", "--classes", "3", "--samples",
+                          "10", "--seed", "3", "--out", str(clean)])
+        assert code == 0
+        ds = load_csv(str(clean))
+        features = ds.features.copy()
+        features[:, 0] = 1.5e308  # load_csv accepts it: it is finite
+        huge = tmp_path / "huge.csv"
+        write_csv(str(huge), Dataset(features, ds.labels, ds.label_names))
+        return clean, huge
+
+    def train(self, tmp_path, csv):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dim": 256, "data": {"csv": str(csv)}}))
+        out = tmp_path / "model.json"
+        return out, run(["train", "--quiet", "--config", str(config),
+                         "--out", str(out)])
+
+    def test_train_exits_two(self, tmp_path, csvs):
+        out, (code, records, err) = self.train(tmp_path, csvs[1])
+        assert code == 2
+        assert [rec["type"] for rec in records] == ["config"]
+        assert not out.exists()
+        assert err.splitlines() == [self.ERROR]
+
+    def test_eval_exits_two(self, tmp_path, csvs):
+        model, (code, _, _) = self.train(tmp_path, csvs[0])
+        assert code == 0
+        code, records, err = run(["eval", "--model", str(model),
+                                  "--data", str(csvs[1])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [self.ERROR]
 
 
 class TestSynth:

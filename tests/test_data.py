@@ -81,6 +81,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(str(path))
 
+    def test_label_column_as_domain_column_rejected_before_opening(
+            self, tmp_path):
+        absent = str(tmp_path / "absent.csv")
+        with pytest.raises(ValueError) as exc:
+            load_csv(absent, "label", "label")
+        assert str(exc.value) == (f"{absent}: column 'label' cannot be both "
+                                  "the label and the domain column")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "absent.csv"))

@@ -465,6 +465,37 @@ class TestRowBlocksAreExact:
                           plan_for(e, [0]), inplace=True)
 
 
+class TestOverflowingProjection:
+    """Finite features whose projection overflows would encode to NaN,
+    which scores 0 against every class."""
+
+    @pytest.mark.parametrize("bad", [0, BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
+    def test_first_overflowing_row_named_in_any_block(self, bad):
+        e = init_encoder(2, 3, 16)
+        feats = np.ones((3 * BLOCK_ROWS, 3))
+        feats[bad, 0] = 1.5e308
+        feats[-1, 0] = -1.5e308  # only the first bad row is named
+        msg = (f"^sample {bad}: encoding is not finite \\(the projection of "
+               "its features overflows\\)$")
+        with pytest.raises(ValueError, match=msg):
+            encode_batch(e, feats)
+        with pytest.raises(ValueError, match=msg):
+            reencode_dims(e, feats, np.zeros((3 * BLOCK_ROWS, 16)),
+                          plan_for(e, range(16)), inplace=True)
+
+    def test_only_the_planned_dimensions_are_checked(self):
+        e = init_encoder(4, 2, 16)
+        f = np.array([1e308, 0.0])
+        ok = [d for d in range(16) if abs(e.bases[d, 0]) < 0.5]
+        assert 0 < len(ok) < 16  # 2x overflows on some other dimension
+        h = reencode_dims(e, f, np.zeros(16), plan_for(e, ok))
+        part = EncoderState(e.bases[ok], e.phases[ok], e.seed,
+                            e.draw_counter, [])
+        assert np.array_equal(h[ok], per_row_encode(part, f))
+        with pytest.raises(ValueError, match="^sample 0: encoding is not"):
+            encode(e, f)
+
+
 def untiled_encode(feats, bases, phases):
     """The kernel without tiles: one einsum over every base row."""
     x = np.einsum("Nn,dn->Nd", feats, bases)

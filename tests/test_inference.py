@@ -6,7 +6,7 @@ import pytest
 from dynhd.encoder import encode, init_encoder
 from dynhd.inference import (model_scores, perturb_model, ranked_classes,
                              row_norms, score_queries, topk_accuracy,
-                             topk_hits, vec_norm)
+                             topk_hits)
 from dynhd.model import ClassModel, Dataset
 
 
@@ -19,7 +19,7 @@ def cosine(a, b):
     """model_scores of b against a single class row a."""
     a = np.asarray(a, dtype=np.float64)[None, :]
     b = np.asarray(b, dtype=np.float64)
-    return model_scores(a, row_norms(a), b, vec_norm(b))[0]
+    return model_scores(a, row_norms(a), b, float(np.sqrt(np.dot(b, b))))[0]
 
 
 class TestCosineSimilarity:
@@ -49,7 +49,8 @@ class TestCosineSimilarity:
 def class_scores(m, h):
     """Scores of one encoding against every class of m."""
     h = np.asarray(h, dtype=np.float64)
-    return model_scores(m.classes, row_norms(m.classes), h, vec_norm(h))
+    return model_scores(m.classes, row_norms(m.classes), h,
+                        float(np.sqrt(np.dot(h, h))))
 
 
 def ranked_top_k(m, h, k):
@@ -146,7 +147,9 @@ class TestBatchedScoringIsExact:
         rows = []
         for h in self.queries:
             dots = self.classes @ h
-            denom = np.array([vec_norm(c) for c in self.classes]) * vec_norm(h)
+            denom = (np.array([float(np.sqrt(np.dot(c, c)))
+                               for c in self.classes])
+                     * float(np.sqrt(np.dot(h, h))))
             rows.append(np.divide(dots, denom, out=np.zeros_like(dots),
                                   where=denom > 0.0))
         return np.array(rows)
@@ -163,7 +166,8 @@ class TestBatchedScoringIsExact:
                              row_norms(self.queries)[:, None])
         for i, h in enumerate(self.queries):
             assert np.array_equal(
-                model_scores(self.classes, norms, h, vec_norm(h)), batch[i])
+                model_scores(self.classes, norms, h,
+                             float(np.sqrt(np.dot(h, h)))), batch[i])
 
     def test_row_norms_equal_per_row_norms(self):
         assert np.array_equal(row_norms(self.queries),
@@ -260,6 +264,17 @@ class TestPerturbModel:
         before = self.model.classes.copy()
         perturb_model(self.model, 0.5, 2.0, seed=3)
         np.testing.assert_array_equal(self.model.classes, before)
+
+    def test_rms_of_entries_whose_squares_overflow(self):
+        # Each row's squared norm, 1.44e308, is finite; the squares of all
+        # 16 entries sum past the float64 range.
+        m = model_from_rows(np.full((4, 4), 6e153))
+        out = perturb_model(m, 0.5, 1e-9, seed=0)
+        rng = np.random.Generator(np.random.Philox(key=0))
+        picked = rng.permutation(16)[:8]
+        expected = m.classes.copy()
+        expected.ravel()[picked] += rng.standard_normal(8) * (1e-9 * 6e153)
+        np.testing.assert_array_equal(out.classes, expected)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

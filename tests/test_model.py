@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dynhd.encoder
-from dynhd.data import NormalizationStats, apply_normalizer, split
+from dynhd.data import NormalizationStats, apply_normalizer, split, write_csv
 from dynhd.encoder import init_encoder, regenerate_dims
 from dynhd.inference import score_queries, topk_accuracy
 from dynhd.model import (MODEL_FILE_KEYS, REPR_CHARS, ClassModel, Dataset,
@@ -588,3 +588,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "world\n"
     assert os.listdir(tmp_path) == ["x.txt"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_take_a_new_files_mode(tmp_path, umask):
+    model_path, csv_path = tmp_path / "model.json", tmp_path / "data.csv"
+    model_path.write_text("{}")
+    model_path.chmod(0o644)  # a model being re-trained is replaced
+    old = os.umask(umask)
+    try:
+        save_model(str(model_path), init_encoder(0, 2, 4),
+                   ClassModel(np.ones((2, 4)), ["a", "b"]))
+        write_csv(str(csv_path), small_dataset())
+    finally:
+        os.umask(old)
+    for path in (model_path, csv_path):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

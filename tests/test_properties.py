@@ -25,7 +25,7 @@ from dynhd.analysis import domain_variance, misleading_scores
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            reencode_dims, regenerate_dims, replay_encoder)
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
-                             topk_accuracy, vec_norm)
+                             topk_accuracy)
 from dynhd.model import ClassModel, Dataset, RegenPlan
 from dynhd.trainer import TrainConfig
 from test_trainer import assert_pass_exact
@@ -50,7 +50,8 @@ def random_names(count):
 
 def ranking(classes, h):
     """Every class ranked for one encoding, with the ranked scores."""
-    scores = model_scores(classes, row_norms(classes), h, vec_norm(h))
+    scores = model_scores(classes, row_norms(classes), h,
+                          float(np.sqrt(np.dot(h, h))))
     order = ranked_classes(scores)
     return order, scores[order]
 

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import dynhd.trainer
-from dynhd.analysis import (_accumulate, domain_models, misleading_scores,
+from dynhd.analysis import (_accumulate, domain_models, domain_variance,
+                            misleading_scores, select_domain_variant,
                             select_insignificant, select_misleading)
 from dynhd.data import (SyntheticSpec, apply_normalizer, fit_normalizer,
                         make_blobs, split)
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            regenerate_dims)
-from dynhd.inference import model_scores, row_norms, vec_norm
+from dynhd.inference import model_scores, row_norms, topk_accuracy
 from dynhd.model import ClassModel, Dataset
 from dynhd.trainer import TrainConfig, train, _adaptive_pass
 
@@ -47,8 +48,9 @@ def _reference_pass(classes, class_norms, encodings, sample_norms, labels,
             continue
         classes[y] += eta * (1.0 - scores[y]) * h
         classes[pred] -= eta * (1.0 - scores[pred]) * h
-        class_norms[y] = vec_norm(classes[y])
-        class_norms[pred] = vec_norm(classes[pred])
+        class_norms[y] = float(np.sqrt(np.dot(classes[y], classes[y])))
+        class_norms[pred] = float(np.sqrt(np.dot(classes[pred],
+                                                 classes[pred])))
         updates += 1
     return (order.shape[0] - updates) / order.shape[0], updates
 
@@ -473,55 +475,71 @@ class TestTrainBaseline:
 
 
 class TestTrainRegeneration:
-    def replicate(self, cfg, train_ds, plan_fn):
+    def replicate(self, cfg, train_ds, valid_ds, plan_fn):
         """Re-run the schedule through the public pieces, re-encoding from
-        scratch every epoch instead of patching caches."""
+        scratch every epoch and every validation instead of patching
+        caches."""
         e = init_encoder(cfg.seed, train_ds.n, cfg.dim)
         m = bundle(e, train_ds)
-        plans = []
+        plans, val_accs = [], []
         for segment in range(cfg.rounds + 1):
             for _ in range(cfg.epochs_per_round):
                 reference_epoch(m, e, train_ds, eta=cfg.eta)
+            val_accs.append(topk_accuracy(m, e, valid_ds, 1))
             if segment < cfg.rounds:
                 plan = plan_fn(m, e)
                 plans.append(plan.indices.tolist())
                 e = regenerate_dims(e, plan)
                 if plan.indices.size:
                     m.classes[:, plan.indices] = 0.0
-        return e, m, plans
+        return e, m, plans, val_accs
 
-    def test_insignificant_schedule_matches_replication(self):
-        data = blob_data(seed=9, classes=3, n=4, per=10)
-        train_ds, valid_ds = split(data, [0.8, 0.2], seed=4)
-        cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=3,
-                          regen_rate=0.2, strategy="insignificant", seed=23)
+    def assert_matches_replication(self, cfg, train_ds, valid_ds, plan_fn):
         enc, model, records = train(cfg, train_ds, valid_ds)
-        e, m, plans = self.replicate(
-            cfg, train_ds,
-            lambda model_, enc_: select_insignificant(model_,
-                                                      cfg.regen_rate))
+        e, m, plans, val_accs = self.replicate(cfg, train_ds, valid_ds,
+                                               plan_fn)
         np.testing.assert_array_equal(model.classes, m.classes)
         np.testing.assert_array_equal(enc.bases, e.bases)
         np.testing.assert_array_equal(enc.phases, e.phases)
         assert enc.draw_counter == e.draw_counter
         rounds = of_type(records, "round")
         assert [rec["regen_indices"] for rec in rounds[:-1]] == plans
+        # the validation cache is checked after every re-encode
+        assert [rec["val_accuracy"] for rec in rounds] == val_accs
+        return val_accs
+
+    def test_insignificant_schedule_matches_replication(self):
+        data = blob_data(seed=9, classes=3, n=4, per=10)
+        train_ds, valid_ds = split(data, [0.8, 0.2], seed=4)
+        cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=3,
+                          regen_rate=0.2, strategy="insignificant", seed=23)
+        self.assert_matches_replication(
+            cfg, train_ds, valid_ds,
+            lambda model_, enc_: select_insignificant(model_,
+                                                      cfg.regen_rate))
 
     def test_misleading_schedule_matches_replication(self):
         data = blob_data(seed=10, classes=3, n=4, per=10, separation=2.0)
         train_ds, valid_ds = split(data, [0.8, 0.2], seed=5)
         cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=2,
                           regen_rate=0.15, strategy="misleading", seed=29)
-        enc, model, records = train(cfg, train_ds, valid_ds)
-        e, m, plans = self.replicate(
-            cfg, train_ds,
+        self.assert_matches_replication(
+            cfg, train_ds, valid_ds,
             lambda model_, enc_: select_misleading(
                 misleading_scores(model_, enc_, train_ds), cfg.regen_rate))
-        np.testing.assert_array_equal(model.classes, m.classes)
-        np.testing.assert_array_equal(enc.bases, e.bases)
-        assert enc.draw_counter == e.draw_counter
-        rounds = of_type(records, "round")
-        assert [rec["regen_indices"] for rec in rounds[:-1]] == plans
+
+    def test_domain_variant_schedule_matches_replication(self):
+        data = blob_data(seed=12, classes=3, n=4, per=10, separation=1.0,
+                         domains=3, offset=1.0)
+        train_ds, valid_ds = split(data, [0.6, 0.4], seed=6)
+        cfg = TrainConfig(dim=24, eta=0.05, epochs_per_round=1, rounds=4,
+                          regen_rate=0.5, strategy="domain_variant", seed=31)
+        val_accs = self.assert_matches_replication(
+            cfg, train_ds, valid_ds,
+            lambda model_, enc_: select_domain_variant(
+                domain_variance(domain_models(enc_, train_ds)),
+                cfg.regen_rate))
+        assert len(set(val_accs)) > 1  # the rounds move the validation
 
     def test_dimensionality_never_changes(self):
         data = blob_data(seed=11, classes=2, n=3, per=8)
