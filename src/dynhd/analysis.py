@@ -61,24 +61,32 @@ def select_insignificant(m: ClassModel, rate: float) -> RegenPlan:
 
 
 def misleading_scores(m: ClassModel, e: EncoderState, train: Dataset,
-                      encodings: Optional[np.ndarray] = None) -> np.ndarray:
+                      encodings: Optional[np.ndarray] = None,
+                      sims: Optional[np.ndarray] = None) -> np.ndarray:
     """Accumulate per-dimension misprediction evidence over the dataset.
 
     For each sample mispredicted at top-1 whose true class ranks second:
     with unit-normalized class rows, add |h - c_true| - |h - c_pred| per
     dimension.  Samples ranked correctly, or whose true class is outside
     the top-2, contribute nothing.
+
+    ``sims`` skips the scoring: the (N, L) ``model_scores`` of each
+    encoding against ``m``, as a caller that keeps them already holds.
     """
     if list(train.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
+    if sims is not None and np.shape(sims) != (len(train), m.n_classes):
+        raise ValueError(f"sims has shape {np.shape(sims)}, expected "
+                         f"{(len(train), m.n_classes)}")
     if encodings is None:
         encodings = encode_batch(e, train.features)
     scores = np.zeros(m.dim)
     if m.n_classes < 2:
         return scores
     unit = _unit_rows(m.classes)
-    sims = model_scores(m.classes, row_norms(m.classes), encodings,
-                        row_norms(encodings)[:, None])
+    if sims is None:
+        sims = model_scores(m.classes, row_norms(m.classes), encodings,
+                            row_norms(encodings)[:, None])
     top2 = ranked_classes(sims)[:, :2]
     # A true class ranked second is a top-1 miss; add rows in sample order.
     for i in np.flatnonzero(top2[:, 1] == train.labels):
@@ -158,12 +166,15 @@ def _select_top_positive(scores: np.ndarray, rate: float,
 
 def plan_regeneration(strategy: str, rate: float, model: ClassModel,
                       enc: EncoderState, ds: Optional[Dataset] = None,
-                      encodings: Optional[np.ndarray] = None) -> RegenPlan:
+                      encodings: Optional[np.ndarray] = None,
+                      scores: Optional[np.ndarray] = None) -> RegenPlan:
     """Score the dimensions with ``strategy``'s detector and select its plan.
 
     ``insignificant`` reads only the model.  ``misleading`` and
     ``domain_variant`` score the dataset ``ds``, which they require, encoded
-    by ``enc`` unless its cached ``encodings`` are passed.
+    by ``enc`` unless its cached ``encodings`` are passed.  ``misleading``
+    also takes the rows' cached (N, L) class ``scores`` against ``model``
+    (``misleading_scores``' ``sims``); the other detectors ignore them.
     """
     if strategy not in REGEN_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
@@ -173,7 +184,7 @@ def plan_regeneration(strategy: str, rate: float, model: ClassModel,
     if ds is None:
         raise ValueError(f"strategy={strategy} needs a dataset")
     if strategy == "misleading":
-        return select_misleading(misleading_scores(model, enc, ds, encodings),
-                                 rate)
+        return select_misleading(
+            misleading_scores(model, enc, ds, encodings, scores), rate)
     return select_domain_variant(
         domain_variance(domain_models(enc, ds, encodings)), rate)

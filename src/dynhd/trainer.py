@@ -27,12 +27,15 @@ raises ArithmeticError naming the segment and the epoch.  ``train``
 returns a JSON-ready record per epoch, per round (with its plan's size
 against floor(rate * D)) and per timed step of a round's end, then a summary.
 
-The pass scores rows in blocks, one batched call per block (bit-identical
-to one row at a time), and caches each row's class scores.  A block starts
-at one row, doubles up to ``encoder.BLOCK_ROWS`` while its rows predict
-right, and goes back to one row after each update, which is made from the
-first mispredict's cached scores.  An update or a non-empty regeneration
-clears the cache; nothing else changes a score, so a cached row is exact.
+``train`` caches the class scores of every row of the block, and which
+rows are fresh.  An update or a non-empty regeneration makes every row
+stale; nothing else changes a score, so a fresh row is exact.  A stale row
+is scored when read, at most ``encoder.BLOCK_ROWS`` rows per batched call
+(bit-identical to one row at a time).  The pass reads blocks that start at
+one row, double up to ``BLOCK_ROWS`` while their rows predict right, and go
+back to one row after each update (made from the first mispredict's cached
+scores); once every training row is fresh, one ``argmax`` ranks the rest
+of the epoch.  Validation and the ``misleading`` detector read it too.
 """
 
 from __future__ import annotations
@@ -92,11 +95,14 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     dicts keyed by ``type``, grouped in this order, each group in run order.
     Only ``wall_ms`` varies between runs of one config and datasets.
 
-    - ``epoch``: segment, epoch, train_accuracy, updates, wall_ms.
+    - ``epoch``: segment, epoch, train_accuracy, updates, scored (the rows
+      the pass scored), wall_ms.
     - ``round``: round, val_accuracy, regen_indices (None when no
       regeneration step ran, [] when the selector found nothing), planned
       and target (the plan's size against the floor(rate * D) the selector
-      may fill; None when no step ran), wall_ms.
+      may fill; None when no step ran), scored (the stale validation rows,
+      plus the stale training rows the ``misleading`` detector reads),
+      wall_ms.
     - ``timing``: round, step, wall_ms; one per step of a round's end:
       ``validate``, ``plan``, ``regenerate`` (the redraw) or ``reencode``
       (the class reset, and the cached train and validation encodings with
@@ -122,8 +128,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     features = np.concatenate([train_ds.features, valid_ds.features])
     encs = encode_batch(enc, features)
     norms = row_norms(encs)
-    train_encs, valid_encs = encs[:n_train], encs[n_train:]
-    train_norms, valid_norms = norms[:n_train], norms[n_train:, None]
+    train_encs, train_norms = encs[:n_train], norms[:n_train]
     labels = train_ds.labels
     model = ClassModel(_accumulate(train_encs, labels, train_ds.n_classes),
                        list(train_ds.label_names))
@@ -137,8 +142,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     epochs, rounds, timings = [], [], []
     best_val = -np.inf
     stale = 0
-    scores = np.empty((n_train, train_ds.n_classes))
-    fresh = np.zeros(n_train, dtype=bool)
+    scores = np.empty((len(encs), train_ds.n_classes))
+    fresh = np.zeros(len(encs), dtype=bool)
+    train_rows, valid_rows = np.arange(n_train), np.arange(n_train, len(encs))
     for segment in range(cfg.rounds + 1):
         for epoch in range(cfg.epochs_per_round):
             t0 = time.perf_counter()
@@ -146,21 +152,25 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                      else np.arange(n_train))
             try:  # an overflow surfaces as the pass's non-finite norm
                 with np.errstate(over="ignore", invalid="ignore"):
-                    acc, updates = _adaptive_pass(
+                    acc, updates, scored = _adaptive_pass(
                         model.classes, class_norms, train_encs, train_norms,
-                        labels, order, cfg.eta, scores, fresh)
+                        labels, order, cfg.eta, scores[:n_train],
+                        fresh[:n_train])
             except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"segment {segment}, epoch {epoch}: {exc}") from None
+            if updates:  # the pass marks only its own rows stale
+                fresh[n_train:] = False
             epochs.append({"type": "epoch", "segment": segment,
                            "epoch": epoch, "train_accuracy": acc,
-                           "updates": updates,
+                           "updates": updates, "scored": scored,
                            "wall_ms": (time.perf_counter() - t0) * 1e3})
 
         clock = [("", time.perf_counter())]  # (step, its end) in order
-        val_scores = model_scores(model.classes, class_norms, valid_encs,
-                                  valid_norms)
-        val_acc = topk_hits(val_scores, valid_ds.labels, 1) / len(valid_ds)
+        scored = _score_stale(model.classes, class_norms, encs, norms, scores,
+                              fresh, valid_rows)
+        val_acc = (topk_hits(scores[n_train:], valid_ds.labels, 1)
+                   / len(valid_ds))
         if val_acc > best_val + EARLY_STOP_MIN_DELTA:
             best_val = val_acc
             stale = 0
@@ -171,8 +181,13 @@ def train(cfg: TrainConfig, train_ds: Dataset,
 
         regen_indices = planned = target = None
         if not stopping and segment < cfg.rounds and cfg.strategy != "none":
+            sims = None
+            if cfg.strategy == "misleading":
+                scored += _score_stale(model.classes, class_norms, encs,
+                                       norms, scores, fresh, train_rows)
+                sims = scores[:n_train]
             plan = plan_regeneration(cfg.strategy, cfg.regen_rate, model,
-                                     enc, train_ds, train_encs)
+                                     enc, train_ds, train_encs, sims)
             regen_indices = plan.indices.tolist()
             planned = len(regen_indices)
             target = plan_size(cfg.regen_rate, cfg.dim)
@@ -192,7 +207,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
         rounds.append({"type": "round", "round": segment,
                        "val_accuracy": val_acc,
                        "regen_indices": regen_indices, "planned": planned,
-                       "target": target,
+                       "target": target, "scored": scored,
                        "wall_ms": (time.perf_counter() - clock[0][1]) * 1e3})
         if stopping:
             break
@@ -201,21 +216,36 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     return enc, model, epochs + rounds + timings + [summary]
 
 
+def _score_stale(classes: np.ndarray, class_norms: np.ndarray,
+                 encodings: np.ndarray, sample_norms: np.ndarray,
+                 scores: np.ndarray, fresh: np.ndarray,
+                 rows: np.ndarray) -> int:
+    """Score the stale ``rows`` into the cache, at most BLOCK_ROWS per
+    call, and mark them fresh.  Returns how many rows were scored."""
+    stale = rows[~fresh[rows]]
+    for start in range(0, stale.size, BLOCK_ROWS):
+        batch = stale[start:start + BLOCK_ROWS]
+        scores[batch] = model_scores(classes, class_norms, encodings[batch],
+                                     sample_norms[batch, None])
+    fresh[stale] = True
+    return stale.size
+
+
 def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
                    encodings: np.ndarray, sample_norms: np.ndarray,
                    labels: np.ndarray, order: np.ndarray, eta: float,
-                   scores: np.ndarray, fresh: np.ndarray) -> tuple[float, int]:
+                   scores: np.ndarray,
+                   fresh: np.ndarray) -> tuple[float, int, int]:
     """Sequential similarity-weighted updates; mutates classes, class_norms
     and the score cache (scores, fresh).  Returns the pre-update prediction
-    accuracy and the number of updates."""
-    updates, pos, block = 0, 0, 1
+    accuracy, the number of updates and the number of rows scored."""
+    updates, scored, pos, block = 0, 0, 0, 1
     while pos < order.shape[0]:
+        if fresh.all():  # nothing left to score: rank the rest at once
+            block = order.shape[0]
         rows = order[pos:pos + block]
-        stale = rows[~fresh[rows]]
-        if stale.size:
-            scores[stale] = model_scores(classes, class_norms, encodings[stale],
-                                         sample_norms[stale, None])
-            fresh[stale] = True
+        scored += _score_stale(classes, class_norms, encodings, sample_norms,
+                               scores, fresh, rows)
         # argmax keeps the first max on ties
         wrong = np.flatnonzero(scores[rows].argmax(axis=1) != labels[rows])
         if not wrong.size:
@@ -234,4 +264,4 @@ def _adaptive_pass(classes: np.ndarray, class_norms: np.ndarray,
         # A finite norm is below 1.4e154, so the sum is finite iff both are.
         if not class_norms[y] + class_norms[pred] < np.inf:
             raise ArithmeticError(f"non-finite class norm at update {updates}")
-    return (order.shape[0] - updates) / order.shape[0], updates
+    return (order.shape[0] - updates) / order.shape[0], updates, scored

@@ -2,6 +2,7 @@
 and the selection rules (tie-break, positive-evidence filtering)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dynhd.analysis import (domain_models, domain_variance,
                             select_misleading, variance_over_classes)
 from dynhd.data import SyntheticSpec, make_blobs
 from dynhd.encoder import encode_batch, init_encoder
+from dynhd.inference import model_scores, row_norms
 from dynhd.model import REGEN_STRATEGIES, ClassModel, Dataset
 
 
@@ -175,6 +177,47 @@ class TestMisleadingScores:
                 want += np.abs(h - unit[y]) - np.abs(h - unit[top2[0]])
         assert np.any(want != 0.0)
         assert np.array_equal(got, want)
+
+    def cached_sims(self, m, encodings, sizes):
+        """The class scores of each row, scored in batches of ``sizes`` rows
+        as a cache fills."""
+        ends = np.cumsum(sizes)
+        assert ends[-1] == encodings.shape[0]
+        return np.concatenate([
+            model_scores(m.classes, row_norms(m.classes), encodings[a:b],
+                         row_norms(encodings[a:b])[:, None])
+            for a, b in zip(np.r_[0, ends[:-1]], ends)])
+
+    def test_cached_sims_equal_uncached(self):
+        rng = np.random.Generator(np.random.Philox(key=58))
+        e = init_encoder(8, 4, 32)
+        feats = rng.standard_normal((60, 4))
+        names = ["a", "b", "c", "d", "f"]
+        data = Dataset(feats, rng.integers(0, 5, size=60), names)
+        classes = rng.standard_normal((5, 32))
+        classes[4] = classes[0]  # exact score ties
+        m = model_from_rows(classes, names)
+        encs = encode_batch(e, feats)
+        want = misleading_scores(m, e, data, encs)
+        assert np.any(want != 0.0)
+        sims = self.cached_sims(m, encs, [1, 2, 4, 8, 16, 29])
+        assert np.array_equal(misleading_scores(m, e, data, encs, sims=sims),
+                              want)
+        # the passed scores are what ranks the rows
+        assert not np.array_equal(
+            misleading_scores(m, e, data, encs, sims=np.zeros_like(sims)),
+            want)
+
+    @pytest.mark.parametrize("shape", [(59, 5), (60, 4), (60,)])
+    def test_sims_of_another_shape_rejected(self, shape):
+        e = init_encoder(8, 4, 32)
+        names = ["a", "b", "c", "d", "f"]
+        data = Dataset(np.zeros((60, 4)), np.arange(60) % 5, names)
+        m = model_from_rows(np.ones((5, 32)), names)
+        with pytest.raises(ValueError, match=(
+                rf"sims has shape {re.escape(str(shape))}, "
+                r"expected \(60, 5\)")):
+            misleading_scores(m, e, data, sims=np.zeros(shape))
 
     def test_class_scale_invariance(self):
         rng = np.random.Generator(np.random.Philox(key=41))
@@ -406,6 +449,18 @@ class TestPlanRegeneration:
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.scores, want.scores)
         assert (got.strategy, got.rate) == (strategy, 0.25)
+
+    def test_misleading_reads_cached_scores(self):
+        enc, model, ds = self.inputs()
+        encodings = encode_batch(enc, ds.features)
+        sims = model_scores(model.classes, row_norms(model.classes),
+                            encodings, row_norms(encodings)[:, None])
+        want = plan_regeneration("misleading", 0.25, model, enc, ds)
+        got = plan_regeneration("misleading", 0.25, model, enc, ds,
+                                encodings, sims)
+        assert want.indices.size > 0
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_insignificant_needs_no_dataset(self):
         enc, model, _ = self.inputs()

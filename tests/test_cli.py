@@ -128,9 +128,9 @@ class TestTrain:
         schemas = {
             "config": {"type", "command", "config"},
             "epoch": {"type", "segment", "epoch", "train_accuracy",
-                      "updates", "wall_ms"},
+                      "updates", "scored", "wall_ms"},
             "round": {"type", "round", "val_accuracy", "regen_indices",
-                      "planned", "target", "wall_ms"},
+                      "planned", "target", "scored", "wall_ms"},
             "timing": {"type", "round", "step", "wall_ms"},
             "summary": {"type", "total_epochs", "stopped_early"},
         }

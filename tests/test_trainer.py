@@ -56,7 +56,8 @@ def _reference_pass(classes, class_norms, encodings, sample_norms, labels,
 
 
 def cached_pass(classes, encodings, labels, order, eta):
-    """One pass from an empty score cache; returns (accuracy, updates)."""
+    """One pass from an empty score cache; returns (accuracy, updates,
+    rows scored)."""
     scores = np.empty((encodings.shape[0], classes.shape[0]))
     fresh = np.zeros(encodings.shape[0], dtype=bool)
     return _adaptive_pass(classes, row_norms(classes), encodings,
@@ -129,26 +130,26 @@ class TestAdaptivePass:
         # h=(1,0) scores (0, 1) against the two classes; wrong winner 1 gets
         # a zero-weight pull, true class 0 gains eta*(1-0)*h exactly
         classes = np.array([[0.0, 1.0], [1.0, 0.0]])
-        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
-                                   np.array([0]), np.array([0]), eta=0.1)
-        assert (acc, updates) == (0.0, 1)
+        result = cached_pass(classes, np.array([[1.0, 0.0]]),
+                             np.array([0]), np.array([0]), eta=0.1)
+        assert result == (0.0, 1, 1)
         np.testing.assert_array_equal(classes, [[0.1, 1.0], [1.0, 0.0]])
 
     def test_correct_prediction_leaves_model_unchanged(self):
         classes = np.array([[1.0, 0.0], [0.0, 1.0]])
         before = classes.copy()
-        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
-                                   np.array([0]), np.array([0]), eta=0.5)
-        assert (acc, updates) == (1.0, 0)
+        result = cached_pass(classes, np.array([[1.0, 0.0]]),
+                             np.array([0]), np.array([0]), eta=0.5)
+        assert result == (1.0, 0, 1)
         np.testing.assert_array_equal(classes, before)
 
     def test_tie_predicts_lower_index(self):
         # equidistant sample labeled 1: class 0 wins the tie, so an update
         # must fire
         classes = np.array([[1.0, 0.0], [1.0, 0.0]])
-        acc, updates = cached_pass(classes, np.array([[1.0, 0.0]]),
-                                   np.array([1]), np.array([0]), eta=0.1)
-        assert (acc, updates) == (0.0, 1)
+        result = cached_pass(classes, np.array([[1.0, 0.0]]),
+                             np.array([1]), np.array([0]), eta=0.1)
+        assert result == (0.0, 1, 1)
 
 
 class TestAdaptiveEpoch:
@@ -161,8 +162,9 @@ class TestAdaptiveEpoch:
         want = classes.copy()
 
         enc = encode_batch(e, feats)
-        acc, updates = cached_pass(classes, enc, labels, np.arange(6),
-                                   eta=0.2)
+        acc, updates, scored = cached_pass(classes, enc, labels,
+                                           np.arange(6), eta=0.2)
+        assert scored == 6  # each row once, from an empty cache
 
         hits = 0
         for i in range(6):
@@ -191,9 +193,10 @@ class TestAdaptiveEpoch:
         scores = np.empty((len(data), 2))
         fresh = np.zeros(len(data), dtype=bool)
         # a zero model mispredicts every class-1 sample
-        _, updates = _adaptive_pass(classes, class_norms, enc, row_norms(enc),
-                                    data.labels, np.arange(len(data)), 0.1,
-                                    scores, fresh)
+        _, updates, _ = _adaptive_pass(classes, class_norms, enc,
+                                       row_norms(enc), data.labels,
+                                       np.arange(len(data)), 0.1, scores,
+                                       fresh)
         assert updates > 0
         assert np.any(classes != 0.0)
         np.testing.assert_array_equal(class_norms, row_norms(classes))
@@ -226,7 +229,7 @@ def assert_pass_exact(classes, encodings, epochs, eta=0.05):
     """Run the cached pass over ``epochs``, a list of (order, labels), with
     one score cache, and the per-sample loop on copies.  Every epoch's
     accuracy and update count, and the final classes and class norms, must
-    be equal.  Returns the per-epoch (accuracy, updates)."""
+    be equal.  Returns the per-epoch (accuracy, updates, rows scored)."""
     got_c, want_c = classes.copy(), classes.copy()
     got_n, want_n = row_norms(classes), row_norms(classes)
     norms = row_norms(encodings)
@@ -238,7 +241,7 @@ def assert_pass_exact(classes, encodings, epochs, eta=0.05):
                              eta, scores, fresh)
         want = _reference_pass(want_c, want_n, encodings, norms, labels,
                                order, eta)
-        assert got == want
+        assert got[:2] == want
         assert np.array_equal(got_c, want_c)
         assert np.array_equal(got_n, want_n)
         results.append(got)
@@ -251,15 +254,18 @@ def assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
     the encoder bases, the classes and the records must be equal."""
     def reference(classes, class_norms, encodings, sample_norms, labels,
                   order, eta, scores, fresh):
-        return _reference_pass(classes, class_norms, encodings, sample_norms,
-                               labels, order, eta)
+        fresh[:] = False  # the loop scores every row and caches none
+        return (*_reference_pass(classes, class_norms, encodings,
+                                 sample_norms, labels, order, eta),
+                order.shape[0])
 
     monkeypatch.setattr(dynhd.trainer, "_adaptive_pass", reference)
     ref_enc, ref_model, ref_records = train(cfg, train_ds, valid_ds)
     assert np.array_equal(model.classes, ref_model.classes)
     assert np.array_equal(enc.bases, ref_enc.bases)
+    # only the timings and the counts of rows scored may differ
     strip = lambda recs: [{k: v for k, v in rec.items()
-                           if k != "wall_ms"} for rec in recs]
+                           if k not in ("wall_ms", "scored")} for rec in recs]
     assert strip(records) == strip(ref_records)
 
 
@@ -287,7 +293,7 @@ class TestCachedPassIsExact:
         rng = np.random.Generator(np.random.Philox(key=position))
         order = rng.permutation(200) if shuffled else np.arange(200)
         assert assert_pass_exact(classes, encodings,
-                                 [(order, labels)]) == [(1.0, 0)]
+                                 [(order, labels)]) == [(1.0, 0, 200)]
         flipped = labels.copy()
         row = order[position]
         flipped[row] = (flipped[row] + 1) % classes.shape[0]
@@ -331,7 +337,7 @@ class TestCachedPassIsExact:
                                                noise=6.0)
         results = assert_pass_exact(classes, encodings,
                                     [(np.arange(300), labels)] * 4, eta=0.5)
-        assert sum(u for _, u in results) > 0.3 * 4 * 300
+        assert sum(r[1] for r in results) > 0.3 * 4 * 300
 
     def test_clean_epoch_reuses_cache_then_update(self, monkeypatch):
         classes, encodings, labels = separated(seed=27)
@@ -343,7 +349,8 @@ class TestCachedPassIsExact:
             classes, encodings,
             [(order, labels), (order, labels), (order, flipped),
              (order, labels)])
-        assert [u for _, u in results] == [0, 0, 1, 0]
+        assert [r[1] for r in results] == [0, 0, 1, 0]
+        assert [r[2] for r in results] == [200, 0, 49, 151]
         assert calls == (
             [1, 2, 4, 8, 16, 32, 64, 64, 9]  # epoch 0 fills the cache
             # epoch 1 reuses it; epoch 2 finds row 150 in the cache, then
@@ -370,6 +377,71 @@ class TestCachedPassIsExact:
                                        enc, model, records)
         assert sum(rec["updates"] for rec in of_type(records, "epoch")) > 0
         assert any(rec["regen_indices"] for rec in of_type(records, "round"))
+
+    def test_misleading_refresh_is_bounded(self, monkeypatch):
+        # each round's detector reads more stale training rows, and the
+        # validation fills more rows, than one batch holds
+        data = blob_data(seed=28, classes=4, n=5, per=50, separation=1.0)
+        train_ds, valid_ds = split(data, [0.5, 0.5], seed=3)
+        cfg = TrainConfig(dim=96, eta=0.05, epochs_per_round=2, rounds=3,
+                          regen_rate=0.1, strategy="misleading",
+                          shuffle=True, seed=8)
+        calls = score_calls(monkeypatch)
+        enc, model, records = train(cfg, train_ds, valid_ds)
+        rounds = of_type(records, "round")
+        assert len(valid_ds) > BLOCK_ROWS
+        assert all(r["scored"] - len(valid_ds) > BLOCK_ROWS
+                   for r in rounds[:-1])
+        assert all(r["planned"] > 0 for r in rounds[:-1])
+        assert max(calls) <= BLOCK_ROWS
+        assert sum(calls) == sum(rec["scored"] for rec in records
+                                 if rec["type"] in ("epoch", "round"))
+        monkeypatch.undo()
+        assert_train_matches_reference(monkeypatch, cfg, train_ds, valid_ds,
+                                       enc, model, records)
+
+    def test_unchanged_model_scores_validation_once(self, monkeypatch):
+        # two updates in the first epoch and none after, and every plan is
+        # empty: segment 0's end scores the validation rows, and nothing
+        # is scored again
+        data = blob_data(seed=14, classes=3, n=4, per=30, separation=2.0)
+        train_ds, valid_ds = split(data, [0.75, 0.25], seed=7)
+        cfg = TrainConfig(dim=128, eta=1.0, epochs_per_round=2, rounds=3,
+                          regen_rate=0.1, strategy="misleading", seed=3)
+        calls = score_calls(monkeypatch)
+        _, _, records = train(cfg, train_ds, valid_ds)
+        epochs, rounds = of_type(records, "epoch"), of_type(records, "round")
+        assert [rec["updates"] for rec in epochs] == [2] + [0] * 7
+        assert [r["regen_indices"] for r in rounds] == [[], [], [], None]
+        # epoch 1 rescores the rows visited before the last update, so the
+        # detector finds every training row fresh
+        assert epochs[1]["scored"] > 0
+        assert [rec["scored"] for rec in epochs[2:]] == [0] * 6
+        assert [r["scored"] for r in rounds] == [len(valid_ds), 0, 0, 0]
+        assert sum(calls) == (epochs[0]["scored"] + epochs[1]["scored"]
+                              + len(valid_ds))
+
+    # rate 0: segment 1 updates and segments 2-4 do not; rate 0.1: the
+    # plans regenerate after segments 3 and 4 stopped updating
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_validation_rescored_after_update_or_regeneration(self, rate):
+        data = blob_data(seed=19, classes=3, n=4, per=20,
+                         separation=2.0 if rate == 0.0 else 3.0)
+        train_ds, valid_ds = split(data, [0.75, 0.25], seed=13)
+        cfg = TrainConfig(dim=64, eta=0.5, epochs_per_round=2, rounds=4,
+                          regen_rate=rate, strategy="insignificant", seed=5)
+        _, _, records = train(cfg, train_ds, valid_ds)
+        epochs, rounds = of_type(records, "epoch"), of_type(records, "round")
+        updated = [any(rec["updates"] for rec in epochs
+                       if rec["segment"] == r["round"]) for r in rounds]
+        regenerated = [False] + [bool(r["planned"]) for r in rounds[:-1]]
+        stale = [u or g for u, g in zip(updated, regenerated)]
+        assert [r["scored"] for r in rounds[1:]] == [
+            len(valid_ds) * s for s in stale[1:]]
+        if rate == 0.0:  # updates alone stale the validation rows
+            assert stale == updated == [True, True, False, False, False]
+        else:  # regeneration alone does, in segments 3 and 4
+            assert updated[3:] == [False, False] and all(stale)
 
     def test_empty_regeneration_keeps_cache(self, monkeypatch):
         # rate 0 plans no dimension, so the scores cached at the end of a
@@ -506,7 +578,7 @@ class TestTrainRegeneration:
         assert [rec["regen_indices"] for rec in rounds[:-1]] == plans
         # the validation cache is checked after every re-encode
         assert [rec["val_accuracy"] for rec in rounds] == val_accs
-        return val_accs
+        return plans, val_accs
 
     def test_insignificant_schedule_matches_replication(self):
         data = blob_data(seed=9, classes=3, n=4, per=10)
@@ -519,14 +591,17 @@ class TestTrainRegeneration:
                                                       cfg.regen_rate))
 
     def test_misleading_schedule_matches_replication(self):
-        data = blob_data(seed=10, classes=3, n=4, per=10, separation=2.0)
+        # the detector reads train's cached scores; the replication scores
+        # every row from scratch
+        data = blob_data(seed=10, classes=3, n=4, per=10, separation=1.0)
         train_ds, valid_ds = split(data, [0.8, 0.2], seed=5)
         cfg = TrainConfig(dim=40, eta=0.05, epochs_per_round=2, rounds=2,
                           regen_rate=0.15, strategy="misleading", seed=29)
-        self.assert_matches_replication(
+        plans, _ = self.assert_matches_replication(
             cfg, train_ds, valid_ds,
             lambda model_, enc_: select_misleading(
                 misleading_scores(model_, enc_, train_ds), cfg.regen_rate))
+        assert all(len(plan) > 0 for plan in plans)  # every round regenerates
 
     def test_domain_variant_schedule_matches_replication(self):
         data = blob_data(seed=12, classes=3, n=4, per=10, separation=1.0,
@@ -534,7 +609,7 @@ class TestTrainRegeneration:
         train_ds, valid_ds = split(data, [0.6, 0.4], seed=6)
         cfg = TrainConfig(dim=24, eta=0.05, epochs_per_round=1, rounds=4,
                           regen_rate=0.5, strategy="domain_variant", seed=31)
-        val_accs = self.assert_matches_replication(
+        _, val_accs = self.assert_matches_replication(
             cfg, train_ds, valid_ds,
             lambda model_, enc_: select_domain_variant(
                 domain_variance(domain_models(enc_, train_ds)),
@@ -688,6 +763,29 @@ class TestTrainReport:
                                "stopped_early": False}
         for rec in records:
             assert json.loads(json.dumps(rec)) == rec
+
+    @pytest.mark.parametrize("strategy", ["insignificant", "misleading",
+                                          "domain_variant"])
+    def test_scored_counts_every_scored_row(self, monkeypatch, strategy):
+        data = blob_data(seed=17, classes=3, n=3, per=10, separation=1.0,
+                         domains=2, offset=1.0)
+        train_ds, valid_ds = split(data, [0.75, 0.25], seed=11)
+        cfg = TrainConfig(dim=16, epochs_per_round=2, rounds=2,
+                          regen_rate=0.25, strategy=strategy, seed=1)
+        calls = score_calls(monkeypatch)
+        _, _, records = train(cfg, train_ds, valid_ds)
+        epochs, rounds = of_type(records, "epoch"), of_type(records, "round")
+        for rec in epochs + rounds:
+            assert type(rec["scored"]) is int
+        # from an empty cache every row is scored, and again if a block
+        # scored it past a mispredict
+        assert epochs[0]["updates"] > 0
+        assert epochs[0]["scored"] > len(train_ds)
+        # the end of a segment scores each stale row once; only the
+        # misleading detector reads training rows
+        most = len(valid_ds) + len(train_ds) * (strategy == "misleading")
+        assert all(0 <= r["scored"] <= most for r in rounds)
+        assert sum(calls) == sum(rec["scored"] for rec in epochs + rounds)
 
     def test_accuracies_in_unit_interval(self):
         data = blob_data(seed=18, classes=3, n=4, per=8)
