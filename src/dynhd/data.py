@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import Dataset, atomic_write_text
-from .rng import check_seed
+from .rng import check_seed, is_integer
 
 STD_FLOOR = 1e-12
 
@@ -240,8 +240,9 @@ def split(d: Dataset, fractions: Sequence[float], seed: int) -> tuple:
     fracs = [float(f) for f in fractions]
     if not fracs:
         raise ValueError("at least one fraction is required")
-    if any(f < 0.0 for f in fracs):
-        raise ValueError("fractions must be non-negative")
+    for f in fracs:
+        if not 0.0 <= f < math.inf:
+            raise ValueError(f"fractions must be finite and >= 0, got {f!r}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
     check_seed(seed)
@@ -284,8 +285,11 @@ def leave_one_domain_out(d: Dataset,
         if held_domain not in d.domain_names:
             raise ValueError(f"unknown domain {held_domain!r}")
         held = d.domain_names.index(held_domain)
-    else:
+    elif is_integer(held_domain):
         held = int(held_domain)
+    else:
+        raise ValueError("held_domain must be a domain name or an integer "
+                         f"id, got {held_domain!r}")
     mask = d.domains == held
     if not mask.any():
         raise ValueError(f"domain {held_domain!r} has no samples")

@@ -56,8 +56,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import EncoderState, RegenPlan, check_history_entry
-from .rng import TWO_PI, UniformStream, check_seed, paired_normals
+from .model import EncoderState, RegenPlan, check_index_set
+from .rng import TWO_PI, UniformStream, paired_normals
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
 # (BLOCK_ROWS, D) floats whatever the number of samples.
@@ -133,23 +133,22 @@ def _check_batch(samples, n: int) -> np.ndarray:
 
 
 def _check_plan(e: EncoderState, plan: RegenPlan) -> np.ndarray:
-    idx = plan.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= e.dim):
-        raise ValueError("plan indices out of range for this encoder")
-    return idx
+    if plan.scores.shape[0] != e.dim:
+        raise ValueError(f"plan is for D={plan.scores.shape[0]}, but the "
+                         f"encoder has D={e.dim}")
+    return plan.indices
 
 
 def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
     """Draw a fresh encoder: ``dim`` standard-normal base rows of length
     ``n`` (row-major draw order), then ``dim`` phases uniform on [0, 2*pi).
     """
-    check_seed(seed)
+    stream = UniformStream(seed)  # checks the seed
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be at least 1")
-    stream = UniformStream(seed)
     bases = stream.normals(dim * n).reshape(dim, n)
     phases = stream.phases(dim)
-    return EncoderState(bases, phases, seed, stream.position, [])
+    return EncoderState(bases, phases, stream.seed, stream.position, [])
 
 
 def encode(e: EncoderState, f) -> np.ndarray:
@@ -210,12 +209,12 @@ def replay_encoder(seed: int, n: int, dim: int,
     """Rebuild an encoder from its replay log: ``init_encoder(seed, n,
     dim)``, then one ``regenerate_dims`` per entry of ``history``, in order.
 
-    Each entry must pass ``check_history_entry``: a non-empty, strictly
+    Each entry must pass ``check_index_set``: a non-empty, strictly
     increasing sequence of integers in [0, dim).
     """
     e = init_encoder(seed, n, dim)
     for i, entry in enumerate(history):
-        e = _redraw(e, check_history_entry(i, entry, dim))
+        e = _redraw(e, check_index_set(f"regen_history[{i}]", entry, dim))
     return e
 
 

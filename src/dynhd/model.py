@@ -43,16 +43,19 @@ def _short_repr(value) -> str:
     return text if len(text) <= REPR_CHARS else text[:REPR_CHARS] + "..."
 
 
-def check_history_entry(i: int, entry, dim: int) -> np.ndarray:
-    """``entry`` as int64 indices; a ValueError names it as
-    ``regen_history[i]`` unless it is a non-empty, strictly increasing
-    sequence of integers in [0, dim)."""
+def check_index_set(name: str, entry, dim: int, empty=False) -> np.ndarray:
+    """``entry`` as int64 indices, the rule of every index set (a plan's, a
+    replay log entry's); a ValueError names it ``name`` unless it is a
+    strictly increasing 1-D sequence of integers in [0, dim), non-empty
+    unless ``empty``."""
     idx = np.asarray(entry)
-    if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu"
-            or idx[0] < 0 or idx[-1] >= dim or np.any(np.diff(idx) <= 0)):
-        raise ValueError(f"regen_history[{i}] must be a non-empty, strictly "
-                         f"increasing list of integers in [0, {dim}), "
-                         f"got {_short_repr(entry)}")
+    if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+            or (idx.size == 0 and not empty)
+            or (idx.size and (idx[0] < 0 or idx[-1] >= dim))
+            or np.any(idx[1:] <= idx[:-1])):
+        raise ValueError(f"{name} must be a {'' if empty else 'non-empty, '}"
+                         "strictly increasing list of integers in "
+                         f"[0, {dim}), got {_short_repr(entry)}")
     return idx.astype(np.int64)
 
 
@@ -107,7 +110,9 @@ class EncoderState:
 class ClassModel:
     """L class hypervectors; ``labels[l]`` names row l of ``classes``.
 
-    Rows are stored unnormalized; norms are computed on demand.
+    Rows are stored unnormalized; norms are computed on demand.  Building
+    one raises ValueError unless ``classes`` is 2-D with one unique label
+    per row, and its entries and each row's squared norm are finite.
     """
 
     classes: np.ndarray  # (L, D)
@@ -124,7 +129,7 @@ class ClassModel:
     def copy(self) -> "ClassModel":
         return ClassModel(self.classes.copy(), list(self.labels))
 
-    def check(self) -> None:
+    def __post_init__(self):
         if self.classes.ndim != 2:
             raise ValueError("classes must be a 2-D array")
         if len(self.labels) != self.classes.shape[0]:
@@ -144,9 +149,11 @@ class ClassModel:
 class RegenPlan:
     """Dimensions selected for regeneration.
 
-    ``indices`` is strictly increasing; ``scores`` is the full per-dimension
-    selection score vector, oriented so that higher means stronger evidence
-    for regeneration (variance-based scores are negated to fit).
+    ``scores`` is the full 1-D per-dimension selection score vector, oriented
+    so that higher means stronger evidence for regeneration (variance-based
+    scores are negated to fit); its length is the encoder's D.  ``indices``,
+    stored as int64, may be empty but must pass ``check_index_set`` for
+    that D.  Building a plan raises ValueError on a broken rule.
     """
 
     indices: np.ndarray  # (k,) int64, strictly increasing, each in [0, D)
@@ -155,19 +162,17 @@ class RegenPlan:
     rate: float
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "scores",
-                           np.asarray(self.scores, dtype=np.float64))
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if scores.ndim != 1:
+            raise ValueError(f"plan scores must be 1-D, got shape "
+                             f"{scores.shape}")
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "indices", check_index_set(
+            "plan indices", self.indices, scores.shape[0], empty=True))
         if self.strategy not in REGEN_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.scores.shape[0]:
-                raise ValueError("plan indices out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("plan indices must be strictly increasing")
 
 
 @dataclass
@@ -307,7 +312,6 @@ def load_model(path: str, n_features: Optional[int] = None):
         labels = doc["labels"]
         classes = _unpack("classes", doc["classes"], len(labels) * dim)
         model = ClassModel(classes.reshape(len(labels), dim), labels)
-        model.check()
         normalizer = None
         if "normalizer" in doc:
             from .data import NormalizationStats  # deferred: data imports model
@@ -360,10 +364,10 @@ def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
 
 def _pack_mask(i: int, indices, dim: int) -> str:
     """Base64 of the little-endian packed ``dim``-bit mask of
-    ``regen_history[i]``, which ``check_history_entry`` must accept: a mask
+    ``regen_history[i]``, which ``check_index_set`` must accept: a mask
     cannot keep an order or a repeat."""
     mask = np.zeros(dim, dtype=bool)
-    mask[check_history_entry(i, indices, dim)] = True
+    mask[check_index_set(f"regen_history[{i}]", indices, dim)] = True
     return base64.b64encode(np.packbits(mask, bitorder="little")).decode()
 
 

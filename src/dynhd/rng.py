@@ -27,8 +27,16 @@ TWO_PI = 2.0 * np.pi
 MAX_SEED = 2**64 - 1
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
-    """Validate the 64-bit non-negative seed ``name``; return it as an int."""
+    """Validate the 64-bit non-negative seed ``name``, an integer as
+    ``is_integer`` has it; return it as an int."""
+    if not is_integer(seed):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"{name} must be in [0, 2**64): got {seed}")

@@ -136,7 +136,7 @@ def train(cfg: TrainConfig, train_ds: Dataset,
 
     # Shuffle draws come from a separate stream so they never perturb the
     # encoder's draw counter.
-    shuffle_rng = (np.random.Generator(np.random.Philox(key=cfg.seed + (1 << 64)))
+    shuffle_rng = (np.random.Generator(np.random.Philox(key=enc.seed + (1 << 64)))
                    if cfg.shuffle else None)
 
     epochs, rounds, timings = [], [], []

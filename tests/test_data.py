@@ -371,6 +371,15 @@ class TestSplit:
             assert part.labels.tolist() == expected.labels.tolist()
             assert part.domains.tolist() == expected.domains.tolist()
 
+    @pytest.mark.parametrize("fractions, bad", [
+        ([0.5, float("nan")], "nan"), ([float("inf"), 0.5], "inf"),
+        ([1.2, -0.2], "-0.2")])
+    def test_non_finite_or_negative_fraction_named(self, fractions, bad):
+        with pytest.raises(ValueError) as exc:
+            split(self.balanced(), fractions, seed=0)
+        msg = f"fractions must be finite and >= 0, got {bad}"
+        assert str(exc.value) == msg
+
     def test_invalid_fractions_rejected(self):
         d = self.balanced()
         with pytest.raises(ValueError):
@@ -429,6 +438,17 @@ class TestLeaveOneDomainOut:
         d = Dataset(np.zeros((2, 1)), np.array([0, 1]), ["a", "b"])
         with pytest.raises(ValueError):
             leave_one_domain_out(d, 0)
+
+    @pytest.mark.parametrize("held", [1.7, 1.0, True, None, [1]])
+    def test_held_domain_of_another_type_rejected(self, held):
+        with pytest.raises(ValueError) as exc:
+            leave_one_domain_out(self.make(), held)
+        assert str(exc.value) == ("held_domain must be a domain name or an "
+                                  f"integer id, got {held!r}")
+
+    def test_numpy_integer_id_accepted(self):
+        _, test = leave_one_domain_out(self.make(), np.int64(2))
+        assert len(test) > 0 and np.all(test.domains == 2)
 
 
 class TestDatasetCache:

@@ -11,8 +11,8 @@ import dynhd.encoder
 from dynhd.encoder import (BLOCK_ROWS, MAPPED_BYTES, encode, encode_batch,
                            init_encoder, reencode_dims, regenerate_dims,
                            replay_encoder)
-from dynhd.model import (REPR_CHARS, EncoderState, RegenPlan, load_model,
-                         save_model)
+from dynhd.model import (REPR_CHARS, ClassModel, EncoderState, RegenPlan,
+                         load_model, save_model)
 from dynhd.rng import TWO_PI, UniformStream
 
 
@@ -84,6 +84,24 @@ class TestInitEncoder:
     def test_rejects_nonpositive_sizes(self, n, dim):
         with pytest.raises(ValueError):
             init_encoder(1, n, dim)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError) as exc:
+            init_encoder(seed, 2, 8)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_is_stored_as_int(self, tmp_path):
+        e = init_encoder(np.int64(5), 2, 8)
+        assert type(e.seed) is int and e.seed == 5
+        assert e.bases.tobytes() == init_encoder(5, 2, 8).bases.tobytes()
+        e = regenerate_dims(e, plan_for(e, [1, 6]))
+        path = os.path.join(tmp_path, "m.json")
+        save_model(path, e, ClassModel(np.zeros((2, 8)), ["a", "b"]))
+        restored, _, _ = load_model(path)
+        assert restored.seed == 5 and restored.draw_counter == e.draw_counter
+        assert restored.bases.tobytes() == e.bases.tobytes()
+        assert restored.phases.tobytes() == e.phases.tobytes()
 
 
 class TestEncode:
@@ -276,7 +294,6 @@ class TestRegenerateDims:
                                           stream.phases(1))
 
     def test_replay_from_serialized_state(self, tmp_path):
-        from dynhd.model import ClassModel
         e = init_encoder(5, 4, 8)
         path = os.path.join(tmp_path, "m.json")
         save_model(path, e, ClassModel(np.zeros((2, 8)), ["a", "b"]))
@@ -286,6 +303,17 @@ class TestRegenerateDims:
         b = regenerate_dims(restored, plan)
         np.testing.assert_array_equal(a.bases, b.bases)
         np.testing.assert_array_equal(a.phases, b.phases)
+
+    @pytest.mark.parametrize("call", ["regenerate", "reencode"])
+    def test_plan_for_another_dim_rejected(self, call):
+        e = init_encoder(5, 2, 4)
+        plan = RegenPlan(np.array([1]), np.zeros(8), "insignificant", 0.25)
+        with pytest.raises(ValueError) as exc:
+            if call == "regenerate":
+                regenerate_dims(e, plan)
+            else:
+                reencode_dims(e, np.zeros(2), np.zeros(4), plan)
+        assert str(exc.value) == "plan is for D=8, but the encoder has D=4"
 
     def test_out_of_range_plan_rejected(self):
         e = init_encoder(5, 2, 4)
@@ -347,6 +375,8 @@ class TestReplayEncoder:
         ([[3, 1]], 0), ([[1], [2, 2]], 1), ([[-1]], 0), ([[8]], 0),
         ([[]], 0), ([[1.0]], 0), ([[True]], 0), ([["1"]], 0), ([[[1]]], 0),
         ([[2**70]], 0), ([list(range(1000, 0, -1))], 0),
+        ([np.array([3, 1], dtype=np.uint64)], 0),
+        ([np.array([2**64 - 1, 1], dtype=np.uint64)], 0),
     ])
     def test_bad_entry_rejected(self, history, bad):
         with pytest.raises(ValueError) as exc:

@@ -62,26 +62,32 @@ class TestClassModel:
         assert m.dim == 8 and m.n_classes == 3
 
     def test_check_rejects_duplicate_labels(self):
-        m = ClassModel(np.zeros((2, 4)), ["x", "x"])
         with pytest.raises(ValueError):
-            m.check()
+            ClassModel(np.zeros((2, 4)), ["x", "x"])
 
     def test_check_rejects_label_count_mismatch(self):
-        m = ClassModel(np.zeros((2, 4)), ["x"])
         with pytest.raises(ValueError):
-            m.check()
+            ClassModel(np.zeros((2, 4)), ["x"])
 
     def test_check_rejects_overflowing_norms_of_finite_rows(self):
         classes = np.ones((3, 4))
         classes[[0, 2]] *= 1e200  # finite entries, squared norm 4e400
-        m = ClassModel(classes, ["x", "y", "z"])
-        assert np.isfinite(m.classes).all()
+        assert np.isfinite(classes).all()
         with pytest.raises(ValueError) as exc:
-            m.check()
+            ClassModel(classes, ["x", "y", "z"])
         assert str(exc.value) == "class row(s) [0, 2] have non-finite norms"
 
     def test_check_accepts_the_largest_finite_norm(self):
-        ClassModel(np.full((1, 4), 1e153), ["x"]).check()
+        ClassModel(np.full((1, 4), 1e153), ["x"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_at_construction(self, value):
+        classes = np.zeros((2, 4))
+        classes[1, 2] = value
+        with pytest.raises(ValueError,
+                           match="^class hypervectors contain non-finite "
+                                 "entries$"):
+            ClassModel(classes, ["x", "y"])
 
 
 class TestRegenPlan:
@@ -107,6 +113,29 @@ class TestRegenPlan:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             RegenPlan(np.array([-1]), np.array([]), "misleading", 0.5)
+
+    @pytest.mark.parametrize("indices", [
+        [0.9, 2.5], np.array([1.0, 2.0]), [[0, 1]], np.zeros((1, 0)),
+        np.zeros(0), [], np.array([True, False]),
+        np.array([3, 1], dtype=np.uint64), [8]])
+    def test_rejects_indices_outside_the_index_set_rule(self, indices):
+        with pytest.raises(ValueError) as exc:
+            RegenPlan(indices, np.zeros(8), "insignificant", 0.25)
+        assert str(exc.value) == (
+            "plan indices must be a strictly increasing list of integers in "
+            f"[0, 8), got {indices!r}")
+
+    @pytest.mark.parametrize("indices", [np.array([], dtype=np.int64),
+                                         np.array([0, 7], dtype=np.uint8)])
+    def test_integer_indices_stored_as_int64(self, indices):
+        p = RegenPlan(indices, np.zeros(8), "insignificant", 0.25)
+        assert p.indices.dtype == np.int64
+        assert p.indices.tolist() == indices.tolist()
+
+    def test_rejects_2d_scores(self):
+        with pytest.raises(ValueError) as exc:
+            RegenPlan(np.array([1]), np.zeros((2, 4)), "insignificant", 0.25)
+        assert str(exc.value) == "plan scores must be 1-D, got shape (2, 4)"
 
 
 class TestValidateDataset:

@@ -92,6 +92,21 @@ def test_out_of_range_seed_rejected(seed):
         check_seed(seed)
 
 
+@pytest.mark.parametrize("seed", [2.9, 2.0, True, False, "7", None,
+                                  np.float64(3.0), np.bool_(True)])
+def test_non_integer_seed_rejected_by_name(seed):
+    with pytest.raises(ValueError) as exc:
+        check_seed(seed, "split_seed")
+    assert str(exc.value) == f"split_seed must be an integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(MAX_SEED),
+                                  np.int8(3)])
+def test_numpy_integer_seed_is_returned_as_int(seed):
+    checked = check_seed(seed)
+    assert type(checked) is int and checked == seed
+
+
 def test_negative_position_and_counts_rejected():
     with pytest.raises(ValueError):
         UniformStream(0, position=-1)

@@ -94,6 +94,8 @@ class TestTrainConfig:
         {"dim": 8, "strategy": "bogus"},
         {"dim": 8, "patience": -1},
         {"dim": 8, "seed": -1},
+        {"dim": 8, "seed": True},
+        {"dim": 8, "seed": 1.5},
         {"dim": 8, "eta": float("nan")},
         {"dim": 8, "eta": float("inf")},
     ])
@@ -663,6 +665,17 @@ class TestTrainValidation:
             train(cfg, empty, self.valid_ds)
         with pytest.raises(ValueError):
             train(cfg, self.train_ds, empty)
+
+    def test_numpy_integer_seed_trains_like_its_int(self):
+        runs = []
+        for seed in (np.int64(5), 5):
+            cfg = TrainConfig(dim=16, rounds=1, regen_rate=0.25,
+                              strategy="insignificant", shuffle=True,
+                              seed=seed)
+            enc, model, _ = train(cfg, self.train_ds, self.valid_ds)
+            assert type(enc.seed) is int
+            runs.append((enc.bases.tobytes(), model.classes.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_feature_count_mismatch_rejected(self):
         wider = Dataset(np.zeros((2, 4)), np.array([0, 1]),
