@@ -29,7 +29,9 @@ class NormalizationStats:
     """Per-feature z-score statistics fitted on a training split.
 
     ``std`` is stored post-clamp (everything below STD_FLOOR is raised to
-    it), so applying the stats never divides by ~0.
+    it), so applying the stats never divides by ~0.  Building one raises
+    ValueError unless the means are finite and the stds finite and at least
+    STD_FLOOR.
     """
 
     mean: np.ndarray
@@ -40,17 +42,16 @@ class NormalizationStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be 1-D arrays of equal length")
-
-    def check(self, n: int) -> None:
-        """Raise ValueError unless the stats cover n features with finite
-        means and finite stds of at least STD_FLOOR."""
-        if self.mean.shape != (n,):
-            raise ValueError(f"normalizer has {self.mean.shape[0]} features, "
-                             f"expected {n}")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()
                 and (self.std >= STD_FLOOR).all()):
             raise ValueError("normalizer means must be finite and its stds "
                              f"finite and at least {STD_FLOOR}")
+
+    def check(self, n: int) -> None:
+        """Raise ValueError unless the stats cover n features."""
+        if self.mean.shape != (n,):
+            raise ValueError(f"normalizer has {self.mean.shape[0]} features, "
+                             f"expected {n}")
 
 
 def fit_normalizer(train: Dataset) -> NormalizationStats:

@@ -28,16 +28,20 @@ run it as row 0 of the batch paths, whose one input check, and whose check
 for a projection that overflows (NaN after the sine), name the offending row.
 
 Every encode runs through one kernel that projects a block of at most
-``BLOCK_ROWS`` samples with ``einsum("Nn,dn->Nd")`` and applies the sine in
-place.  Projections deliberately use einsum rather than BLAS matmul: einsum
-reduces each output element with the same loop regardless of how many rows
-or dimensions are projected, so a block of samples encodes each row exactly
-as it encodes alone, and re-encoding a subset of dimensions reproduces the
-corresponding entries of a full encode bit-for-bit.  The same property lets
-the kernel tile the projection over base rows: at n=617, D=10000 the bases
-take 49 MB, and one einsum over all of them streams the whole matrix from
-memory once per sample row, where a tile of ``TILE_BYTES`` is read from
-cache by every row of the block.
+``BLOCK_ROWS`` samples and applies the sine in place.  Each projection
+x_i = f.B_i is the left-to-right sum ((f_0 B_i0 + f_1 B_i1) + f_2 B_i2) + ...,
+one multiply and one add per term, whatever else the call projects: a block
+encodes each row as it encodes alone, and re-encoding a subset of dimensions
+reproduces those entries of a full encode bit-for-bit.  BLAS matmul would
+not; its order changes with the shape of the call.  The kernel runs
+``einsum("Nn,nd->Nd")`` on Fortran-ordered rows and the C-ordered (n, D)
+transpose of the bases, so einsum adds f_k * B_ik feature by feature in a
+loop along D (the tests hold it to a plain fold of ``np.multiply`` and
+``np.add``); at n=16 that costs half its lane-parallel reduction along n.
+An operand one column wide would bring that reduction back, so none is: the
+last tile reaches back a column, and a one-dimension projection is padded to
+two.  Tiles of ``TILE_COLUMNS`` keep a block's outputs in cache while every
+feature is added into them.
 
 A batch's (N, D) output of ``MAPPED_BYTES`` or more gets its own anonymous
 memory mapping, unmapped when the array is freed.  From ``np.empty`` it would
@@ -63,10 +67,10 @@ from .rng import TWO_PI, UniformStream, paired_normals
 # (BLOCK_ROWS, D) floats whatever the number of samples.
 BLOCK_ROWS = 64
 
-# Base rows per einsum call: max(32, TILE_BYTES // (8 * n)), so that one
-# tile of bases stays in cache while every row of a block is projected on it
-# (see the module docstring).
-TILE_BYTES = 1 << 18
+# Columns per einsum call, at least 2 (see the module docstring): a block's
+# outputs take 1 MB.  At n=16, 100, 617 and 2000, tiles of 1024 and 2048
+# columns projected fastest, within 2% of each other.
+TILE_COLUMNS = 2048
 
 # Batch outputs of at least this size get their own mapping (see the module
 # docstring); numpy itself advises huge pages from the same size on.
@@ -90,19 +94,33 @@ def _empty_encodings(count: int, dim: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64).reshape(count, dim)
 
 
-def _encode_block(rows: np.ndarray, bases: np.ndarray, phases: np.ndarray,
+def _project(rows: np.ndarray, bases_t: np.ndarray,
+             x: np.ndarray) -> np.ndarray:
+    """x = rows @ bases_t, each entry summed left to right over the
+    features (see the module docstring)."""
+    d = bases_t.shape[1]
+    if d == 1:  # einsum would reduce a 1-wide operand in SIMD lanes
+        x[:] = _project(rows, np.repeat(bases_t, 2, axis=1),
+                        np.empty((rows.shape[0], 2)))[:, :1]
+        return x
+    rows = np.asfortranarray(rows)
+    for d0 in range(0, d, TILE_COLUMNS):
+        cols = slice(min(d0, d - 2), d0 + TILE_COLUMNS)  # never 1 wide
+        np.einsum("Nn,nd->Nd", rows, bases_t[:, cols], out=x[:, cols])
+    return x
+
+
+def _encode_block(rows: np.ndarray, bases_t: np.ndarray, phases: np.ndarray,
                   sin_phases: np.ndarray, start: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases.T, computed in
-    ``out``; ``sin_phases`` is np.sin(phases).  A projection that overflows
+    """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases_t, computed in
+    ``out``; ``bases_t`` is the (n, d) C-contiguous transpose of the bases
+    and ``sin_phases`` is np.sin(phases).  A projection that overflows
     raises ValueError naming its sample, numbered from ``start`` for the
     block's first row."""
-    step = max(32, TILE_BYTES // (8 * bases.shape[1]))
-    x = np.empty((rows.shape[0], bases.shape[0])) if out is None else out
+    x = np.empty((rows.shape[0], bases_t.shape[1])) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for d0 in range(0, bases.shape[0], step):
-            np.einsum("Nn,dn->Nd", rows, bases[d0:d0 + step],
-                      out=x[:, d0:d0 + step])
+        _project(rows, bases_t, x)
         x += x
         x += phases
         np.sin(x, out=x)
@@ -167,9 +185,10 @@ def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
         return np.empty((0, e.dim))
     arr = _check_batch(arr, e.n_features)
     out = _empty_encodings(arr.shape[0], e.dim)
+    bases_t = np.ascontiguousarray(e.bases.T)
     sin_phases = np.sin(e.phases)
     for rows in _blocks(arr.shape[0]):
-        _encode_block(arr[rows], e.bases, e.phases, sin_phases, rows.start,
+        _encode_block(arr[rows], bases_t, e.phases, sin_phases, rows.start,
                       out=out[rows])
     return out
 
@@ -241,12 +260,16 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
     idx = _check_plan(e, plan)
     out = h if inplace else h.copy()
     if idx.size:
-        # Each block's columns go straight into ``out``: no (N, |idx|)
-        # temporary is built beside it.
-        bases, phases = e.bases[idx], e.phases[idx]
+        # Each block's columns are put straight into ``out`` at the flat
+        # offsets row * D + idx: no (N, |idx|) temporary is built beside it.
+        bases_t = np.ascontiguousarray(e.bases[idx].T)
+        phases = e.phases[idx]
         sin_phases = np.sin(phases)
         encodings = np.atleast_2d(out)
+        offsets = (np.arange(min(BLOCK_ROWS, rows.shape[0]))[:, None] * e.dim
+                   + idx)
         for block in _blocks(rows.shape[0]):
-            encodings[block, idx] = _encode_block(rows[block], bases, phases,
-                                                  sin_phases, block.start)
+            x = _encode_block(rows[block], bases_t, phases, sin_phases,
+                              block.start)
+            np.put(encodings[block], offsets[:x.shape[0]], x)
     return out

@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .rng import check_seed
+
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
 
@@ -84,6 +86,8 @@ class EncoderState:
     sets, one int64 array per non-empty plan, in order: with the seed and
     the shape it determines the bases, phases and ``draw_counter`` (see
     ``encoder.replay_encoder``), and it is what a model file stores.
+    Building one raises ValueError unless ``seed`` passes
+    ``rng.check_seed``; it is stored as an int.
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
@@ -91,6 +95,9 @@ class EncoderState:
     seed: int
     draw_counter: int
     regen_history: list[np.ndarray]
+
+    def __post_init__(self):
+        self.seed = check_seed(self.seed)
 
     @property
     def dim(self) -> int:
@@ -261,6 +268,8 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
     stored as its ``regen_history``."""
     if encoder.dim != model.dim:
         raise ValueError("encoder and model dimensionality differ")
+    if normalizer is not None:
+        normalizer.check(encoder.n_features)
     doc = {
         "version": MODEL_FILE_VERSION,
         "n": encoder.n_features,

@@ -160,14 +160,13 @@ class TestNormalizer:
             apply_normalizer(stats, d)
 
     def test_std_below_floor_rejected(self):
-        # a std under STD_FLOOR is refused before it can overflow a feature
-        stats = NormalizationStats([0.0, 0.0], [1e-320, 1.0])
-        d = Dataset(np.ones((2, 2)), np.array([0, 0]), ["a"])
+        # a std under STD_FLOOR is refused when the stats are built, before
+        # it can overflow a feature
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="stds finite and at least "
                                                  "1e-12$"):
-                apply_normalizer(stats, d)
+                NormalizationStats([0.0, 0.0], [1e-320, 1.0])
 
     def test_input_dataset_unmodified(self):
         d = Dataset(np.array([[0.0], [2.0]]), np.array([0, 1]), ["a", "b"])

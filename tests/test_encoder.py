@@ -16,11 +16,22 @@ from dynhd.model import (REPR_CHARS, ClassModel, EncoderState, RegenPlan,
 from dynhd.rng import TWO_PI, UniformStream
 
 
-def per_row_encode(e, f):
-    """The per-sample formula the row-block kernel must reproduce: the
-    paper's cos(x + c) * sin(x) in its one-sine form."""
-    x = np.einsum("dn,n->d", e.bases, f)
-    return 0.5 * (np.sin(2.0 * x + e.phases) - np.sin(e.phases))
+def fold_projection(feats, bases):
+    """feats @ bases.T in the encoder's stated order, without einsum: each
+    entry the left-to-right sum ((0 + f_0 B_i0) + f_1 B_i1) + ..., one
+    np.multiply and one np.add per feature.  ``feats`` is (N, n) or (n,)."""
+    feats = np.asarray(feats, dtype=np.float64)
+    x = np.zeros(feats.shape[:-1] + bases.shape[:1])
+    for k in range(bases.shape[1]):
+        x = np.add(x, np.multiply(feats[..., k, None], bases[:, k]))
+    return x
+
+
+def fold_encode(feats, bases, phases):
+    """The encoding every kernel path must reproduce bit for bit: the
+    paper's cos(x + c) * sin(x) in its one-sine form, x the fold above."""
+    x = fold_projection(feats, bases)
+    return 0.5 * (np.sin(2.0 * x + phases) - np.sin(phases))
 
 
 def _reference_regenerate(e, indices):
@@ -437,7 +448,8 @@ class TestRowBlocksAreExact:
         batched = encode_batch(e, feats)
         for i in range(count):
             assert np.array_equal(batched[i], encode(e, feats[i]))
-            assert np.array_equal(batched[i], per_row_encode(e, feats[i]))
+            assert np.array_equal(batched[i], fold_encode(
+                feats[i], e.bases, e.phases))
 
     @pytest.mark.parametrize("which", ["empty", "some", "all"])
     @pytest.mark.parametrize("count", ROW_COUNTS)
@@ -456,7 +468,8 @@ class TestRowBlocksAreExact:
         assert reencode_dims(e2, feats, cache, plan, inplace=True) is cache
         for i in range(count):
             assert np.array_equal(cache[i], per_row[i])
-            assert np.array_equal(cache[i], per_row_encode(e2, feats[i]))
+            assert np.array_equal(cache[i], fold_encode(
+                feats[i], e2.bases, e2.phases))
 
     def test_batch_reencode_copy_leaves_input(self):
         e = init_encoder(3, 2, 9)
@@ -519,21 +532,14 @@ class TestOverflowingProjection:
         ok = [d for d in range(16) if abs(e.bases[d, 0]) < 0.5]
         assert 0 < len(ok) < 16  # 2x overflows on some other dimension
         h = reencode_dims(e, f, np.zeros(16), plan_for(e, ok))
-        part = EncoderState(e.bases[ok], e.phases[ok], e.seed,
-                            e.draw_counter, [])
-        assert np.array_equal(h[ok], per_row_encode(part, f))
+        assert np.array_equal(h[ok], fold_encode(f, e.bases[ok],
+                                                 e.phases[ok]))
         with pytest.raises(ValueError, match="^sample 0: encoding is not"):
             encode(e, f)
 
 
-def untiled_encode(feats, bases, phases):
-    """The kernel without tiles: one einsum over every base row."""
-    x = np.einsum("Nn,dn->Nd", feats, bases)
-    return 0.5 * (np.sin(2.0 * x + phases) - np.sin(phases))
-
-
 def count_einsums(monkeypatch):
-    """Record the base-row count of every einsum the encoder calls."""
+    """Record the column count of every einsum the encoder calls."""
     einsums = []
 
     class CountingNumpy:
@@ -541,51 +547,55 @@ def count_einsums(monkeypatch):
             return getattr(np, name)
 
         def einsum(self, *args, **kwargs):
-            einsums.append(args[2].shape[0])
+            einsums.append(args[2].shape[1])
             return np.einsum(*args, **kwargs)
 
     monkeypatch.setattr(dynhd.encoder, "np", CountingNumpy())
     return einsums
 
 
-class TestTiledProjectionIsExact:
-    """Tiling the projection over base rows changes no bit: every entry is
-    the same einsum reduction over n."""
+def tile_widths(dim, step):
+    """The encoder's tiles over ``dim`` columns: ``step`` wide, the last one
+    reaching back a column rather than being one column wide."""
+    widths = [step] * (dim // step) + ([dim % step] if dim % step else [])
+    return widths[:-1] + [2] if widths[-1] == 1 else widths
 
-    # (n, TILE_BYTES, D): tiles of 32, 40 and 33 base rows, none dividing D
-    @pytest.mark.parametrize("n, tile_bytes, dim", [
-        (5, 1, 101), (37, 8 * 37 * 40, 130), (617, 8 * 617 * 33, 70)])
-    def test_uneven_tiles_equal_the_untiled_einsum(self, monkeypatch, n,
-                                                   tile_bytes, dim):
-        monkeypatch.setattr(dynhd.encoder, "TILE_BYTES", tile_bytes)
-        step = max(32, tile_bytes // (8 * n))
-        assert step < dim and dim % step
+
+class TestTiledProjectionIsExact:
+    """Tiling the projection over columns changes no bit: every entry is
+    the same left-to-right sum over n, and no einsum operand is one column
+    wide."""
+
+    # (n, TILE_COLUMNS, D): no tile width divides D, and the last three
+    # shapes leave one column for the last tile
+    @pytest.mark.parametrize("n, step, dim", [
+        (5, 32, 101), (37, 40, 130), (617, 33, 67), (3, 32, 97), (7, 32, 1)])
+    def test_uneven_tiles_equal_the_fold(self, monkeypatch, n, step, dim):
+        monkeypatch.setattr(dynhd.encoder, "TILE_COLUMNS", step)
         einsums = count_einsums(monkeypatch)
         e = init_encoder(11, n, dim)
         feats = np.random.Generator(np.random.Philox(key=n)).standard_normal(
             (BLOCK_ROWS + 6, n)) * 3.0
         batched = encode_batch(e, feats)
         # two row blocks, each split into the same uneven tiles
-        assert einsums == ([step] * (dim // step) + [dim % step]) * 2
-        assert batched.tobytes() == untiled_encode(feats, e.bases,
-                                                   e.phases).tobytes()
+        assert einsums == tile_widths(dim, step) * 2
+        assert batched.tobytes() == fold_encode(feats, e.bases,
+                                                e.phases).tobytes()
         assert encode(e, feats[3]).tobytes() == batched[3].tobytes()
 
-        idx = np.arange(1, dim, 2)  # more planned rows than one tile holds
+        idx = np.arange(1, dim, 2)  # more planned columns than one tile
         plan = plan_for(e, idx)
         e2 = regenerate_dims(e, plan)
-        expected = untiled_encode(feats, e2.bases, e2.phases)
+        expected = fold_encode(feats, e2.bases, e2.phases)
         assert reencode_dims(e2, feats, batched, plan,
                              inplace=True) is batched
         assert batched.tobytes() == expected.tobytes()
         assert (reencode_dims(e2, feats[3], encode(e, feats[3]),
                               plan).tobytes() == expected[3].tobytes())
-        planned = untiled_encode(feats, e2.bases[idx], e2.phases[idx])
-        assert batched[:, idx].tobytes() == planned.tobytes()
 
     def test_one_tile_covers_the_small_shape(self, monkeypatch):
-        """At n=16 a tile holds TILE_BYTES // 128 = 2048 base rows, so
-        D=2048 projects in one einsum per row block."""
+        """A tile holds TILE_COLUMNS = 2048 columns, so D=2048 projects in
+        one einsum per row block."""
         einsums = count_einsums(monkeypatch)
         encode_batch(init_encoder(3, 16, 2048), np.ones((BLOCK_ROWS + 1, 16)))
         assert einsums == [2048, 2048]

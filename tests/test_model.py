@@ -337,6 +337,45 @@ class TestModelFile:
         assert stats.mean.tobytes() == norm.mean.tobytes()
         assert stats.std.tobytes() == norm.std.tobytes()
 
+    @pytest.mark.parametrize("mean, std", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [1e-320, 1.0])])
+    def test_bad_normalizer_rejected_before_any_file(self, tmp_path, mean,
+                                                      std):
+        """A normalizer a model file could not hold fails when it is built,
+        so ``save_model`` never writes one that ``load_model`` rejects."""
+        with pytest.raises(ValueError, match=f"^{NORMALIZER_RANGE}$"):
+            save_model(os.path.join(tmp_path, "model.json"),
+                       init_encoder(1, 2, 8),
+                       ClassModel(np.zeros((2, 8)), ["a", "b"]),
+                       normalizer=NormalizationStats(mean, std))
+        assert os.listdir(tmp_path) == []
+
+    def test_normalizer_for_another_n_rejected_before_any_file(self,
+                                                               tmp_path):
+        with pytest.raises(ValueError,
+                           match="^normalizer has 3 features, expected 2$"):
+            save_model(os.path.join(tmp_path, "model.json"),
+                       init_encoder(1, 2, 8),
+                       ClassModel(np.zeros((2, 8)), ["a", "b"]),
+                       normalizer=NormalizationStats(np.zeros(3), np.ones(3)))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+    def test_bad_encoder_seed_rejected_before_any_file(self, tmp_path, seed):
+        with pytest.raises(ValueError, match="^seed must be "):
+            save_model(os.path.join(tmp_path, "model.json"),
+                       replace(init_encoder(1, 2, 8), seed=seed),
+                       ClassModel(np.zeros((2, 8)), ["a", "b"]))
+        assert os.listdir(tmp_path) == []
+
+    def test_numpy_integer_encoder_seed_saved_as_int(self, tmp_path):
+        enc = replace(init_encoder(1, 2, 8), seed=np.int64(1))
+        assert type(enc.seed) is int
+        path = os.path.join(tmp_path, "model.json")
+        save_model(path, enc, ClassModel(np.zeros((2, 8)), ["a", "b"]))
+        assert_same_encoder(enc, load_model(path)[0])
+
     def test_history_roundtrips_at_an_uneven_dim(self, tmp_path):
         """At D=13 the mask's second byte holds bits 8-12 and three
         padding bits."""

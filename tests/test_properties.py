@@ -1,8 +1,9 @@
 """Randomized invariant suite.
 
-Ten families, each run over at least 200 generated cases: monotone top-k
-accuracy, scale-invariant rankings, bounded encodings, encodings within a
-rounding bound of the paper's product formula, class-scale-invariant
+Eleven families, each run over at least 200 generated cases: monotone
+top-k accuracy, scale-invariant rankings, bounded encodings, encodings
+within a rounding bound of the paper's product formula, every encode path
+equal to a plain left-to-right fold of the projection, class-scale-invariant
 detector scores, the regeneration zero/coherence rules, batched in-place
 re-encoding equal to a fresh encode, strict rejection of non-finite
 training hyperparameters, the score-cached training pass equal to the
@@ -19,8 +20,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import dynhd.encoder
 from dynhd.analysis import domain_variance, misleading_scores
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            reencode_dims, regenerate_dims, replay_encoder)
@@ -28,6 +30,7 @@ from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy)
 from dynhd.model import ClassModel, Dataset, RegenPlan
 from dynhd.trainer import TrainConfig
+from test_encoder import fold_encode, fold_projection, plan_for
 from test_trainer import assert_pass_exact
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
@@ -122,10 +125,38 @@ def test_encoding_within_rounding_of_product_formula(seed, dim, n, log_scale):
     rng = make_rng(seed)
     e = init_encoder(seed, n, dim)
     f = rng.standard_normal(n) * 10.0 ** log_scale / math.sqrt(n)
-    x = np.einsum("Nn,dn->Nd", f[None, :], e.bases)[0]
+    x = fold_projection(f, e.bases)
     product = np.cos(x + e.phases) * np.sin(x)
     bound = 4.0 * np.finfo(np.float64).eps * (np.abs(x) + 1.0)
     assert np.all(np.abs(encode(e, f) - product) <= bound)
+
+
+@COMMON
+@given(seed=seeds, n=st.integers(1, 40), dim=st.integers(1, 100),
+       count=st.integers(1, BLOCK_ROWS + 6),
+       picked=st.lists(st.integers(0, 99), min_size=1, max_size=100))
+@example(seed=1, n=17, dim=1, count=1, picked=[0])
+@example(seed=2, n=17, dim=33, count=2, picked=[7])
+@example(seed=3, n=17, dim=97, count=BLOCK_ROWS + 1,
+         picked=list(range(0, 97, 3)))
+def test_every_encode_path_equals_the_fold(seed, n, dim, count, picked):
+    # 32-column tiles, so a D of 32k + 1, or as many planned dimensions,
+    # leaves one column for the last tile
+    rng = make_rng(seed)
+    e = init_encoder(seed, n, dim)
+    feats = rng.standard_normal((count, n)) * 3.0
+    plan = plan_for(e, {i % dim for i in picked})
+    e2 = regenerate_dims(e, plan)
+    expected = fold_encode(feats, e.bases, e.phases)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynhd.encoder, "TILE_COLUMNS", 32)
+        batch = encode_batch(e, feats)
+        single = encode(e, feats[-1])
+        assert batch.tobytes() == expected.tobytes()
+        reencode_dims(e2, feats, batch, plan, inplace=True)
+    assert single.tobytes() == expected[-1].tobytes()
+    assert batch.tobytes() == fold_encode(feats, e2.bases,
+                                          e2.phases).tobytes()
 
 
 @COMMON
