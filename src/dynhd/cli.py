@@ -237,8 +237,8 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
     enc, model, ds, load_s = _load_queries(merged)
     k_list = merged["k_list"]
     # The model is loaded (its encoder replayed) and the query set encoded
-    # and scored once; each k only ranks and counts, which is what its
-    # wall_ms times.
+    # and scored once, block by block; each k only ranks and counts, which
+    # is what its wall_ms times.
     scores, encode_s, score_s = score_queries(model, enc, ds, k_list)
     for k in k_list:
         t0 = time.perf_counter()

@@ -21,19 +21,27 @@ Regeneration redraws the base rows and phases of selected dimensions from the
 encoder's continuing uniform stream (see :mod:`dynhd.rng`), leaving all other
 rows bit-identical.  An encoder is therefore a pure function of its seed, its
 shape and the ordered index sets regenerated so far: ``replay_encoder``
-rebuilds it from them, which is how a model file stores it.
+rebuilds it from them, which is how a model file stores it.  The replay
+transforms only the rows that survive: a dimension's redraw is computed in
+the last round that regenerates it, and the earlier rounds' draws for it are
+passed over by stream position.  That is exact because ``paired_normals``
+works row by row and a stream can start at any position.
 
 A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
 run it as row 0 of the batch paths, whose one input check, and whose check
 for a projection that overflows (NaN after the sine), name the offending row.
 
 Every encode runs through one kernel that projects a block of at most
-``BLOCK_ROWS`` samples and applies the sine in place.  Each projection
-x_i = f.B_i is the left-to-right sum ((f_0 B_i0 + f_1 B_i1) + f_2 B_i2) + ...,
-one multiply and one add per term, whatever else the call projects: a block
-encodes each row as it encodes alone, and re-encoding a subset of dimensions
-reproduces those entries of a full encode bit-for-bit.  BLAS matmul would
-not; its order changes with the shape of the call.  The kernel runs
+``BLOCK_ROWS`` samples and applies the sine in place.  ``encode_blocks``
+yields the blocks one at a time: ``encode_batch`` has them written into its
+(N, D) output, while a caller that needs each block only once, as eval's
+scoring does, passes one (BLOCK_ROWS, D) buffer that every block reuses.
+Each projection x_i = f.B_i is the left-to-right sum
+((f_0 B_i0 + f_1 B_i1) + f_2 B_i2) + ..., one multiply and one add per
+term, whatever else the call projects: a block encodes each row as it
+encodes alone, and re-encoding a subset of dimensions reproduces those
+entries of a full encode bit-for-bit.  BLAS matmul would not; its order
+changes with the shape of the call.  The kernel runs
 ``einsum("Nn,nd->Nd")`` on Fortran-ordered rows and the C-ordered (n, D)
 transpose of the bases, so einsum adds f_k * B_ik feature by feature in a
 loop along D (the tests hold it to a plain fold of ``np.multiply`` and
@@ -56,7 +64,7 @@ encoding (26 MB at N=1600, D=2048) in some runs and not in others.
 from __future__ import annotations
 
 import mmap
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -185,12 +193,32 @@ def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
         return np.empty((0, e.dim))
     arr = _check_batch(arr, e.n_features)
     out = _empty_encodings(arr.shape[0], e.dim)
+    for _ in encode_blocks(e, arr, out):
+        pass
+    return out
+
+
+def encode_blocks(e: EncoderState, samples,
+                  out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Encode (N, n) ``samples`` block by block, yielding ``(rows, h)`` per
+    block of at most ``BLOCK_ROWS`` samples: ``rows`` slices the samples
+    and ``h`` holds their encodings, bit-identical to those rows of
+    ``encode_batch``.
+
+    ``h`` is a view of ``out``: ``out[rows]`` when ``out`` is an (N, D)
+    array of more than ``BLOCK_ROWS`` rows, which ends up holding every
+    encoding; otherwise the leading rows of ``out``, a buffer that each
+    block overwrites.  An overflow names its sample by its index in
+    ``samples``.
+    """
+    arr = _check_batch(samples, e.n_features)
     bases_t = np.ascontiguousarray(e.bases.T)
     sin_phases = np.sin(e.phases)
     for rows in _blocks(arr.shape[0]):
-        _encode_block(arr[rows], bases_t, e.phases, sin_phases, rows.start,
-                      out=out[rows])
-    return out
+        block = arr[rows]
+        h = out[rows] if out.shape[0] > BLOCK_ROWS else out[:len(block)]
+        yield rows, _encode_block(block, bases_t, e.phases, sin_phases,
+                                  rows.start, out=h)
 
 
 def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
@@ -206,35 +234,53 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     idx = _check_plan(e, plan)
     if idx.size == 0:
         return e.copy()
-    return _redraw(e, idx)
+    bases, phases = e.bases.copy(), e.phases.copy()
+    position = _redraw(bases, phases, e.seed, e.draw_counter, idx,
+                       np.ones(idx.size, dtype=bool))
+    return EncoderState(bases, phases, e.seed, position,
+                        e.regen_history + [idx.copy()])
 
 
-def _redraw(e: EncoderState, idx: np.ndarray) -> EncoderState:
-    n = e.n_features
+def _redraw(bases: np.ndarray, phases: np.ndarray, seed: int,
+            position: int, idx: np.ndarray, keep: np.ndarray) -> int:
+    """Redraw dimensions ``idx`` from ``position`` of the seed's stream,
+    writing into ``bases`` and ``phases`` only the rows where ``keep`` is
+    set; returns the stream position after all of ``idx``'s draws."""
+    n = bases.shape[1]
     # Per dimension: 2*ceil(n/2) uniforms for its normals, then its phase.
     per_dim = 2 * ((n + 1) // 2) + 1
-    stream = UniformStream(e.seed, e.draw_counter)
-    u = stream.uniforms(idx.size * per_dim).reshape(idx.size, per_dim)
-    bases = e.bases.copy()
-    phases = e.phases.copy()
-    bases[idx] = paired_normals(u[:, :-1])[:, :n]
-    phases[idx] = TWO_PI * u[:, -1]
-    return EncoderState(bases, phases, e.seed, stream.position,
-                        e.regen_history + [idx.copy()])
+    if keep.any():  # paired_normals works row by row: drop the rest first
+        u = UniformStream(seed, position).uniforms(idx.size * per_dim)
+        u = u.reshape(idx.size, per_dim)[keep]
+        bases[idx[keep]] = paired_normals(u[:, :-1])[:, :n]
+        phases[idx[keep]] = TWO_PI * u[:, -1]
+    return position + idx.size * per_dim
 
 
 def replay_encoder(seed: int, n: int, dim: int,
                    history: Sequence) -> EncoderState:
-    """Rebuild an encoder from its replay log: ``init_encoder(seed, n,
-    dim)``, then one ``regenerate_dims`` per entry of ``history``, in order.
+    """Rebuild an encoder from its replay log: bit for bit the result of
+    ``init_encoder(seed, n, dim)`` followed by one ``regenerate_dims`` per
+    entry of ``history``, in order.
+
+    Only the draws that survive are transformed: each round writes just the
+    dimensions no later round redraws, and a round whose dimensions are all
+    redrawn later only advances the stream position past its draws.
 
     Each entry must pass ``check_index_set``: a non-empty, strictly
     increasing sequence of integers in [0, dim).
     """
     e = init_encoder(seed, n, dim)
-    for i, entry in enumerate(history):
-        e = _redraw(e, check_index_set(f"regen_history[{i}]", entry, dim))
-    return e
+    history = [check_index_set(f"regen_history[{i}]", entry, dim)
+               for i, entry in enumerate(history)]
+    last_round = np.full(dim, -1)
+    for r, idx in enumerate(history):
+        last_round[idx] = r
+    position = e.draw_counter
+    for r, idx in enumerate(history):
+        position = _redraw(e.bases, e.phases, e.seed, position, idx,
+                           last_round[idx] == r)
+    return EncoderState(e.bases, e.phases, e.seed, position, history)
 
 
 def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoder import encode_batch
+from .encoder import BLOCK_ROWS, encode_blocks
 from .model import ClassModel, Dataset, EncoderState
 from .rng import check_seed
 
@@ -61,20 +61,30 @@ def _check_k(m: ClassModel, k: int) -> None:
 def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
                   ks: Sequence[int] = ()) -> tuple[np.ndarray, float, float]:
     """Check the query set and every k in ``ks``, then encode and score the
-    set once.  Returns the (N, L) cosine scores, the encode seconds and the
-    score seconds."""
+    set block by block, each block while it is in cache.  Returns the (N, L)
+    cosine scores, bit-identical to scoring ``encode_batch``'s output, and
+    the encode and score seconds summed over the blocks.  The (N, D)
+    encodings are never built: every block reuses one buffer."""
     if len(test) == 0:
         raise ValueError("test dataset must be non-empty")
     if list(test.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
     for k in ks:
         _check_k(m, k)
+    class_norms = row_norms(m.classes)
+    scores = np.empty((len(test), m.n_classes))
+    buffer = np.empty((min(len(test), BLOCK_ROWS), m.dim))
+    encode_s = score_s = 0.0
     t0 = time.perf_counter()
-    encodings = encode_batch(e, test.features)
-    t1 = time.perf_counter()
-    scores = model_scores(m.classes, row_norms(m.classes), encodings,
-                          row_norms(encodings)[:, None])
-    return scores, t1 - t0, time.perf_counter() - t1
+    for rows, h in encode_blocks(e, test.features, buffer):
+        t1 = time.perf_counter()
+        scores[rows] = model_scores(m.classes, class_norms, h,
+                                    row_norms(h)[:, None])
+        t2 = time.perf_counter()
+        encode_s += t1 - t0
+        score_s += t2 - t1
+        t0 = t2
+    return scores, encode_s, score_s
 
 
 def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset, k: int,

@@ -9,11 +9,11 @@ import pytest
 
 import dynhd.encoder
 from dynhd.encoder import (BLOCK_ROWS, MAPPED_BYTES, encode, encode_batch,
-                           init_encoder, reencode_dims, regenerate_dims,
-                           replay_encoder)
+                           encode_blocks, init_encoder, reencode_dims,
+                           regenerate_dims, replay_encoder)
 from dynhd.model import (REPR_CHARS, ClassModel, EncoderState, RegenPlan,
                          load_model, save_model)
-from dynhd.rng import TWO_PI, UniformStream
+from dynhd.rng import TWO_PI, UniformStream, paired_normals
 
 
 def fold_projection(feats, bases):
@@ -268,6 +268,19 @@ class TestEncodeBatch:
         reencode_dims(e2, samples, out, plan, inplace=True)
         np.testing.assert_array_equal(out, encode_batch(e2, samples))
 
+    def test_blocks_through_a_reused_buffer_equal_the_batch(self):
+        e = init_encoder(2, 3, 16)
+        samples = np.random.Generator(
+            np.random.Philox(key=10)).standard_normal((2 * BLOCK_ROWS + 3, 3))
+        batch = encode_batch(e, samples)
+        buffer = np.empty((BLOCK_ROWS, 16))
+        starts = []
+        for rows, h in encode_blocks(e, samples, buffer):
+            assert np.shares_memory(h, buffer)
+            assert h.tobytes() == batch[rows].tobytes()
+            starts.append(rows.start)
+        assert starts == [0, BLOCK_ROWS, 2 * BLOCK_ROWS]
+
 
 class TestRegenerateDims:
     def test_empty_plan_is_identity(self):
@@ -375,6 +388,31 @@ class TestReplayEncoder:
         assert replayed.draw_counter == e.draw_counter
         assert ([idx.tolist() for idx in replayed.regen_history]
                 == [idx.tolist() for idx in e.regen_history])
+
+    def test_repeated_round_replays_the_chain(self, monkeypatch):
+        """Ten rounds of one set, as the insignificant detector plans them,
+        equal the chain, draw counter included, while each regenerated row
+        is transformed once: only the last round's rows survive."""
+        indices = [0, 3, 4, 17, 39]
+        e = init_encoder(8, 5, 40)
+        for _ in range(10):
+            e = regenerate_dims(e, plan_for(e, indices))
+        transformed = []
+
+        def counting(u):
+            transformed.append(u.shape[0])
+            return paired_normals(u)
+
+        monkeypatch.setattr(dynhd.encoder, "paired_normals", counting)
+        replayed = replay_encoder(8, 5, 40, [indices] * 10)
+        assert replayed.bases.tobytes() == e.bases.tobytes()
+        assert replayed.phases.tobytes() == e.phases.tobytes()
+        # 40 rows of 5 normals and 40 phases, then 6 + 1 uniforms per redraw
+        assert replayed.draw_counter == e.draw_counter == (
+            200 + 40 + 10 * len(indices) * 7)
+        assert ([idx.tolist() for idx in replayed.regen_history]
+                == [indices] * 10)
+        assert transformed == [len(indices)]
 
     def test_empty_history_is_a_fresh_encoder(self):
         replayed = replay_encoder(8, 5, 40, [])

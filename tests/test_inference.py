@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dynhd.encoder import encode, init_encoder
+from dynhd.encoder import BLOCK_ROWS, encode, encode_batch, init_encoder
 from dynhd.inference import (model_scores, perturb_model, ranked_classes,
                              row_norms, score_queries, topk_accuracy,
                              topk_hits)
@@ -186,6 +186,41 @@ class TestBatchedScoringIsExact:
         want = sum(int(labels[i]) in np.lexsort(
             (np.arange(5), -scores[i]))[:k] for i in range(len(labels)))
         assert topk_hits(scores, labels, k) == want
+
+
+class TestStreamedScoringIsExact:
+    """score_queries encodes and scores block by block through one buffer;
+    its scores equal scoring the whole encode_batch output, bit for bit."""
+
+    def setup_method(self):
+        self.enc = init_encoder(5, 3, 40)
+        self.rng = np.random.Generator(np.random.Philox(key=43))
+        self.model = ClassModel(self.rng.standard_normal((4, 40)),
+                                ["a", "b", "c", "d"])
+
+    def queries(self, count):
+        return Dataset(self.rng.standard_normal((count, 3)),
+                       np.arange(count) % 4, ["a", "b", "c", "d"])
+
+    @pytest.mark.parametrize("count", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                       BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2])
+    def test_equals_scoring_the_whole_batch(self, count):
+        data = self.queries(count)
+        scores, encode_s, score_s = score_queries(self.model, self.enc, data)
+        h = encode_batch(self.enc, data.features)
+        want = model_scores(self.model.classes, row_norms(self.model.classes),
+                            h, row_norms(h)[:, None])
+        assert scores.shape == (count, 4)
+        assert scores.tobytes() == want.tobytes()
+        assert encode_s > 0.0 and score_s > 0.0
+
+    def test_overflow_names_its_sample_in_a_later_block(self):
+        data = self.queries(3 * BLOCK_ROWS)
+        bad = 2 * BLOCK_ROWS + 5
+        data.features[bad, 0] = 1.5e308
+        with pytest.raises(ValueError, match=(
+                f"^sample {bad}: encoding is not finite")):
+            score_queries(self.model, self.enc, data)
 
 
 class TestTopkAccuracy:

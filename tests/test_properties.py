@@ -1,14 +1,16 @@
 """Randomized invariant suite.
 
-Eleven families, each run over at least 200 generated cases: monotone
+Twelve families, each run over at least 200 generated cases: monotone
 top-k accuracy, scale-invariant rankings, bounded encodings, encodings
 within a rounding bound of the paper's product formula, every encode path
 equal to a plain left-to-right fold of the projection, class-scale-invariant
 detector scores, the regeneration zero/coherence rules, batched in-place
 re-encoding equal to a fresh encode, strict rejection of non-finite
 training hyperparameters, the score-cached training pass equal to the
-per-sample loop, and an encoder replayed from its regeneration history
-equal to the chained result, with the draw count the history implies.
+per-sample loop, an encoder replayed from its regeneration history
+equal to the chained result, with the draw count the history implies, and
+a saved and loaded model equal to the one saved, whatever its rounds
+repeat, nest or overlap.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -17,6 +19,8 @@ tolerances that would mask rank flips.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,11 +28,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import dynhd.encoder
 from dynhd.analysis import domain_variance, misleading_scores
+from dynhd.data import NormalizationStats
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            reencode_dims, regenerate_dims, replay_encoder)
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy)
-from dynhd.model import ClassModel, Dataset, RegenPlan
+from dynhd.model import ClassModel, Dataset, RegenPlan, load_model, save_model
 from dynhd.trainer import TrainConfig
 from test_encoder import fold_encode, fold_projection, plan_for
 from test_trainer import assert_pass_exact
@@ -297,3 +302,58 @@ def test_replay_equals_chained_regeneration(seed, dim, n, plan_seed, rounds):
     pairs = lambda k: 2 * ((k + 1) // 2)  # uniforms behind k normals
     assert e.draw_counter == replayed.draw_counter == (
         pairs(dim * n) + dim + regenerated * (pairs(n) + 1))
+
+
+def next_round(pick, dim, kind, last):
+    """A non-empty index set that repeats, nests in, contains, overlaps or
+    ignores the set of the round before it."""
+    def fresh():
+        return pick.choice(dim, size=int(pick.integers(1, dim + 1)),
+                           replace=False)
+
+    def part():
+        return pick.choice(last, size=int(pick.integers(1, last.size + 1)),
+                           replace=False)
+
+    rounds = {"repeat": lambda: last, "subset": part,
+              "superset": lambda: np.union1d(last, fresh()),
+              "overlap": lambda: np.union1d(part(), fresh()),
+              "fresh": fresh}
+    return np.sort(rounds[kind]())
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n=st.integers(1, 9), plan_seed=seeds,
+       kinds=st.lists(st.sampled_from(["repeat", "subset", "superset",
+                                       "overlap", "fresh"]), max_size=10),
+       n_classes=class_counts)
+@example(seed=1, dim=9, n=3, plan_seed=2, n_classes=3,
+         kinds=["repeat"] * 4 + ["subset", "repeat", "repeat", "superset",
+                                 "overlap", "repeat"])
+def test_save_load_round_trip_is_bit_identical(seed, dim, n, plan_seed,
+                                               kinds, n_classes):
+    pick = make_rng(plan_seed)
+    e = init_encoder(seed, n, dim)
+    last = np.sort(pick.choice(dim, size=int(pick.integers(1, dim + 1)),
+                               replace=False))
+    for kind in kinds:
+        last = next_round(pick, dim, kind, last)
+        e = regenerate_dims(e, RegenPlan(last, np.zeros(dim),
+                                         "insignificant", last.size / dim))
+    model = ClassModel(pick.standard_normal((n_classes, dim)),
+                       random_names(n_classes))
+    stats = NormalizationStats(pick.standard_normal(n),
+                               1.0 + pick.exponential(size=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, e, model, normalizer=stats)
+        e2, model2, stats2 = load_model(path)
+    assert e2.bases.tobytes() == e.bases.tobytes()
+    assert e2.phases.tobytes() == e.phases.tobytes()
+    assert (e2.seed, e2.draw_counter) == (e.seed, e.draw_counter)
+    assert ([idx.tolist() for idx in e2.regen_history]
+            == [idx.tolist() for idx in e.regen_history])
+    assert model2.classes.tobytes() == model.classes.tobytes()
+    assert model2.labels == model.labels
+    assert stats2.mean.tobytes() == stats.mean.tobytes()
+    assert stats2.std.tobytes() == stats.std.tobytes()
