@@ -2,7 +2,9 @@
 
 CSV files are comma-separated with a mandatory header row.  Feature columns
 are every column except the label column (and the optional domain column),
-taken in header order.  Label and domain strings are mapped to dense ids in
+taken in header order.  ``load_csv`` parses the body in one pass of numpy's
+C reader, and reads a file it rejects again only to name the bad cell.
+Label and domain strings are mapped to dense ids in
 first-appearance order, and the name tables travel with the Dataset so the
 same strings resolve to the same ids downstream.  Every Dataset, a derived
 one included, checks its invariants when it is built (``model.Dataset``).
@@ -11,9 +13,10 @@ one included, checks its invariants when it is built (``model.Dataset``).
 from __future__ import annotations
 
 import csv
-import io
 import math
+import warnings
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -144,7 +147,15 @@ def load_csv(path: str, label_column: str = "label",
              domain_column: Optional[str] = None) -> Dataset:
     """Parse a headered CSV, which must have data rows, into a Dataset.
 
-    Errors carry 1-based line numbers (the header is line 1).
+    The header is read with ``csv``.  The body is read by one
+    ``np.loadtxt`` call into one record per row, with one float64 field per
+    run of adjacent feature columns and one str field per name column.
+    numpy splits fields as ``csv.reader`` does: a quoted field may hold
+    commas, doubled quotes and line breaks; blank lines are skipped; and
+    ``#`` is an ordinary character.  A feature cell must be a finite number
+    that numpy's parser reads (see ``_number``).  If a row has the wrong
+    field count or a bad cell, ``_bad_cell`` names the first one, with the
+    1-based physical line the row starts on (the header is line 1).
     """
     if domain_column == label_column:
         raise ValueError(f"{path}: column {label_column!r} cannot be both "
@@ -163,44 +174,81 @@ def load_csv(path: str, label_column: str = "label",
                              f"not in header {header}")
         label_pos = header.index(label_column)
         domain_pos = header.index(domain_column) if domain_column else None
-        feature_pos = [i for i in range(len(header))
-                       if i != label_pos and i != domain_pos]
-        if not feature_pos:
+        name_pos = {label_pos, domain_pos} - {None}
+        if len(name_pos) == len(header):
             raise ValueError(f"{path}: no feature columns in header")
+        # One field per name column and per run of adjacent feature columns
+        runs = [list(cols) for _, cols in groupby(
+            range(len(header)), lambda i: i if i in name_pos else -1)]
+        dtype = np.dtype([(f"c{run[0]}", object) if run[0] in name_pos
+                          else (f"c{run[0]}", np.float64, (len(run),))
+                          for run in runs])
+        try:
+            with warnings.catch_warnings():  # an empty body: checked below
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                records = np.loadtxt(fh, delimiter=",", quotechar='"',
+                                     comments=None, dtype=dtype, ndmin=1)
+        except ValueError as exc:
+            raise _bad_cell(path, header, name_pos, exc) from None
+    if not records.size:  # only blank lines, which csv skips as well
+        raise ValueError(f"{path}: no data rows")
+    features = np.concatenate([records[f"c{run[0]}"] for run in runs
+                               if run[0] not in name_pos], axis=1)
+    if not np.isfinite(features).all():
+        raise _bad_cell(path, header, name_pos, None)
+    labels = _dense_ids(records[f"c{label_pos}"].tolist())
+    if domain_pos is None:
+        return Dataset(features, *labels)
+    return Dataset(features, *labels,
+                   *_dense_ids(records[f"c{domain_pos}"].tolist()))
 
-        rows = []
-        label_strs = []
-        domain_strs = []
-        for line, cells in enumerate(reader, start=2):
+
+def _bad_cell(path: str, header: list[str], name_pos: set[int],
+              exc: Optional[ValueError]) -> ValueError:
+    """The error naming the first row of the body of ``path`` whose field
+    count is wrong or whose feature cell is not a finite number.
+
+    Error handling only: it re-reads the file with ``csv.reader``, whose
+    ``line_num`` gives the physical line a row starts on.  ``exc``, numpy's
+    own error, is the message if no cell is found.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        line = reader.line_num + 1
+        for cells in reader:
+            where = f"{path} line {line}"
+            line = reader.line_num + 1
             if not cells:  # blank line, commonly trailing
                 continue
             if len(cells) != len(header):
-                raise ValueError(f"{path} line {line}: expected "
-                                 f"{len(header)} fields, got {len(cells)}")
-            values = []
-            for i in feature_pos:
-                try:
-                    value = float(cells[i])
-                except ValueError:
-                    raise ValueError(
-                        f"{path} line {line}: non-numeric value "
-                        f"{cells[i]!r} in column {header[i]!r}") from None
+                return ValueError(f"{where}: expected {len(header)} fields, "
+                                  f"got {len(cells)}")
+            for i, cell in enumerate(cells):
+                if i in name_pos:
+                    continue
+                value = _number(cell)
+                if value is None:
+                    return ValueError(f"{where}: non-numeric value {cell!r} "
+                                      f"in column {header[i]!r}")
                 if not math.isfinite(value):
-                    raise ValueError(f"{path} line {line}: non-finite value "
-                                     f"in column {header[i]!r}")
-                values.append(value)
-            rows.append(values)
-            label_strs.append(cells[label_pos])
-            if domain_pos is not None:
-                domain_strs.append(cells[domain_pos])
+                    return ValueError(f"{where}: non-finite value in column "
+                                      f"{header[i]!r}")
+    return ValueError(f"{path}: {exc}")
 
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    features = np.array(rows)
-    if domain_pos is None:
-        return Dataset(features, *_dense_ids(label_strs))
-    return Dataset(features, *_dense_ids(label_strs),
-                   *_dense_ids(domain_strs))
+
+def _number(cell: str) -> Optional[float]:
+    """The value numpy's parser reads from ``cell``, or None if it reads
+    none: ``float`` of the cell stripped of whitespace, which must then be
+    ASCII with no underscore."""
+    text = cell.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _dense_ids(strings: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -217,18 +265,28 @@ def write_csv(path: str, d: Dataset) -> None:
     name holding a comma, a quote or a line break is quoted.
     """
     header = [f"f{i}" for i in range(d.n)] + ["label"]
+    label_cells = [_quoted(name) for name in d.label_names]
     if d.domains is not None:
         header.append("domain")
-    rows = [header]
+        domain_cells = [_quoted(name) for name in d.domain_names]
+    lines = [",".join(header)]
     for i in range(len(d)):
         cells = [repr(float(v)) for v in d.features[i]]
-        cells.append(d.label_names[int(d.labels[i])])
+        cells.append(label_cells[d.labels[i]])
         if d.domains is not None:
-            cells.append(d.domain_names[int(d.domains[i])])
-        rows.append(cells)
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, text.getvalue())
+            cells.append(domain_cells[d.domains[i]])
+        lines.append(",".join(cells))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _quoted(name: str) -> str:
+    """``name`` as a CSV cell, quoted with its quotes doubled if it holds a
+    comma, a quote or a line break.  ``csv.writer`` with a newline line
+    terminator leaves a bare carriage return unquoted, which readers then
+    take as a line break."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
 
 
 def split(d: Dataset, fractions: Sequence[float], seed: int) -> tuple:

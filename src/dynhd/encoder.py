@@ -238,7 +238,7 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     position = _redraw(bases, phases, e.seed, e.draw_counter, idx,
                        np.ones(idx.size, dtype=bool))
     return EncoderState(bases, phases, e.seed, position,
-                        e.regen_history + [idx.copy()])
+                        e.regen_history + [idx])
 
 
 def _redraw(bases: np.ndarray, phases: np.ndarray, seed: int,

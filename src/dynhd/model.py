@@ -61,6 +61,11 @@ def check_index_set(name: str, entry, dim: int, empty=False) -> np.ndarray:
     return idx.astype(np.int64)
 
 
+def _finite_float64(value) -> bool:
+    return (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and bool(np.isfinite(value).all()))
+
+
 def check_json_kind(name: str, value, kind: str) -> None:
     """Raise ValueError unless value is of the JSON kind: a JSON_KINDS key,
     or "<key> array" for a list of that kind."""
@@ -87,7 +92,9 @@ class EncoderState:
     the shape it determines the bases, phases and ``draw_counter`` (see
     ``encoder.replay_encoder``), and it is what a model file stores.
     Building one raises ValueError unless ``seed`` passes
-    ``rng.check_seed``; it is stored as an int.
+    ``rng.check_seed`` (it is stored as an int), ``bases`` is a 2-D finite
+    float64 array, ``phases`` D finite float64 values, and each history
+    entry passes ``check_index_set`` (stored as an int64 copy).
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
@@ -98,6 +105,16 @@ class EncoderState:
 
     def __post_init__(self):
         self.seed = check_seed(self.seed)
+        if not _finite_float64(self.bases) or self.bases.ndim != 2:
+            raise ValueError("bases must be a 2-D array of finite float64 "
+                             "values")
+        if (not _finite_float64(self.phases)
+                or self.phases.shape != (self.dim,)):
+            raise ValueError(f"phases must be an array of {self.dim} finite "
+                             "float64 values")
+        self.regen_history = [
+            check_index_set(f"regen_history[{i}]", idx, self.dim)
+            for i, idx in enumerate(self.regen_history)]
 
     @property
     def dim(self) -> int:
@@ -109,8 +126,7 @@ class EncoderState:
 
     def copy(self) -> "EncoderState":
         return EncoderState(self.bases.copy(), self.phases.copy(),
-                            self.seed, self.draw_counter,
-                            [idx.copy() for idx in self.regen_history])
+                            self.seed, self.draw_counter, self.regen_history)
 
 
 @dataclass

@@ -269,6 +269,22 @@ class TestTrain:
         assert records == [] and not out.exists()
         assert err.splitlines() == [f"error: {empty}: no data rows"]
 
+    @pytest.mark.parametrize("cell, message", [
+        ("1_000", "non-numeric value '1_000' in column 'f1'"),
+        ("inf", "non-finite value in column 'f1'")])
+    def test_bad_csv_cell_named(self, tmp_path, cell, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(f'f0,f1,label\n1,2,"a\nb"\n3,{cell},c\n')
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dim": 16,
+                                      "data": {"csv": str(data)}}))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err.splitlines() == [f"error: {data} line 4: {message}"]
+
     def test_unknown_config_key_rejected(self, workdir, tmp_path):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({

@@ -1,5 +1,7 @@
 """CSV ingestion and round trip, normalization, synthetic blobs, and splits."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -122,6 +124,147 @@ class TestWriteCsvRoundTrip:
         # ids re-densify by first appearance: original id 1 appears first
         assert back.domain_names == ["d,1", "d0"]
         assert [back.domain_names[i] for i in back.domains] == ["d,1", "d0"]
+
+
+def csv_reader_reference(text, label_column="label", domain_column=None):
+    """(features, per-row labels, per-row domains) of a CSV body as
+    csv.reader and float read it, skipping blank lines."""
+    header, *rows = [cells for cells in csv.reader(io.StringIO(text,
+                                                               newline=""))
+                     if cells]
+    names = [header.index(label_column)]
+    if domain_column is not None:
+        names.append(header.index(domain_column))
+    features = [[float(c) for i, c in enumerate(cells) if i not in names]
+                for cells in rows]
+    return (np.array(features), [cells[names[0]] for cells in rows],
+            [cells[names[-1]] for cells in rows] if domain_column else None)
+
+
+class TestCsvRules:
+    @pytest.mark.parametrize("text", [
+        'f1,label\n1,"a,b"\n2,"say ""hi"""\n',
+        'f1,label\n1,"two\nlines"\n2,"cr\r\nlf"\n',
+        "f1,label\r\n1,a\r\n2,b\r\n",
+        "f1,label\n\n1,a\n\n\n2,b\n\n",
+        "f1,label\n1,b # c\n2,#\n",
+        'f1,label\n1, lead\n2,trail \n3,"  both  "\n4,\n',
+        'f1,label\n1,é\n2,"\x85"\n3,\x00\n',
+        "f1,f2,label,f3,f4\n1,2,a,3,4\n5,6,b,7,8\n",
+        '"f,1",label\n1,a\n',
+    ])
+    def test_parses_as_csv_reader_does(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        d = load_csv(str(path))
+        features, labels, _ = csv_reader_reference(text)
+        assert d.features.tobytes() == features.tobytes()
+        assert [d.label_names[i] for i in d.labels] == labels
+
+    @pytest.mark.parametrize("order", [
+        ["label", "domain", "f1", "f2", "f3"],
+        ["f1", "domain", "f2", "label", "f3"],
+        ["f1", "f2", "f3", "domain", "label"],
+        ["f1", "label", "domain", "f2", "f3"],
+    ])
+    def test_name_columns_anywhere(self, tmp_path, order):
+        rows = [{"f1": "1.5", "f2": "-2", "f3": "3e1", "label": "a",
+                 "domain": "x"},
+                {"f1": "4", "f2": "5", "f3": "6.25", "label": "b",
+                 "domain": "y"}]
+        text = "".join(",".join(row[c] for c in order) + "\n"
+                       for row in [dict(zip(order, order))] + rows)
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        d = load_csv(str(path), domain_column="domain")
+        features, labels, domains = csv_reader_reference(text, "label",
+                                                         "domain")
+        assert d.features.tobytes() == features.tobytes()
+        assert d.features.flags.c_contiguous
+        assert [d.label_names[i] for i in d.labels] == labels
+        assert [d.domain_names[i] for i in d.domains] == domains
+
+    @pytest.mark.parametrize("cell", ["+1.5", " 1.5 ", "1e5", ".5", "5.",
+                                      "-0", "007", "\t2\t", '"3.5"',
+                                      "1E-400", "-1.7976931348623157e308",
+                                      "5e-324"])
+    def test_number_formats_read_as_float(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f1,label\n{cell},a\n")
+        value = load_csv(str(path)).features[0, 0]
+        expected = float(cell.strip('"'))
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("cell", ["1_000", "١", "1 2", "0x10",
+                                      "", "1.5.", "nan1"])
+    def test_number_only_float_reads_is_non_numeric(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f1,label\n2,a\n{cell},b\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == (f"{path} line 3: non-numeric value "
+                                  f"{cell!r} in column 'f1'")
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "1e999"])
+    def test_non_finite_cell_message(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,label\n1,2,a\n3,{cell},b\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == (f"{path} line 3: non-finite value in "
+                                  "column 'f1'")
+
+    @pytest.mark.parametrize("row, got", [("1,2,3,a", 4), ("1,a", 2),
+                                          ("  ", 1)])
+    def test_field_count_message(self, tmp_path, row, got):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,label\n1,2,a\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == (f"{path} line 3: expected 3 fields, "
+                                  f"got {got}")
+
+    @pytest.mark.parametrize("text, line", [
+        ('f1,label\n1,"a\nb"\nx,c\n', 4),  # after a record of two lines
+        ('f1,label\nx,"a\nb"\n', 2),  # a record of two lines: its first
+        ('f1,label\n1,a\n\n\nx,b\n', 5),  # blank lines count
+        ('"f\n1",label\n1,a\nx,b\n', 4),  # a header of two lines
+        ('f1,label\r\n1,a\r\nx,b\r\n', 3),
+    ])
+    def test_error_names_the_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError, match=f"^{path} line {line}: "):
+            load_csv(str(path))
+
+    def test_two_line_record_with_a_bad_field_count(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('f1,label\n1,a\n2,"b\nc",3\n')
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == f"{path} line 3: expected 2 fields, got 3"
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"])
+    def test_blank_body_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("f1,label\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                load_csv(str(path))
+        assert str(exc.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("name", ["\r", "a\rb", "\rb", "a\r", "a\r\nb",
+                                      '"', ",", "\n"])
+    def test_line_breaks_and_quotes_in_names_round_trip(self, tmp_path,
+                                                        name):
+        d = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), [name, "z"],
+                    np.array([0, 0]), [name])
+        path = tmp_path / "t.csv"
+        write_csv(str(path), d)
+        back = load_csv(str(path), domain_column="domain")
+        assert back.label_names == [name, "z"]
+        assert back.domain_names == [name]
 
 
 class TestNormalizer:

@@ -55,6 +55,42 @@ class TestEncoderState:
         c.regen_history.append(np.array([2]))
         assert [idx.tolist() for idx in e.regen_history] == [[1, 3]]
 
+    @pytest.mark.parametrize("bases", [
+        np.zeros(8), np.zeros((8, 2, 1)), np.zeros((8, 2), np.float32),
+        np.zeros((8, 2), np.int64), [[0.0, 0.0]] * 8,
+        np.array([[0.0, np.nan]] * 8), np.array([[0.0, -np.inf]] * 8)])
+    def test_bases_must_be_finite_2d_float64(self, bases):
+        with pytest.raises(ValueError) as exc:
+            replace(init_encoder(1, 2, 8), bases=bases)
+        assert str(exc.value) == ("bases must be a 2-D array of finite "
+                                  "float64 values")
+
+    @pytest.mark.parametrize("phases", [
+        np.zeros(3), np.zeros(9), np.zeros((8, 1)), np.zeros(8, np.float32),
+        [0.0] * 8, np.array([0.0] * 7 + [np.nan]),
+        np.array([np.inf] + [0.0] * 7)])
+    def test_phases_must_be_d_finite_float64(self, phases):
+        with pytest.raises(ValueError) as exc:
+            replace(init_encoder(1, 2, 8), phases=phases)
+        assert str(exc.value) == ("phases must be an array of 8 finite "
+                                  "float64 values")
+
+    @pytest.mark.parametrize("entry", [[5, 1], [1, 1], [], [-1], [8],
+                                       [1.0], [[1]], [True]])
+    def test_history_entries_must_be_index_sets(self, entry):
+        e = init_encoder(1, 2, 8)
+        with pytest.raises(ValueError) as exc:
+            replace(e, regen_history=[np.array([2]), entry])
+        assert str(exc.value).startswith(
+            "regen_history[1] must be a non-empty, strictly increasing list "
+            "of integers in [0, 8), got ")
+
+    def test_history_is_stored_as_int64(self):
+        e = replace(init_encoder(1, 2, 8),
+                    regen_history=[[1, 3], np.array([2], np.int32)])
+        assert [idx.dtype for idx in e.regen_history] == [np.int64] * 2
+        assert [idx.tolist() for idx in e.regen_history] == [[1, 3], [2]]
+
 
 class TestClassModel:
     def test_accessors(self):
@@ -566,7 +602,9 @@ class TestModelFile:
         save a different encoder; save_model refuses it, writing nothing."""
         enc, model, path, _ = self.roundtrip(tmp_path)
         os.remove(path)
-        bad = replace(enc, regen_history=[np.array([2]), np.array(entry)])
+        bad = replace(enc, regen_history=[np.array([2])])
+        # the list stays mutable after the construction check
+        bad.regen_history.append(np.array(entry))
         with pytest.raises(ValueError) as exc:
             save_model(path, bad, model)
         assert str(exc.value) == (

@@ -1,6 +1,6 @@
 """Randomized invariant suite.
 
-Twelve families, each run over at least 200 generated cases: monotone
+Thirteen families, each run over at least 200 generated cases: monotone
 top-k accuracy, scale-invariant rankings, bounded encodings, encodings
 within a rounding bound of the paper's product formula, every encode path
 equal to a plain left-to-right fold of the projection, class-scale-invariant
@@ -10,7 +10,8 @@ training hyperparameters, the score-cached training pass equal to the
 per-sample loop, an encoder replayed from its regeneration history
 equal to the chained result, with the draw count the history implies, and
 a saved and loaded model equal to the one saved, whatever its rounds
-repeat, nest or overlap.
+repeat, nest or overlap, and a written and loaded CSV equal to its dataset,
+whatever its names and column order.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -25,10 +26,11 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dynhd.encoder
 from dynhd.analysis import domain_variance, misleading_scores
-from dynhd.data import NormalizationStats
+from dynhd.data import NormalizationStats, load_csv, write_csv
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
                            reencode_dims, regenerate_dims, replay_encoder)
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
@@ -357,3 +359,68 @@ def test_save_load_round_trip_is_bit_identical(seed, dim, n, plan_seed,
     assert model2.labels == model.labels
     assert stats2.mean.tobytes() == stats.mean.tobytes()
     assert stats2.std.tobytes() == stats.std.tobytes()
+
+
+@st.composite
+def csv_datasets(draw):
+    """A Dataset of 1 to 40 features of any finite value and names of any
+    text, with column positions for its label and domain."""
+    n, rows = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    features = draw(arrays(np.float64, (rows, n), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    names = st.lists(st.text(max_size=6), min_size=1, max_size=4,
+                     unique=True)
+    label_names = draw(names)
+    labels = [draw(st.integers(0, len(label_names) - 1)) for _ in range(rows)]
+    domain_names = draw(st.none() | names)
+    domains = None if domain_names is None else np.array(
+        [draw(st.integers(0, len(domain_names) - 1)) for _ in range(rows)])
+    d = Dataset(features, np.array(labels), label_names, domains,
+                domain_names)
+    return d, draw(st.integers(0, n)), draw(st.integers(0, n + 1))
+
+
+def assert_same_rows(back, d):
+    assert back.features.tobytes() == d.features.tobytes()
+    assert ([back.label_names[i] for i in back.labels]
+            == [d.label_names[i] for i in d.labels])
+    if d.domains is not None:
+        assert ([back.domain_names[i] for i in back.domains]
+                == [d.domain_names[i] for i in d.domains])
+
+
+def quoted(name):
+    return '"' + name.replace('"', '""') + '"'
+
+
+@COMMON
+@given(case=csv_datasets())
+@example(case=(Dataset(np.array([[-0.0, 5e-324, 1.7e308, -1.7e308]]),
+                       np.array([0]), [' a, "b" # c\r\n\r']),
+               2, 0))
+@example(case=(Dataset(np.array([[0.0], [2.5]]), np.array([1, 0]),
+                       ["\r", "é "], np.array([0, 0]), ["\n"]), 0, 2))
+def test_csv_round_trip_is_bit_identical(case):
+    """write_csv then load_csv gives the features bit for bit and every
+    row's names; so does the same file with the label and domain columns
+    moved to any position and every name quoted."""
+    d, label_at, domain_at = case
+    domain_column = None if d.domains is None else "domain"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_csv(path, d)
+        assert_same_rows(load_csv(path, domain_column=domain_column), d)
+
+        header = [f"f{i}" for i in range(d.n)]
+        rows = [[repr(v) for v in row] for row in d.features.tolist()]
+        for name, at, ids, names in [
+                ("label", label_at, d.labels, d.label_names),
+                ("domain", domain_at, d.domains, d.domain_names)]:
+            if ids is not None:
+                header.insert(at, name)
+                for cells, i in zip(rows, ids):
+                    cells.insert(at, quoted(names[i]))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(",".join(cells) + "\n"
+                             for cells in [header] + rows))
+        assert_same_rows(load_csv(path, domain_column=domain_column), d)
