@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -189,7 +190,8 @@ def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
                            prefix="data.")
         return load_csv(sub["csv"], sub["label_column"],
                         sub["domain_column"]), sub
-    check_json_kind("train: data.synthetic", data_cfg["synthetic"], "object")
+    _materialize("train", {"synthetic": (REQUIRED, "object")}, data_cfg,
+                 prefix="data.")
     sub = _materialize("train", SYNTHETIC_SETTINGS, data_cfg["synthetic"],
                        prefix="data.synthetic.")
     return make_blobs(_construct(SyntheticSpec, sub)), {"synthetic": sub}
@@ -205,6 +207,9 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
     vf = merged["valid_fraction"]
     if not 0.0 < vf < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
+    out_dir = os.path.dirname(os.path.abspath(merged["out"]))
+    if not os.path.isdir(out_dir):  # fail now, not after training
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
     ds, merged["data"] = _load_train_data(merged["data"])
 
     train_ds, valid_ds = split(ds, [1.0 - vf, vf], merged["split_seed"])

@@ -31,11 +31,12 @@ A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
 run it as row 0 of the batch paths, whose one input check, and whose check
 for a projection that overflows (NaN after the sine), name the offending row.
 
-Every encode runs through one kernel that projects a block of at most
-``BLOCK_ROWS`` samples and applies the sine in place.  ``encode_blocks``
-yields the blocks one at a time: ``encode_batch`` has them written into its
-(N, D) output, while a caller that needs each block only once, as eval's
-scoring does, passes one (BLOCK_ROWS, D) buffer that every block reuses.
+Every encode runs through one block loop, ``encode_blocks``, whose kernel
+projects at most ``BLOCK_ROWS`` samples and applies the sine in place.  It
+writes the blocks into ``encode_batch``'s (N, D) output, or into one reused
+(BLOCK_ROWS, D) buffer for a caller that needs each block only once: eval's
+scoring, and ``reencode_dims``, which encodes the planned rows as an
+encoder of their own and puts each block into the cached encodings.
 Each projection x_i = f.B_i is the left-to-right sum
 ((f_0 B_i0 + f_1 B_i1) + f_2 B_i2) + ..., one multiply and one add per
 term, whatever else the call projects: a block encodes each row as it
@@ -50,21 +51,11 @@ An operand one column wide would bring that reduction back, so none is: the
 last tile reaches back a column, and a one-dimension projection is padded to
 two.  Tiles of ``TILE_COLUMNS`` keep a block's outputs in cache while every
 feature is added into them.
-
-A batch's (N, D) output of ``MAPPED_BYTES`` or more gets its own anonymous
-memory mapping, unmapped when the array is freed.  From ``np.empty`` it would
-come from the C heap once glibc's dynamic mmap threshold has risen past its
-size (the threshold follows the largest block freed so far, up to 32 MB).  A
-small long-lived allocation that lands in the hole one call's encodings leave
-behind then strands it, and the next call grows the heap by the full size: a
-process that trains repeatedly grew its resident size by a whole train-set
-encoding (26 MB at N=1600, D=2048) in some runs and not in others.
 """
 
 from __future__ import annotations
 
-import mmap
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,28 +70,6 @@ BLOCK_ROWS = 64
 # outputs take 1 MB.  At n=16, 100, 617 and 2000, tiles of 1024 and 2048
 # columns projected fastest, within 2% of each other.
 TILE_COLUMNS = 2048
-
-# Batch outputs of at least this size get their own mapping (see the module
-# docstring); numpy itself advises huge pages from the same size on.
-MAPPED_BYTES = 1 << 22
-
-
-def _empty_encodings(count: int, dim: int) -> np.ndarray:
-    """An uninitialised (count, dim) float64 array; large ones are backed by
-    an anonymous mapping that is unmapped when the array is freed."""
-    nbytes = count * dim * np.dtype(np.float64).itemsize
-    if nbytes < MAPPED_BYTES:
-        return np.empty((count, dim))
-    if hasattr(mmap, "MAP_PRIVATE"):
-        # A shared anonymous mapping would get no transparent huge pages,
-        # and faulting in 4 KB pages costs twice the time on Linux.
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    else:  # Windows: takes no flags
-        buf = mmap.mmap(-1, nbytes)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(count, dim)
-
 
 def _project(rows: np.ndarray, bases_t: np.ndarray,
              x: np.ndarray) -> np.ndarray:
@@ -120,13 +89,12 @@ def _project(rows: np.ndarray, bases_t: np.ndarray,
 
 def _encode_block(rows: np.ndarray, bases_t: np.ndarray, phases: np.ndarray,
                   sin_phases: np.ndarray, start: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  x: np.ndarray) -> np.ndarray:
     """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases_t, computed in
-    ``out``; ``bases_t`` is the (n, d) C-contiguous transpose of the bases
-    and ``sin_phases`` is np.sin(phases).  A projection that overflows
+    place in ``x``; ``bases_t`` is the (n, d) C-contiguous transpose of the
+    bases and ``sin_phases`` is np.sin(phases).  A projection that overflows
     raises ValueError naming its sample, numbered from ``start`` for the
     block's first row."""
-    x = np.empty((rows.shape[0], bases_t.shape[1])) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         _project(rows, bases_t, x)
         x += x
@@ -140,11 +108,6 @@ def _encode_block(rows: np.ndarray, bases_t: np.ndarray, phases: np.ndarray,
     x -= sin_phases
     x *= 0.5
     return x
-
-
-def _blocks(count: int):
-    return (slice(start, start + BLOCK_ROWS)
-            for start in range(0, count, BLOCK_ROWS))
 
 
 def _check_batch(samples, n: int) -> np.ndarray:
@@ -192,7 +155,7 @@ def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
     if arr.shape[:1] == (0,):
         return np.empty((0, e.dim))
     arr = _check_batch(arr, e.n_features)
-    out = _empty_encodings(arr.shape[0], e.dim)
+    out = np.empty((arr.shape[0], e.dim))
     for _ in encode_blocks(e, arr, out):
         pass
     return out
@@ -214,11 +177,12 @@ def encode_blocks(e: EncoderState, samples,
     arr = _check_batch(samples, e.n_features)
     bases_t = np.ascontiguousarray(e.bases.T)
     sin_phases = np.sin(e.phases)
-    for rows in _blocks(arr.shape[0]):
+    for start in range(0, arr.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         block = arr[rows]
         h = out[rows] if out.shape[0] > BLOCK_ROWS else out[:len(block)]
         yield rows, _encode_block(block, bases_t, e.phases, sin_phases,
-                                  rows.start, out=h)
+                                  start, h)
 
 
 def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
@@ -306,16 +270,13 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
     idx = _check_plan(e, plan)
     out = h if inplace else h.copy()
     if idx.size:
-        # Each block's columns are put straight into ``out`` at the flat
-        # offsets row * D + idx: no (N, |idx|) temporary is built beside it.
-        bases_t = np.ascontiguousarray(e.bases[idx].T)
-        phases = e.phases[idx]
-        sin_phases = np.sin(phases)
+        # Each block of the planned rows' own encoder is put straight into
+        # ``out`` at the flat offsets row * D + idx: no (N, |idx|) temporary.
+        planned = EncoderState(e.bases[idx], e.phases[idx], e.seed,
+                               e.draw_counter, [])
         encodings = np.atleast_2d(out)
         offsets = (np.arange(min(BLOCK_ROWS, rows.shape[0]))[:, None] * e.dim
                    + idx)
-        for block in _blocks(rows.shape[0]):
-            x = _encode_block(rows[block], bases_t, phases, sin_phases,
-                              block.start)
+        for block, x in encode_blocks(planned, rows, np.empty(offsets.shape)):
             np.put(encodings[block], offsets[:x.shape[0]], x)
     return out

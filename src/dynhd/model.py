@@ -244,7 +244,11 @@ class Dataset:
         return len(self.label_names)
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":  # not a mask or floats
+            raise ValueError(f"subset indices must be integers, got "
+                             f"{idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return replace(self, features=self.features[idx],
                        labels=self.labels[idx],
                        domains=None if self.domains is None

@@ -353,6 +353,34 @@ class TestTrain:
         echo = records[0]["config"]["data"]["synthetic"]
         assert echo["separation"] == 4.0  # default materialized
 
+    def test_synthetic_data_rejects_unknown_keys(self, tmp_path):
+        config = tmp_path / "synth_typo.json"
+        config.write_text(json.dumps({
+            "dim": 64,
+            "data": {"synthetic": {"n": 4, "classes": 2,
+                                   "samples_per_class_per_domain": 10},
+                     "typo_key": 1, "label_column": 5},
+        }))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert "data.typo_key" in err and "data.label_column" in err
+
+    def test_missing_output_directory_fails_before_training(
+            self, workdir, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(dynhd.cli, "load_csv", never)
+        absent = tmp_path / "absent"
+        code, records, err = run(["train", "--config", str(workdir["config"]),
+                                  "--out", str(absent / "model.json")])
+        assert code == 3
+        assert records == [] and not absent.exists()
+        assert err == f"I/O error: output directory {absent} does not exist\n"
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 72.8 TiB"),
          "error: train: out of memory (Unable to allocate 72.8 TiB)"),

@@ -254,6 +254,16 @@ class TestDataset:
         assert s.domains.tolist() == [0, 0]
         assert s.label_names == d.label_names
 
+    @pytest.mark.parametrize("indices", [np.array([True, False, True]),
+                                         np.array([2.0, 0.0]), [0.5]])
+    def test_subset_rejects_masks_and_floats(self, indices):
+        with pytest.raises(ValueError, match="must be integers"):
+            small_dataset().subset(indices)
+
+    def test_subset_of_nothing_is_empty(self):
+        s = small_dataset().subset([])
+        assert len(s) == 0 and s.features.shape == (0, 2)
+
 
 def edit_field(doc, field, edit):
     """Apply edit(node, leaf) to the dotted field of a model document."""
