@@ -200,7 +200,6 @@ def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
 def cmd_train(merged: dict, emitter: Emitter) -> int:
     """train a model from a JSON config"""
     cfg = _construct(TrainConfig, merged)
-    cfg.validate()
     if merged["split_seed"] is None:
         merged["split_seed"] = merged["seed"]
     check_seed(merged["split_seed"], "split_seed")

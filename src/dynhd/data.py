@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import Dataset, atomic_write_text
-from .rng import check_seed, is_integer
+from .rng import check_integer, check_seed, is_integer
 
 STD_FLOOR = 1e-12
 
@@ -87,7 +87,7 @@ def remap_labels(d: Dataset, label_names: Sequence[str],
     return replace(d, labels=lut[d.labels], label_names=target)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian blob generator layout: L class centers, M additive domain
     offsets, and per-sample isotropic noise."""
@@ -101,9 +101,9 @@ class SyntheticSpec:
     domain_offset_std: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n", "classes", "domains", "samples_per_class_per_domain"):
-            if getattr(self, name) < 1:
+            if check_integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("separation", "intra_std", "domain_offset_std"):
             value = getattr(self, name)
@@ -121,7 +121,6 @@ def make_blobs(spec: SyntheticSpec) -> Dataset:
     fixed seed reproduces the dataset bit-identically.  Features that
     overflow raise ValueError naming the settings whose draws overflowed.
     """
-    spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     M, L, S, n = (spec.domains, spec.classes,
                   spec.samples_per_class_per_domain, spec.n)

@@ -192,12 +192,12 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     the row's ``n`` normals are drawn first, then its phase.  The whole plan
     is drawn in one call and transformed row-wise, bit-identical to drawing
     one dimension at a time.  Unselected rows and phases are bit-identical
-    to the input, which is not modified.  A non-empty plan's indices are
-    appended to the returned encoder's ``regen_history``.
+    to the input, which is not modified.  An empty plan returns ``e``; a
+    non-empty one's indices are appended to the result's ``regen_history``.
     """
     idx = _check_plan(e, plan)
     if idx.size == 0:
-        return e.copy()
+        return e
     bases, phases = e.bases.copy(), e.phases.copy()
     position = _redraw(bases, phases, e.seed, e.draw_counter, idx,
                        np.ones(idx.size, dtype=bool))

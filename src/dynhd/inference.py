@@ -98,6 +98,9 @@ def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset, k: int,
         scores = score_queries(m, e, test, (k,))[0]
     else:
         _check_k(m, k)
+        if np.shape(scores) != (len(test), m.n_classes):
+            raise ValueError(f"scores has shape {np.shape(scores)}, "
+                             f"expected {(len(test), m.n_classes)}")
     return topk_hits(scores, test.labels, k) / len(test)
 
 

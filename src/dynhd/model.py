@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import check_seed
+from .rng import check_integer, check_seed
 
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
@@ -92,9 +92,10 @@ class EncoderState:
     the shape it determines the bases, phases and ``draw_counter`` (see
     ``encoder.replay_encoder``), and it is what a model file stores.
     Building one raises ValueError unless ``seed`` passes
-    ``rng.check_seed`` (it is stored as an int), ``bases`` is a 2-D finite
-    float64 array, ``phases`` D finite float64 values, and each history
-    entry passes ``check_index_set`` (stored as an int64 copy).
+    ``rng.check_seed`` and ``draw_counter`` is a non-negative integer (both
+    stored as ints), ``bases`` is a 2-D finite float64 array, ``phases`` D
+    finite float64 values, and each history entry passes
+    ``check_index_set`` (stored as an int64 copy).
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
@@ -105,6 +106,9 @@ class EncoderState:
 
     def __post_init__(self):
         self.seed = check_seed(self.seed)
+        self.draw_counter = check_integer(self.draw_counter, "draw_counter")
+        if self.draw_counter < 0:
+            raise ValueError("draw_counter must be non-negative")
         if not _finite_float64(self.bases) or self.bases.ndim != 2:
             raise ValueError("bases must be a 2-D array of finite float64 "
                              "values")
@@ -123,10 +127,6 @@ class EncoderState:
     @property
     def n_features(self) -> int:
         return self.bases.shape[1]
-
-    def copy(self) -> "EncoderState":
-        return EncoderState(self.bases.copy(), self.phases.copy(),
-                            self.seed, self.draw_counter, self.regen_history)
 
 
 @dataclass

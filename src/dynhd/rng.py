@@ -32,12 +32,18 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming it ``name`` unless
+    ``is_integer`` holds."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """Validate the 64-bit non-negative seed ``name``, an integer as
     ``is_integer`` has it; return it as an int."""
-    if not is_integer(seed):
-        raise ValueError(f"{name} must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = check_integer(seed, name)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"{name} must be in [0, 2**64): got {seed}")
     return seed

@@ -51,12 +51,12 @@ from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
 from .inference import model_scores, row_norms, topk_hits
 from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
-from .rng import check_seed
+from .rng import check_integer, check_seed
 
 EARLY_STOP_MIN_DELTA = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     dim: int
     eta: float = 0.05
@@ -68,23 +68,25 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = False
 
-    def validate(self) -> None:
-        if self.dim < 1:
+    def __post_init__(self):
+        if check_integer(self.dim, "dim") < 1:
             raise ValueError("dim must be at least 1")
         if not 0.0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
-        if self.epochs_per_round < 1:
+        if check_integer(self.epochs_per_round, "epochs_per_round") < 1:
             raise ValueError("epochs_per_round must be at least 1")
-        if self.rounds < 0:
+        if check_integer(self.rounds, "rounds") < 0:
             raise ValueError("rounds must be non-negative")
         if not 0.0 <= self.regen_rate <= 1.0:
             raise ValueError("regen_rate must lie in [0, 1]")
         if self.strategy not in TRAIN_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"expected one of {TRAIN_STRATEGIES}")
-        if self.patience < 0:
+        if check_integer(self.patience, "patience") < 0:
             raise ValueError("patience must be non-negative")
         check_seed(self.seed)
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be a bool, got {self.shuffle!r}")
 
 
 def train(cfg: TrainConfig, train_ds: Dataset,
@@ -109,7 +111,6 @@ def train(cfg: TrainConfig, train_ds: Dataset,
       their norms).
     - ``summary``, one: total_epochs, stopped_early.
     """
-    cfg.validate()
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise ValueError("train and validation datasets must be non-empty")
     if valid_ds.n != train_ds.n:

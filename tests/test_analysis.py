@@ -103,6 +103,14 @@ class TestMisleadingScores:
         np.testing.assert_array_equal(misleading_scores(m, e, data),
                                       np.zeros(8))
 
+    def test_one_class_model_all_zero(self):
+        e = init_encoder(4, 2, 8)
+        feats = np.array([[0.0, 0.1], [3.0, -2.0]])
+        m = model_from_rows(encode_batch(e, feats)[:1], ["a"])
+        data = Dataset(feats, np.array([0, 0]), ["a"])
+        np.testing.assert_array_equal(misleading_scores(m, e, data),
+                                      np.zeros(8))
+
     def test_hand_computed_single_misprediction(self):
         # sample encodes to (1,0); true class is (0,1), wrong winner (1,0):
         # per-dim |h-c_true| - |h-c_wrong| = (1,1) - (0,0)

@@ -338,6 +338,40 @@ class TestTrain:
         assert records == [] and not out.exists()
         assert f"train: {key} must be" in err
 
+    def test_config_array_rejected(self, tmp_path):
+        config = tmp_path / "array.json"
+        config.write_text(json.dumps([{"dim": 64}]))
+        code, records, err = run(["train", "--config", str(config)])
+        assert code == 2
+        assert records == []
+        assert err == f"error: {config}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("data", [
+        {"csv": "data.csv", "synthetic": {}}, {}], ids=["both", "neither"])
+    def test_data_must_hold_one_source(self, tmp_path, data):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dim": 64, "data": data}))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err == ("error: data must hold exactly one of 'csv' or "
+                       "'synthetic'\n")
+
+    def test_one_row_csv_splits_to_an_empty_set(self, tmp_path):
+        data = tmp_path / "one_row.csv"
+        data.write_text("f0,f1,label\n1,2,a\n")
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dim": 16, "data": {"csv": str(data)}}))
+        out = tmp_path / "never.json"
+        code, records, err = run(["train", "--config", str(config),
+                                  "--out", str(out)])
+        assert code == 2
+        assert records == [] and not out.exists()
+        assert err == ("error: split produced an empty train or validation "
+                       "set\n")
+
     def test_synthetic_inline_data(self, tmp_path):
         config = tmp_path / "synth_train.json"
         config.write_text(json.dumps({
@@ -890,6 +924,20 @@ class TestDropsweep:
         assert code == 0
         by_order = {rec["order"]: rec["value"] for rec in records}
         assert by_order["lowest"] >= by_order["highest"]
+
+    def test_unknown_order_rejected(self, workdir, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(dynhd.cli, "load_model", never)
+        code, records, err = run(["dropsweep", "--model",
+                                  str(workdir["model"]), "--data",
+                                  str(workdir["data_csv"]),
+                                  "--order", "sideways"])
+        assert code == 2
+        assert records == []
+        assert err == ("error: order must be one of ('lowest', 'highest', "
+                       "'both')\n")
 
     def test_invalid_fraction_rejected(self, workdir):
         code, _, _ = run(["dropsweep", "--model", str(workdir["model"]),

@@ -1,6 +1,7 @@
 """CSV ingestion and round trip, normalization, synthetic blobs, and splits."""
 
 import csv
+import dataclasses
 import io
 import warnings
 
@@ -76,6 +77,13 @@ class TestLoadCsv:
         path.write_text("f1,label\n1,a\n")
         with pytest.raises(ValueError, match="domain"):
             load_csv(str(path), domain_column="site")
+
+    def test_header_without_feature_columns_rejected(self, tmp_path):
+        path = tmp_path / "labels_only.csv"
+        path.write_text("label\na\nb\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == f"{path}: no feature columns in header"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -427,6 +435,28 @@ class TestMakeBlobs:
             make_blobs(SyntheticSpec(n=2, classes=2, domains=1,
                                      samples_per_class_per_domain=1,
                                      intra_std=-1.0))
+        valid = dict(n=2, classes=2, domains=1, samples_per_class_per_domain=1)
+        for field, value in [("n", 2.0), ("classes", True), ("domains", 1.5),
+                             ("samples_per_class_per_domain", True)]:
+            with pytest.raises(ValueError) as exc:
+                SyntheticSpec(**{**valid, field: value})
+            assert str(exc.value) == (f"{field} must be an integer, "
+                                      f"got {value!r}")
+
+    def test_replace_checks_the_rules(self):
+        spec = SyntheticSpec(n=2, classes=2, domains=1,
+                             samples_per_class_per_domain=1)
+        with pytest.raises(ValueError, match="^classes must be at least 1$"):
+            dataclasses.replace(spec, classes=0)
+        with pytest.raises(ValueError, match="^intra_std must be finite"):
+            dataclasses.replace(spec, intra_std=float("nan"))
+
+    def test_fields_cannot_be_assigned(self):
+        spec = SyntheticSpec(n=2, classes=2, domains=1,
+                             samples_per_class_per_domain=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.samples_per_class_per_domain = 0
+        assert spec.samples_per_class_per_domain == 1
 
     def test_summed_overflow_names_every_setting(self):
         # each draw is finite here; only their sums overflow

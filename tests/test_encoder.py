@@ -274,6 +274,7 @@ class TestRegenerateDims:
     def test_empty_plan_is_identity(self):
         e = init_encoder(13, 3, 6)
         e2 = regenerate_dims(e, plan_for(e, []))
+        assert e2 is e
         np.testing.assert_array_equal(e2.bases, e.bases)
         np.testing.assert_array_equal(e2.phases, e.phases)
         assert e2.draw_counter == e.draw_counter

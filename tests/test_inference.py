@@ -258,6 +258,14 @@ class TestTopkAccuracy:
                                   scores=scores)
                     == topk_accuracy(self.model, self.enc, wrong, k))
 
+    @pytest.mark.parametrize("shape", [(100, 2), (4, 1)],
+                             ids=["extra_rows", "missing_column"])
+    def test_scores_of_another_shape_rejected(self, shape):
+        scores = np.tile([1.0, 0.0], (shape[0], 1))[:, :shape[1]]
+        with pytest.raises(ValueError) as exc:
+            topk_accuracy(self.model, self.enc, self.data, 1, scores=scores)
+        assert str(exc.value) == f"scores has shape {shape}, expected (4, 2)"
+
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.empty((0, 2)), np.array([], dtype=np.int64),
                         ["a", "b"])

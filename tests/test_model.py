@@ -39,21 +39,21 @@ class TestEncoderState:
                          draw_counter=12, regen_history=[])
         assert e.dim == 4 and e.n_features == 2
 
-    def test_copy_is_independent(self):
-        e = init_encoder(3, 2, 4)
-        c = e.copy()
-        c.bases[0, 0] += 1.0
-        assert e.bases[0, 0] != c.bases[0, 0]
+    @pytest.mark.parametrize("counter, message", [
+        (True, "draw_counter must be an integer, got True"),
+        (7.5, "draw_counter must be an integer, got 7.5"),
+        (30.0, "draw_counter must be an integer, got 30.0"),
+        ("30", "draw_counter must be an integer, got '30'"),
+        (-1, "draw_counter must be non-negative")])
+    def test_draw_counter_must_be_a_non_negative_integer(self, counter,
+                                                         message):
+        with pytest.raises(ValueError) as exc:
+            replace(init_encoder(1, 2, 8), draw_counter=counter)
+        assert str(exc.value) == message
 
-    def test_copy_copies_the_history(self):
-        e = init_encoder(3, 2, 4)
-        assert e.regen_history == []
-        e = regenerate_dims(e, RegenPlan(np.array([1, 3]), np.zeros(4),
-                                         "insignificant", 0.5))
-        c = e.copy()
-        c.regen_history[0][0] = 0
-        c.regen_history.append(np.array([2]))
-        assert [idx.tolist() for idx in e.regen_history] == [[1, 3]]
+    def test_draw_counter_is_stored_as_an_int(self):
+        e = replace(init_encoder(1, 2, 8), draw_counter=np.int64(0))
+        assert type(e.draw_counter) is int and e.draw_counter == 0
 
     @pytest.mark.parametrize("bases", [
         np.zeros(8), np.zeros((8, 2, 1)), np.zeros((8, 2), np.float32),
@@ -96,6 +96,10 @@ class TestClassModel:
     def test_accessors(self):
         m = ClassModel(np.zeros((3, 8)), ["x", "y", "z"])
         assert m.dim == 8 and m.n_classes == 3
+
+    def test_classes_must_be_2d(self):
+        with pytest.raises(ValueError, match="^classes must be a 2-D array$"):
+            ClassModel(np.zeros(4), [])
 
     def test_check_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
@@ -143,8 +147,8 @@ class TestRegenPlan:
             RegenPlan(np.array([1, 1]), np.array([]), "misleading", 0.5)
 
     def test_rejects_rate_out_of_range(self):
-        with pytest.raises(ValueError):
-            RegenPlan(np.array([0]), np.array([]), "misleading", 1.5)
+        with pytest.raises(ValueError, match=r"^rate must lie in \[0, 1\]$"):
+            RegenPlan(np.array([0]), np.zeros(4), "misleading", 1.5)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
@@ -413,6 +417,15 @@ class TestModelFile:
             save_model(os.path.join(tmp_path, "model.json"),
                        replace(init_encoder(1, 2, 8), seed=seed),
                        ClassModel(np.zeros((2, 8)), ["a", "b"]))
+        assert os.listdir(tmp_path) == []
+
+    def test_encoder_of_another_dim_rejected_before_any_file(self,
+                                                              tmp_path):
+        with pytest.raises(ValueError) as exc:
+            save_model(os.path.join(tmp_path, "model.json"),
+                       init_encoder(1, 2, 16),
+                       ClassModel(np.zeros((2, 8)), ["a", "b"]))
+        assert str(exc.value) == "encoder and model dimensionality differ"
         assert os.listdir(tmp_path) == []
 
     def test_numpy_integer_encoder_seed_saved_as_int(self, tmp_path):
@@ -703,6 +716,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "world\n")
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "world\n"
+    assert os.listdir(tmp_path) == ["x.txt"]
+
+
+def test_failed_atomic_write_keeps_the_old_file(tmp_path):
+    path = os.path.join(tmp_path, "x.txt")
+    atomic_write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\udcff")  # a lone surrogate has no UTF-8
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "old\n"
     assert os.listdir(tmp_path) == ["x.txt"]
 
 

@@ -1,6 +1,7 @@
 """Training loop: bundling, similarity-weighted updates, the
 regenerate-retrain schedule, early stopping, and the run's records."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -81,7 +82,7 @@ def reference_epoch(m, e, data, eta):
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        TrainConfig(dim=64).validate()
+        TrainConfig(dim=64)
 
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0},
@@ -98,10 +99,40 @@ class TestTrainConfig:
         {"dim": 8, "seed": 1.5},
         {"dim": 8, "eta": float("nan")},
         {"dim": 8, "eta": float("inf")},
+        {"dim": 8.0},
+        {"dim": True},
+        {"dim": 8, "epochs_per_round": 2.5},
+        {"dim": 8, "rounds": True},
+        {"dim": 8, "patience": 1.5},
+        {"dim": 8, "shuffle": "no"},
+        {"dim": 8, "shuffle": 1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", 8.0, "dim must be an integer, got 8.0"),
+        ("epochs_per_round", 2.5,
+         "epochs_per_round must be an integer, got 2.5"),
+        ("rounds", True, "rounds must be an integer, got True"),
+        ("patience", 1.5, "patience must be an integer, got 1.5"),
+        ("shuffle", "no", "shuffle must be a bool, got 'no'"),
+        ("dim", 0, "dim must be at least 1")])
+    def test_replace_checks_each_rule(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(TrainConfig(dim=8), **{field: value})
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(dim=np.int64(8), rounds=np.int32(2))
+        assert cfg.dim == 8 and cfg.rounds == 2
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = TrainConfig(dim=8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dim = 0
+        assert cfg.dim == 8
 
 
 class TestInitialPass:
