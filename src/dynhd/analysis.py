@@ -172,9 +172,10 @@ def plan_regeneration(strategy: str, rate: float, model: ClassModel,
 
     ``insignificant`` reads only the model.  ``misleading`` and
     ``domain_variant`` score the dataset ``ds``, which they require, encoded
-    by ``enc`` unless its cached ``encodings`` are passed.  ``misleading``
-    also takes the rows' cached (N, L) class ``scores`` against ``model``
-    (``misleading_scores``' ``sims``); the other detectors ignore them.
+    by ``enc`` unless its cached encodings, of shape (len(ds), D), are
+    passed.  ``misleading`` also takes the rows' cached (N, L) class
+    ``scores`` against ``model`` (``misleading_scores``' ``sims``); the
+    other detectors ignore them.
     """
     if strategy not in REGEN_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
@@ -183,6 +184,9 @@ def plan_regeneration(strategy: str, rate: float, model: ClassModel,
         return select_insignificant(model, rate)
     if ds is None:
         raise ValueError(f"strategy={strategy} needs a dataset")
+    if encodings is not None and np.shape(encodings) != (len(ds), enc.dim):
+        raise ValueError(f"encodings has shape {np.shape(encodings)}, "
+                         f"expected {(len(ds), enc.dim)}")
     if strategy == "misleading":
         return select_misleading(
             misleading_scores(model, enc, ds, encodings, scores), rate)

@@ -60,7 +60,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .model import EncoderState, RegenPlan, check_index_set
-from .rng import TWO_PI, UniformStream, paired_normals
+from .rng import (TWO_PI, UniformStream, check_integer, normal_uniforms,
+                  paired_normals)
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
 # (BLOCK_ROWS, D) floats whatever the number of samples.
@@ -133,11 +134,12 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
     ``n`` (row-major draw order), then ``dim`` phases uniform on [0, 2*pi).
     """
     stream = UniformStream(seed)  # checks the seed
+    n, dim = check_integer(n, "n"), check_integer(dim, "dim")
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be at least 1")
     bases = stream.normals(dim * n).reshape(dim, n)
     phases = stream.phases(dim)
-    return EncoderState(bases, phases, stream.seed, stream.position, [])
+    return EncoderState(bases, phases, stream.seed, [])
 
 
 def encode(e: EncoderState, f) -> np.ndarray:
@@ -199,10 +201,9 @@ def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:
     if idx.size == 0:
         return e
     bases, phases = e.bases.copy(), e.phases.copy()
-    position = _redraw(bases, phases, e.seed, e.draw_counter, idx,
-                       np.ones(idx.size, dtype=bool))
-    return EncoderState(bases, phases, e.seed, position,
-                        e.regen_history + [idx])
+    _redraw(bases, phases, e.seed, e.draw_counter, idx,
+            np.ones(idx.size, dtype=bool))
+    return EncoderState(bases, phases, e.seed, e.regen_history + [idx])
 
 
 def _redraw(bases: np.ndarray, phases: np.ndarray, seed: int,
@@ -211,8 +212,7 @@ def _redraw(bases: np.ndarray, phases: np.ndarray, seed: int,
     writing into ``bases`` and ``phases`` only the rows where ``keep`` is
     set; returns the stream position after all of ``idx``'s draws."""
     n = bases.shape[1]
-    # Per dimension: 2*ceil(n/2) uniforms for its normals, then its phase.
-    per_dim = 2 * ((n + 1) // 2) + 1
+    per_dim = normal_uniforms(n) + 1  # a row's normals, then its phase
     if keep.any():  # paired_normals works row by row: drop the rest first
         u = UniformStream(seed, position).uniforms(idx.size * per_dim)
         u = u.reshape(idx.size, per_dim)[keep]
@@ -244,7 +244,7 @@ def replay_encoder(seed: int, n: int, dim: int,
     for r, idx in enumerate(history):
         position = _redraw(e.bases, e.phases, e.seed, position, idx,
                            last_round[idx] == r)
-    return EncoderState(e.bases, e.phases, e.seed, position, history)
+    return EncoderState(e.bases, e.phases, e.seed, history)
 
 
 def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
@@ -272,8 +272,7 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
     if idx.size:
         # Each block of the planned rows' own encoder is put straight into
         # ``out`` at the flat offsets row * D + idx: no (N, |idx|) temporary.
-        planned = EncoderState(e.bases[idx], e.phases[idx], e.seed,
-                               e.draw_counter, [])
+        planned = EncoderState(e.bases[idx], e.phases[idx], e.seed, [])
         encodings = np.atleast_2d(out)
         offsets = (np.arange(min(BLOCK_ROWS, rows.shape[0]))[:, None] * e.dim
                    + idx)

@@ -97,6 +97,8 @@ def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset, k: int,
     if scores is None:
         scores = score_queries(m, e, test, (k,))[0]
     else:
+        if len(test) == 0:
+            raise ValueError("test dataset must be non-empty")
         _check_k(m, k)
         if np.shape(scores) != (len(test), m.n_classes):
             raise ValueError(f"scores has shape {np.shape(scores)}, "

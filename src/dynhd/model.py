@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import check_integer, check_seed
+from .rng import check_seed, normal_uniforms
 
 REGEN_STRATEGIES = ("insignificant", "misleading", "domain_variant")
 TRAIN_STRATEGIES = ("none",) + REGEN_STRATEGIES
@@ -85,30 +85,25 @@ def check_json_kind(name: str, value, kind: str) -> None:
 class EncoderState:
     """Random projection: D Gaussian base rows plus D phase offsets.
 
-    ``seed`` and ``draw_counter`` pin the position in the underlying uniform
-    stream (see :mod:`dynhd.rng`); regeneration continues from
-    ``draw_counter``.  ``regen_history`` is the log of regenerated index
-    sets, one int64 array per non-empty plan, in order: with the seed and
-    the shape it determines the bases, phases and ``draw_counter`` (see
-    ``encoder.replay_encoder``), and it is what a model file stores.
-    Building one raises ValueError unless ``seed`` passes
-    ``rng.check_seed`` and ``draw_counter`` is a non-negative integer (both
-    stored as ints), ``bases`` is a 2-D finite float64 array, ``phases`` D
-    finite float64 values, and each history entry passes
-    ``check_index_set`` (stored as an int64 copy).
+    ``regen_history`` is the log of regenerated index sets, one int64 array
+    per non-empty plan, in order: with the seed and the shape it determines
+    the bases and phases (see ``encoder.replay_encoder``), and it is what a
+    model file stores.  ``draw_counter``, the position in the seed's uniform
+    stream (see :mod:`dynhd.rng`) from which regeneration continues, is
+    derived from the shape and the history and cannot be set.  Building one
+    raises ValueError unless ``seed`` passes ``rng.check_seed`` (stored as
+    an int), ``bases`` is a 2-D finite float64 array, ``phases`` D finite
+    float64 values, and each history entry passes ``check_index_set``
+    (stored as an int64 copy).
     """
 
     bases: np.ndarray  # (D, n), standard-normal rows
     phases: np.ndarray  # (D,), each in [0, 2*pi)
     seed: int
-    draw_counter: int
     regen_history: list[np.ndarray]
 
     def __post_init__(self):
         self.seed = check_seed(self.seed)
-        self.draw_counter = check_integer(self.draw_counter, "draw_counter")
-        if self.draw_counter < 0:
-            raise ValueError("draw_counter must be non-negative")
         if not _finite_float64(self.bases) or self.bases.ndim != 2:
             raise ValueError("bases must be a 2-D array of finite float64 "
                              "values")
@@ -127,6 +122,14 @@ class EncoderState:
     @property
     def n_features(self) -> int:
         return self.bases.shape[1]
+
+    @property
+    def draw_counter(self) -> int:
+        """Uniforms drawn so far: ``init_encoder``'s D*n normals and D
+        phases, then per regenerated index its row's n normals and phase."""
+        redrawn = sum(idx.size for idx in self.regen_history)
+        return (normal_uniforms(self.dim * self.n_features) + self.dim
+                + (normal_uniforms(self.n_features) + 1) * redrawn)
 
 
 @dataclass
@@ -273,7 +276,7 @@ def _check_ids(kind: str, ids, names: list[str], count: int) -> np.ndarray:
 # Model file format (version 4): one JSON document holding the encoder and
 # the class model.  The encoder is stored as its replay log: ``n``, ``D``,
 # ``seed`` and ``regen_history``, the regenerated index sets in order, from
-# which loading rebuilds the bases, phases and draw counter bit-identically.
+# which loading rebuilds the bases and phases bit-identically.
 # Binary values are base64 strings, standard alphabet, no line breaks.  Each
 # ``regen_history`` entry is its round's D-bit membership mask, packed
 # little-endian by bit (index i is bit i % 8 of byte i // 8) into ceil(D/8)

@@ -49,6 +49,11 @@ def check_seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
+def normal_uniforms(count: int) -> int:
+    """Uniforms behind ``count`` normals: ``2*ceil(count/2)``."""
+    return 2 * ((count + 1) // 2)
+
+
 def _generator_at(seed: int, position: int) -> np.random.Generator:
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(position // 4)
@@ -100,7 +105,7 @@ class UniformStream:
         """Next ``count`` standard normals via the paired transform."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        return paired_normals(self.uniforms(2 * ((count + 1) // 2)))[:count]
+        return paired_normals(self.uniforms(normal_uniforms(count)))[:count]
 
     def phases(self, count: int) -> np.ndarray:
         """Next ``count`` phase offsets, uniform on [0, 2*pi)."""

@@ -483,6 +483,18 @@ class TestPlanRegeneration:
                            match=f"strategy={strategy} needs a dataset"):
             plan_regeneration(strategy, 0.25, model, enc)
 
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 8)])
+    @pytest.mark.parametrize("strategy", ["misleading", "domain_variant"])
+    def test_encodings_of_another_shape_rejected(self, strategy, shape):
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), ["a", "b"],
+                     np.array([0, 0, 1, 1]), ["p", "q"])
+        enc = init_encoder(1, 2, 8)
+        model = ClassModel(np.eye(2, 8), ["a", "b"])
+        with pytest.raises(ValueError) as exc:
+            plan_regeneration(strategy, 0.5, model, enc, ds, np.zeros(shape))
+        assert str(exc.value) == (f"encodings has shape {shape}, "
+                                  "expected (4, 8)")
+
     def test_unknown_strategy_rejected(self):
         enc, model, ds = self.inputs()
         with pytest.raises(ValueError, match="unknown strategy 'none'"):

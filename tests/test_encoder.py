@@ -33,14 +33,15 @@ def fold_encode(feats, bases, phases):
     return 0.5 * (np.sin(2.0 * x + phases) - np.sin(phases))
 
 
-def _reference_regenerate(e, indices):
-    """The per-dimension draw loop: per index (ascending) the row's normals,
-    then its phase.  The batched ``regenerate_dims`` must equal it bit for
-    bit.  Returns (bases, phases, draw_counter)."""
-    bases, phases = e.bases.copy(), e.phases.copy()
-    stream = UniformStream(e.seed, e.draw_counter)
+def _reference_regenerate(bases, phases, seed, position, indices):
+    """The per-dimension draw loop from ``position`` of the seed's stream:
+    per index (ascending) the row's normals, then its phase.  The batched
+    ``regenerate_dims`` must equal it bit for bit.  Returns (bases, phases,
+    stream position)."""
+    bases, phases = bases.copy(), phases.copy()
+    stream = UniformStream(seed, position)
     for i in indices:
-        bases[i] = stream.normals(e.n_features)
+        bases[i] = stream.normals(bases.shape[1])
         phases[i] = stream.phases(1)[0]
     return bases, phases, stream.position
 
@@ -84,8 +85,23 @@ class TestInitEncoder:
 
     @pytest.mark.parametrize("n,dim", [(0, 4), (4, 0), (-1, 4)])
     def test_rejects_nonpositive_sizes(self, n, dim):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n and dim must be at least 1"):
             init_encoder(1, n, dim)
+
+    @pytest.mark.parametrize("n, dim, message", [
+        (2.0, 8, "n must be an integer, got 2.0"),
+        (2, 8.0, "dim must be an integer, got 8.0"),
+        (True, 8, "n must be an integer, got True"),
+        (2, "8", "dim must be an integer, got '8'")])
+    def test_non_integer_shape_rejected(self, n, dim, message):
+        with pytest.raises(ValueError) as exc:
+            init_encoder(1, n, dim)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_shape_is_accepted(self):
+        e = init_encoder(1, np.int64(2), np.int32(8))
+        assert e.bases.tobytes() == init_encoder(1, 2, 8).bases.tobytes()
+        assert type(e.draw_counter) is int and e.draw_counter == 24
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
     def test_non_integer_seed_rejected(self, seed):
@@ -145,7 +161,7 @@ class TestEncode:
     def test_quarter_pi_closed_form(self):
         # dot(B_i, F) = pi/4 with zero phase gives cos(pi/4)*sin(pi/4) = 1/2
         e = EncoderState(np.array([[np.pi / 4.0]]), np.array([0.0]),
-                         seed=0, draw_counter=0, regen_history=[])
+                         seed=0, regen_history=[])
         h = encode(e, np.array([1.0]))
         assert h[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -348,8 +364,7 @@ class TestBatchedRegenerationIsExact:
         plans += [np.sort(pick.choice(dim, size=int(pick.integers(1, dim + 1)),
                                       replace=False)) for _ in range(3)]
         for indices in plans:
-            ref = _reference_regenerate(
-                EncoderState(ref[0], ref[1], 31, ref[2], []), indices)
+            ref = _reference_regenerate(ref[0], ref[1], 31, ref[2], indices)
             e = regenerate_dims(e, plan_for(e, indices))
             assert np.array_equal(e.bases, ref[0])
             assert np.array_equal(e.phases, ref[1])

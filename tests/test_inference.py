@@ -272,6 +272,14 @@ class TestTopkAccuracy:
         with pytest.raises(ValueError):
             topk_accuracy(self.model, self.enc, empty, 1)
 
+    def test_empty_dataset_with_scores_rejected(self):
+        empty = Dataset(np.empty((0, 2)), np.array([], dtype=np.int64),
+                        ["a", "b"])
+        with pytest.raises(ValueError) as exc:
+            topk_accuracy(self.model, self.enc, empty, 1,
+                          scores=np.empty((0, 2)))
+        assert str(exc.value) == "test dataset must be non-empty"
+
     def test_label_name_mismatch_rejected(self):
         renamed = Dataset(self.data.features, self.data.labels, ["x", "y"])
         with pytest.raises(ValueError):

@@ -36,24 +36,21 @@ def small_dataset(**kwargs):
 class TestEncoderState:
     def test_shape_accessors(self):
         e = EncoderState(np.zeros((4, 2)), np.zeros(4), seed=1,
-                         draw_counter=12, regen_history=[])
+                         regen_history=[])
         assert e.dim == 4 and e.n_features == 2
 
-    @pytest.mark.parametrize("counter, message", [
-        (True, "draw_counter must be an integer, got True"),
-        (7.5, "draw_counter must be an integer, got 7.5"),
-        (30.0, "draw_counter must be an integer, got 30.0"),
-        ("30", "draw_counter must be an integer, got '30'"),
-        (-1, "draw_counter must be non-negative")])
-    def test_draw_counter_must_be_a_non_negative_integer(self, counter,
-                                                         message):
-        with pytest.raises(ValueError) as exc:
-            replace(init_encoder(1, 2, 8), draw_counter=counter)
-        assert str(exc.value) == message
-
-    def test_draw_counter_is_stored_as_an_int(self):
-        e = replace(init_encoder(1, 2, 8), draw_counter=np.int64(0))
-        assert type(e.draw_counter) is int and e.draw_counter == 0
+    def test_draw_counter_cannot_be_set(self):
+        """The counter is derived, so no encoder holds a stream position
+        that its shape and history do not imply."""
+        e = regenerate_dims(init_encoder(1, 2, 8),
+                            RegenPlan(np.array([1, 3]), np.zeros(8),
+                                      "insignificant", 0.25))
+        with pytest.raises(TypeError):
+            replace(e, draw_counter=0)
+        with pytest.raises(AttributeError):
+            e.draw_counter = 0
+        # 16 normals and 8 phases, then 2 normals and a phase per index
+        assert type(e.draw_counter) is int and e.draw_counter == 30
 
     @pytest.mark.parametrize("bases", [
         np.zeros(8), np.zeros((8, 2, 1)), np.zeros((8, 2), np.float32),

@@ -1,6 +1,6 @@
 """Randomized invariant suite.
 
-Thirteen families, each run over at least 200 generated cases: monotone
+Fourteen families, each run over at least 200 generated cases: monotone
 top-k accuracy, scale-invariant rankings, bounded encodings, encodings
 within a rounding bound of the paper's product formula, every encode path
 equal to a plain left-to-right fold of the projection, class-scale-invariant
@@ -8,10 +8,11 @@ detector scores, the regeneration zero/coherence rules, batched in-place
 re-encoding equal to a fresh encode, strict rejection of non-finite
 training hyperparameters, the score-cached training pass equal to the
 per-sample loop, an encoder replayed from its regeneration history
-equal to the chained result, with the draw count the history implies, and
-a saved and loaded model equal to the one saved, whatever its rounds
-repeat, nest or overlap, and a written and loaded CSV equal to its dataset,
-whatever its names and column order.
+equal to the chained result, with the draw count the history implies, the
+derived draw counter equal to the position of a stream that made the same
+draws one dimension at a time, a saved and loaded model equal to the one
+saved, whatever its rounds repeat, nest or overlap, and a written and
+loaded CSV equal to its dataset, whatever its names and column order.
 
 Scale factors are powers of two throughout: scaling by 2^p is exact in
 binary floating point, so dot products, norms, and their quotients are
@@ -37,6 +38,7 @@ from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy)
 from dynhd.model import ClassModel, Dataset, RegenPlan, load_model, save_model
+from dynhd.rng import UniformStream
 from dynhd.trainer import TrainConfig
 from test_encoder import fold_encode, fold_projection, plan_for
 from test_trainer import assert_pass_exact
@@ -303,6 +305,33 @@ def test_replay_equals_chained_regeneration(seed, dim, n, plan_seed, rounds):
     pairs = lambda k: 2 * ((k + 1) // 2)  # uniforms behind k normals
     assert e.draw_counter == replayed.draw_counter == (
         pairs(dim * n) + dim + regenerated * (pairs(n) + 1))
+
+
+@COMMON
+@given(seed=seeds, dim=dims, n=st.integers(1, 9), plan_seed=seeds,
+       rounds=st.integers(0, 4))
+def test_draw_counter_is_the_stream_position(seed, dim, n, plan_seed, rounds):
+    """The counter derived from the shape and the history is where one
+    stream stands after drawing the encoder's bases and phases, then each
+    regenerated dimension's row and phase in turn; empty plans included."""
+    pick = make_rng(plan_seed)
+    e = init_encoder(seed, n, dim)
+    stream = UniformStream(seed)
+    np.testing.assert_array_equal(e.bases,
+                                  stream.normals(dim * n).reshape(dim, n))
+    np.testing.assert_array_equal(e.phases, stream.phases(dim))
+    assert e.draw_counter == stream.position
+    for _ in range(rounds):
+        count = int(pick.integers(0, dim + 1))
+        indices = np.sort(pick.choice(dim, size=count, replace=False))
+        e = regenerate_dims(e, RegenPlan(indices, np.zeros(dim),
+                                         "insignificant", count / dim))
+        for i in indices:
+            np.testing.assert_array_equal(e.bases[i], stream.normals(n))
+            assert e.phases[i] == stream.phases(1)[0]
+        assert e.draw_counter == stream.position
+    replayed = replay_encoder(seed, n, dim, e.regen_history)
+    assert replayed.draw_counter == e.draw_counter
 
 
 def next_round(pick, dim, kind, last):
