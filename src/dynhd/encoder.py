@@ -5,17 +5,25 @@ A sample ``f`` is encoded per dimension by the paper's formula
     h_i = cos(x_i + c_i) * sin(x_i),    x_i = dot(B_i, f),
 
 with ``B_i`` a standard-normal base row and ``c_i`` a phase offset uniform on
-[0, 2*pi).  It is computed through the product-to-sum identity as
+[0, 2*pi).  It equals (sin(2x_i + c_i) - sin(c_i)) / 2, and is computed as
 
-    h_i = 0.5 * (sin(2 * x_i + c_i) - sin(c_i)),
+    h_i = S(x_i + c_i / 2) - S(c_i / 2),    S(a) = t / (1 + t*t) = sin(2a) / 2
 
-one sine per entry where the product takes a sine and a cosine: the
-transcendentals bound the encoder, and sin(c_i) is taken once per call for
-all rows.  2 * x_i is exact, so only the rounding of 2 * x_i + c_i, the two
-sines and the difference separate it from the product form; measured over
-2M draws per |x| scale from 1 to 1e4, it deviates by at most
-2.2 * eps * (|x_i| + 1).  Both sines lie in [-1, 1], so every h_i does, and
-a zero input encodes to exactly +0.0.
+with t = tan(a): one tangent per entry, where numpy's float64 tan has a
+SIMD loop and its sine is libm's (2.3 against 28 ns per entry on a 2-vCPU
+AVX512 host).  S(c_i / 2) is taken once per call by a block's operations,
+so a zero input encodes to exactly +0.0.  c_i / 2 is exact, so
+x_i + c_i / 2 rounds as (2x_i + c_i) / 2 does.  Measured over 2M draws per
+scale from 1e-3 to 1e4, 2 S(a / 2) is within 1 eps of libm's sin(a), and
+h_i within 2.2 * eps * (|x_i| + 1) of the product form, as the one-sine
+form was.  S never exceeds 0.5, its value at t = 1, so every |h_i| <= 1.
+
+numpy takes the SIMD tan only where its AVX512 targets run, and only on an
+array with loadable strides that does not partly overlap its output;
+otherwise libm's, which rounds about 0.5% of tangents differently.  Every
+tan is taken in place on a contiguous block buffer, so the encode paths of
+one machine agree bit for bit; across CPUs the bits move along the same
+dispatch axis as the log1p that draws the bases (see :mod:`dynhd.rng`).
 
 Regeneration redraws the base rows and phases of selected dimensions from the
 encoder's continuing uniform stream (see :mod:`dynhd.rng`), leaving all other
@@ -29,10 +37,10 @@ works row by row and a stream can start at any position.
 
 A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
 run it as row 0 of the batch paths, whose one input check, and whose check
-for a projection that overflows (NaN after the sine), name the offending row.
+for a projection that overflows (tan(inf) is NaN), name the offending row.
 
 Every encode runs through one block loop, ``encode_blocks``, whose kernel
-projects at most ``BLOCK_ROWS`` samples and applies the sine in place.  It
+projects at most ``BLOCK_ROWS`` samples and applies the tangent in place.  It
 writes the blocks into ``encode_batch``'s (N, D) output, or into one reused
 (BLOCK_ROWS, D) buffer for a caller that needs each block only once: eval's
 scoring, and ``reencode_dims``, which encodes the planned rows as an
@@ -88,26 +96,35 @@ def _project(rows: np.ndarray, bases_t: np.ndarray,
     return x
 
 
-def _encode_block(rows: np.ndarray, bases_t: np.ndarray, phases: np.ndarray,
-                  sin_phases: np.ndarray, start: int,
-                  x: np.ndarray) -> np.ndarray:
-    """0.5 * (sin(2x + c) - sin(c)) with x = rows @ bases_t, computed in
-    place in ``x``; ``bases_t`` is the (n, d) C-contiguous transpose of the
-    bases and ``sin_phases`` is np.sin(phases).  A projection that overflows
-    raises ValueError naming its sample, numbered from ``start`` for the
-    block's first row."""
+def _half_sine(a: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """S(a) = t / (1 + t*t) with t = tan(a), in place in the contiguous
+    ``a`` (see the module docstring); ``square`` is scratch of its shape."""
+    np.tan(a, out=a)
+    np.multiply(a, a, out=square)
+    square += 1.0
+    a /= square
+    return a
+
+
+def _encode_block(rows: np.ndarray, bases_t: np.ndarray,
+                  half_phases: np.ndarray, s_phases: np.ndarray, start: int,
+                  x: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """S(x + c/2) - S(c/2) with x = rows @ bases_t, computed in place in
+    ``x``; ``bases_t`` is the (n, d) C-contiguous transpose of the bases,
+    ``half_phases`` is c/2, ``s_phases`` is S(c/2) and ``square`` is
+    scratch of ``x``'s shape.  A projection that overflows raises
+    ValueError naming its sample, numbered from ``start`` for the block's
+    first row."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         _project(rows, bases_t, x)
-        x += x
-        x += phases
-        np.sin(x, out=x)
-    # sin is finite on finite input, so an overflow shows only as NaN.
+        x += half_phases
+        _half_sine(x, square)
+    # tan is finite on finite input, so an overflow shows only as NaN.
     if np.isnan(x).any():
         bad = int(np.argmax(np.isnan(x).any(axis=1)))
         raise ValueError(f"sample {start + bad}: encoding is not finite "
                          "(the projection of its features overflows)")
-    x -= sin_phases
-    x *= 0.5
+    x -= s_phases
     return x
 
 
@@ -144,7 +161,7 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
 
 def encode(e: EncoderState, f) -> np.ndarray:
     """Encode one sample: h_i = cos(B_i.f + c_i) * sin(B_i.f), computed as
-    0.5 * (sin(2 B_i.f + c_i) - sin(c_i)); row 0 of a batch of one."""
+    S(B_i.f + c_i/2) - S(c_i/2); row 0 of a batch of one."""
     return encode_batch(e, [f])[0]
 
 
@@ -178,13 +195,16 @@ def encode_blocks(e: EncoderState, samples,
     """
     arr = _check_batch(samples, e.n_features)
     bases_t = np.ascontiguousarray(e.bases.T)
-    sin_phases = np.sin(e.phases)
+    half_phases = e.phases * 0.5
+    # as a block computes it, so a zero row encodes to +0.0
+    s_phases = _half_sine(half_phases.copy(), np.empty(e.dim))
+    square = np.empty((min(arr.shape[0], BLOCK_ROWS), e.dim))
     for start in range(0, arr.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = arr[rows]
         h = out[rows] if out.shape[0] > BLOCK_ROWS else out[:len(block)]
-        yield rows, _encode_block(block, bases_t, e.phases, sin_phases,
-                                  start, h)
+        yield rows, _encode_block(block, bases_t, half_phases, s_phases,
+                                  start, h, square[:len(block)])
 
 
 def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:

@@ -5,11 +5,12 @@ A training run is (rounds + 1) segments of ``epochs_per_round`` adaptive
 epochs; after each segment except the last, the configured detector selects
 dimensions to regenerate, the encoder redraws them, the class entries at
 those dimensions are reset to zero (their old values describe the discarded
-bases), and cached encodings are refreshed in place via reencode_dims.  The
-training rows, then the validation rows, are encoded as one block; both
-sets and their norms are row-slice views of it, so one re-encode and one
-norm refresh per round keep both current.  An encoding that overflows
-raises ValueError naming its row in that block.
+bases), and the cached training encodings are refreshed in place via
+reencode_dims.  Only the training rows are cached: validation runs through
+``inference.score_queries``, block by block as eval does.  An encoding that
+overflows raises ValueError naming its row: a training row when the rows
+are first encoded, a validation row ("validation sample i") at the end of
+the first segment.
 
 Updates are mispredict-only and similarity-weighted: for a sample of class y
 encoded as H with scores delta and top-1 prediction p != y,
@@ -27,15 +28,17 @@ raises ArithmeticError naming the segment and the epoch.  ``train``
 returns a JSON-ready record per epoch, per round (with its plan's size
 against floor(rate * D)) and per timed step of a round's end, then a summary.
 
-``train`` caches the class scores of every row of the block, and which
-rows are fresh.  An update or a non-empty regeneration makes every row
-stale; nothing else changes a score, so a fresh row is exact.  A stale row
-is scored when read, at most ``encoder.BLOCK_ROWS`` rows per batched call
+``train`` caches the class scores of every training row, and which rows
+are fresh.  An update or a non-empty regeneration makes every row stale;
+nothing else changes a score, so a fresh row is exact.  A stale row is
+scored when read, at most ``encoder.BLOCK_ROWS`` rows per batched call
 (bit-identical to one row at a time).  The pass reads blocks that start at
 one row, double up to ``BLOCK_ROWS`` while their rows predict right, and go
 back to one row after each update (made from the first mispredict's cached
 scores); once every training row is fresh, one ``argmax`` ranks the rest
-of the epoch.  Validation and the ``misleading`` detector read it too.
+of the epoch.  The ``misleading`` detector reads the cache too.
+Validation keeps only its accuracy: its rows go stale together, so it
+scores them all again only after an update or a non-empty regeneration.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .analysis import _accumulate, plan_regeneration, plan_size
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
-from .inference import model_scores, row_norms, topk_hits
+from .inference import model_scores, row_norms, score_queries, topk_hits
 from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
 from .rng import check_integer, check_seed
 
@@ -106,9 +109,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
       plus the stale training rows the ``misleading`` detector reads),
       wall_ms.
     - ``timing``: round, step, wall_ms; one per step of a round's end:
-      ``validate``, ``plan``, ``regenerate`` (the redraw) or ``reencode``
-      (the class reset, and the cached train and validation encodings with
-      their norms).
+      ``validate`` (encoding and scoring the validation rows when they are
+      stale), ``plan``, ``regenerate`` (the redraw) or ``reencode`` (the
+      class reset, and the cached training encodings with their norms).
     - ``summary``, one: total_epochs, stopped_early.
     """
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -126,12 +129,10 @@ def train(cfg: TrainConfig, train_ds: Dataset,
 
     enc = init_encoder(cfg.seed, train_ds.n, cfg.dim)
     n_train = len(train_ds)
-    features = np.concatenate([train_ds.features, valid_ds.features])
-    encs = encode_batch(enc, features)
+    encs = encode_batch(enc, train_ds.features)
     norms = row_norms(encs)
-    train_encs, train_norms = encs[:n_train], norms[:n_train]
     labels = train_ds.labels
-    model = ClassModel(_accumulate(train_encs, labels, train_ds.n_classes),
+    model = ClassModel(_accumulate(encs, labels, train_ds.n_classes),
                        list(train_ds.label_names))
     class_norms = row_norms(model.classes)
 
@@ -143,9 +144,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
     epochs, rounds, timings = [], [], []
     best_val = -np.inf
     stale = 0
-    scores = np.empty((len(encs), train_ds.n_classes))
-    fresh = np.zeros(len(encs), dtype=bool)
-    train_rows, valid_rows = np.arange(n_train), np.arange(n_train, len(encs))
+    scores = np.empty((n_train, train_ds.n_classes))
+    fresh = np.zeros(n_train, dtype=bool)
+    valid_fresh = False
     for segment in range(cfg.rounds + 1):
         for epoch in range(cfg.epochs_per_round):
             t0 = time.perf_counter()
@@ -154,24 +155,28 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             try:  # an overflow surfaces as the pass's non-finite norm
                 with np.errstate(over="ignore", invalid="ignore"):
                     acc, updates, scored = _adaptive_pass(
-                        model.classes, class_norms, train_encs, train_norms,
-                        labels, order, cfg.eta, scores[:n_train],
-                        fresh[:n_train])
+                        model.classes, class_norms, encs, norms, labels,
+                        order, cfg.eta, scores, fresh)
             except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"segment {segment}, epoch {epoch}: {exc}") from None
             if updates:  # the pass marks only its own rows stale
-                fresh[n_train:] = False
+                valid_fresh = False
             epochs.append({"type": "epoch", "segment": segment,
                            "epoch": epoch, "train_accuracy": acc,
                            "updates": updates, "scored": scored,
                            "wall_ms": (time.perf_counter() - t0) * 1e3})
 
         clock = [("", time.perf_counter())]  # (step, its end) in order
-        scored = _score_stale(model.classes, class_norms, encs, norms, scores,
-                              fresh, valid_rows)
-        val_acc = (topk_hits(scores[n_train:], valid_ds.labels, 1)
-                   / len(valid_ds))
+        scored = 0
+        if not valid_fresh:  # else val_acc stands from the last validation
+            try:
+                valid_scores = score_queries(model, enc, valid_ds)[0]
+            except ValueError as exc:  # an overflow, naming a validation row
+                raise ValueError(f"validation {exc}") from None
+            val_acc = (topk_hits(valid_scores, valid_ds.labels, 1)
+                       / len(valid_ds))
+            scored, valid_fresh = len(valid_ds), True
         if val_acc > best_val + EARLY_STOP_MIN_DELTA:
             best_val = val_acc
             stale = 0
@@ -185,10 +190,11 @@ def train(cfg: TrainConfig, train_ds: Dataset,
             sims = None
             if cfg.strategy == "misleading":
                 scored += _score_stale(model.classes, class_norms, encs,
-                                       norms, scores, fresh, train_rows)
-                sims = scores[:n_train]
+                                       norms, scores, fresh,
+                                       np.arange(n_train))
+                sims = scores
             plan = plan_regeneration(cfg.strategy, cfg.regen_rate, model,
-                                     enc, train_ds, train_encs, sims)
+                                     enc, train_ds, encs, sims)
             regen_indices = plan.indices.tolist()
             planned = len(regen_indices)
             target = plan_size(cfg.regen_rate, cfg.dim)
@@ -199,8 +205,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
                 model.classes[:, plan.indices] = 0.0
                 class_norms = row_norms(model.classes)
                 fresh[:] = False
-                reencode_dims(enc, features, encs, plan, inplace=True)
-                norms[:] = row_norms(encs)  # in place: the views stay valid
+                valid_fresh = False
+                reencode_dims(enc, train_ds.features, encs, plan, inplace=True)
+                norms = row_norms(encs)
                 clock.append(("reencode", time.perf_counter()))
         timings += [{"type": "timing", "round": segment, "step": step,
                      "wall_ms": (end - start) * 1e3}

@@ -2,9 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import dynhd.encoder
 from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch,
@@ -26,11 +30,18 @@ def fold_projection(feats, bases):
     return x
 
 
+def half_sine(a):
+    """S(a) = tan(a) / (1 + tan(a)^2), which equals sin(2a) / 2."""
+    t = np.tan(a)
+    return t / (1.0 + t * t)
+
+
 def fold_encode(feats, bases, phases):
     """The encoding every kernel path must reproduce bit for bit: the
-    paper's cos(x + c) * sin(x) in its one-sine form, x the fold above."""
+    paper's cos(x + c) * sin(x) in its one-tangent form
+    S(x + c/2) - S(c/2), x the fold above."""
     x = fold_projection(feats, bases)
-    return 0.5 * (np.sin(2.0 * x + phases) - np.sin(phases))
+    return half_sine(x + phases / 2) - half_sine(phases / 2)
 
 
 def _reference_regenerate(bases, phases, seed, position, indices):
@@ -124,7 +135,7 @@ class TestInitEncoder:
 
 class TestEncode:
     def test_zero_input_encodes_to_zero(self):
-        # Exactly +0.0: sin(c) - sin(c) is +0.0 whatever the phase, where
+        # Exactly +0.0: S(c/2) - S(c/2) is +0.0 whatever the phase, where
         # the product form gave -0.0 wherever cos(c) < 0.
         e = init_encoder(5, 4, 257)
         assert np.any(np.cos(e.phases) < 0.0)
@@ -135,28 +146,27 @@ class TestEncode:
                                 np.ones((BLOCK_ROWS + 3, 257)), plan)):
             assert h.tobytes() == bytes(h.nbytes)
 
-    def test_one_sine_per_entry_and_no_cosine(self, monkeypatch):
+    def test_one_tangent_per_entry_and_no_sine_or_cosine(self, monkeypatch):
         calls = []
 
         class CountingNumpy:
             def __getattr__(self, name):
-                return getattr(np, name)
+                fn = getattr(np, name)
+                if name not in ("tan", "sin", "cos"):
+                    return fn
 
-            def sin(self, x, *args, **kwargs):
-                calls.append(("sin", np.shape(x)))
-                return np.sin(x, *args, **kwargs)
-
-            def cos(self, x, *args, **kwargs):
-                calls.append(("cos", np.shape(x)))
-                return np.cos(x, *args, **kwargs)
+                def counting(x, *args, **kwargs):
+                    calls.append((name, np.shape(x)))
+                    return fn(x, *args, **kwargs)
+                return counting
 
         e = init_encoder(5, 3, 40)
         feats = np.ones((BLOCK_ROWS + 1, 3))
         monkeypatch.setattr(dynhd.encoder, "np", CountingNumpy())
         encode_batch(e, feats)
-        # sin(c) once per call, then one pass per row block
-        assert calls == [("sin", (40,)), ("sin", (BLOCK_ROWS, 40)),
-                         ("sin", (1, 40))]
+        # tan(c/2) once per call, then one pass per row block
+        assert calls == [("tan", (40,)), ("tan", (BLOCK_ROWS, 40)),
+                         ("tan", (1, 40))]
 
     def test_quarter_pi_closed_form(self):
         # dot(B_i, F) = pi/4 with zero phase gives cos(pi/4)*sin(pi/4) = 1/2
@@ -190,6 +200,56 @@ class TestEncode:
         e = init_encoder(5, 2, 8)
         with pytest.raises(ValueError):
             encode(e, np.array([np.nan, 0.0]))
+
+
+# numpy's float64 tan runs its AVX512 SIMD loop under these targets; with
+# them disabled it calls libm, which gives other bits for some inputs.
+AVX512_TARGETS = [t for t in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
+                  if t in __cpu_dispatch__]
+
+LIBM_CHECK = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_features__
+    sys.path.insert(0, sys.argv[1])
+    from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch,
+                               init_encoder, reencode_dims, regenerate_dims)
+    from test_encoder import fold_projection, plan_for
+
+    assert not __cpu_features__["X86_V4"]
+    eps = np.finfo(np.float64).eps
+    rng = np.random.Generator(np.random.Philox(key=3))
+    e = init_encoder(3, 5, 257)
+    plan = plan_for(e, range(1, 257, 3))
+    e2 = regenerate_dims(e, plan)
+    for scale in (1e-3, 1.0, 1e2, 1e4):
+        feats = rng.standard_normal((BLOCK_ROWS + 3, 5)) * scale
+        x = fold_projection(feats, e.bases)
+        product = np.cos(x + e.phases) * np.sin(x)
+        batch = encode_batch(e, feats)
+        assert np.all(np.abs(batch - product) <= 4 * eps * (np.abs(x) + 1))
+        assert encode(e, feats[-1]).tobytes() == batch[-1].tobytes()
+        reencode_dims(e2, feats, batch, plan, inplace=True)
+        assert batch.tobytes() == encode_batch(e2, feats).tobytes()
+    zeros = encode_batch(e, np.zeros((BLOCK_ROWS + 3, 5)))
+    assert zeros.tobytes() == bytes(zeros.nbytes)
+    print("ok")
+""")
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                    reason="numpy's runtime lists no X86_V4, so tan already "
+                           "takes the libm path the other tests run")
+def test_libm_tangent_keeps_the_kernel_contract():
+    """On a CPU without numpy's AVX512 targets tan is libm's: the kernel
+    still meets the product-form bound, encodes a zero row to +0.0, and
+    gives a block, a single row and a re-encoded subset the same bits."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBM_CHECK, os.path.dirname(__file__)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 class TestSingleSampleErrors:

@@ -127,11 +127,13 @@ def test_encoding_values_stay_bounded(seed, dim, n, scale):
 @given(seed=seeds, dim=dims, n=feature_counts,
        log_scale=st.floats(-3.0, 4.0, allow_nan=False, allow_infinity=False))
 def test_encoding_within_rounding_of_product_formula(seed, dim, n, log_scale):
-    # encode computes 0.5 * (sin(2x + c) - sin(c)).  2x is exact; rounding
-    # 2x + c errs by up to |x| * eps + pi * eps, halved by the 0.5, and the
-    # product form's x + c by |x| * eps / 2 + pi * eps; the sines, the
-    # cosine, the product and the difference add a few eps / 2.  Measured,
-    # the two forms differ by at most 2.2 * eps * (|x| + 1); 4 leaves room.
+    # encode computes S(x + c/2) - S(c/2), S(a) = tan(a) / (1 + tan(a)^2)
+    # = sin(2a) / 2.  c/2 is exact; rounding x + c/2 errs by up to
+    # |x| * eps / 2 + pi * eps / 2, which S, of slope at most 1, carries
+    # over, and the product form's x + c by |x| * eps / 2 + pi * eps; the
+    # tangents, the quotients, the sine, the cosine, the product and the
+    # difference add a few eps / 2.  Measured, the two forms differ by at
+    # most 2.0 * eps * (|x| + 1); 4 leaves room.
     rng = make_rng(seed)
     e = init_encoder(seed, n, dim)
     f = rng.standard_normal(n) * 10.0 ** log_scale / math.sqrt(n)

@@ -7,15 +7,17 @@ import json
 import numpy as np
 import pytest
 
+import dynhd.inference
 import dynhd.trainer
 from dynhd.analysis import (_accumulate, domain_models, domain_variance,
                             misleading_scores, select_domain_variant,
                             select_insignificant, select_misleading)
 from dynhd.data import (SyntheticSpec, apply_normalizer, fit_normalizer,
                         make_blobs, split)
-from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
-                           regenerate_dims)
-from dynhd.inference import model_scores, row_norms, topk_accuracy
+from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, encode_blocks,
+                           init_encoder, regenerate_dims)
+from dynhd.inference import (model_scores, row_norms, score_queries,
+                             topk_accuracy)
 from dynhd.model import ClassModel, Dataset
 from dynhd.trainer import TrainConfig, train, _adaptive_pass
 
@@ -236,8 +238,9 @@ class TestAdaptiveEpoch:
 
 
 def score_calls(monkeypatch):
-    """Record the rows of every model_scores call the pass makes: 1 for a
-    single encoding, the block's row count for a batch."""
+    """Record the rows of every model_scores call the pass and validation
+    (through score_queries) make: 1 for a single encoding, the block's row
+    count for a batch."""
     calls = []
 
     def counting(classes, class_norms, h, h_norm):
@@ -245,6 +248,7 @@ def score_calls(monkeypatch):
         return model_scores(classes, class_norms, h, h_norm)
 
     monkeypatch.setattr(dynhd.trainer, "model_scores", counting)
+    monkeypatch.setattr(dynhd.inference, "model_scores", counting)
     return calls
 
 
@@ -789,6 +793,68 @@ class TestDomainModels:
                            list(data.label_names))
         with pytest.raises(ValueError):
             domain_models(init_encoder(8, 3, 16), stripped)
+
+
+class TestValidationIsStreamed:
+    """train encodes and caches only the training rows; the validation rows
+    are encoded and scored by score_queries, one block buffer at a time,
+    whenever an update or a regeneration has made them stale."""
+
+    # seed 21: segments 0-2 update and 3-4 do not; at rate 0.1 each of the
+    # last two follows a non-empty regeneration
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_validation_holds_no_encoding_array(self, monkeypatch, rate):
+        data = blob_data(seed=21, classes=3, n=4, per=50, separation=2.0)
+        train_ds, valid_ds = split(data, [0.5, 0.5], seed=13)
+        assert len(valid_ds) > BLOCK_ROWS
+        cfg = TrainConfig(dim=64, eta=0.5, epochs_per_round=2, rounds=4,
+                          regen_rate=rate, strategy="insignificant", seed=5)
+        encoded, queried, buffers = [], [], []
+
+        def encoding(e, samples):
+            encoded.append(len(samples))
+            return encode_batch(e, samples)
+
+        def querying(m, e, test, ks=()):
+            queried.append(test)
+            return score_queries(m, e, test, ks)
+
+        def blocks(e, samples, out):
+            buffers.append(out.shape)
+            return encode_blocks(e, samples, out)
+
+        monkeypatch.setattr(dynhd.trainer, "encode_batch", encoding)
+        monkeypatch.setattr(dynhd.trainer, "score_queries", querying)
+        monkeypatch.setattr(dynhd.inference, "encode_blocks", blocks)
+        _, _, records = train(cfg, train_ds, valid_ds)
+        assert encoded == [len(train_ds)]
+
+        epochs, rounds = of_type(records, "epoch"), of_type(records, "round")
+        updated = [any(rec["updates"] for rec in epochs
+                       if rec["segment"] == r["round"]) for r in rounds]
+        regenerated = [False] + [bool(r["planned"]) for r in rounds[:-1]]
+        stale = [u or g for u, g in zip(updated, regenerated)]
+        assert updated == [True] * 3 + [False] * 2
+        assert stale == [True] * 3 + [rate > 0.0] * 2
+        # the insignificant detector reads no rows: scored is validation's
+        assert [r["scored"] for r in rounds] == [len(valid_ds) * s
+                                                 for s in stale]
+        assert len(queried) == sum(stale)
+        assert all(q.features is valid_ds.features for q in queried)
+        assert buffers == [(BLOCK_ROWS, cfg.dim)] * sum(stale)
+
+    def test_overflowing_validation_row_is_named_as_one(self):
+        data = blob_data(seed=21, classes=3, n=4, per=50, separation=2.0)
+        train_ds, valid_ds = split(data, [0.5, 0.5], seed=13)
+        features = valid_ds.features.copy()
+        features[5, 0] = 1.5e308  # finite, but its projection overflows
+        valid_ds = dataclasses.replace(valid_ds, features=features)
+        cfg = TrainConfig(dim=64, eta=0.5, epochs_per_round=2, seed=5)
+        with pytest.raises(ValueError) as exc:
+            train(cfg, train_ds, valid_ds)
+        assert str(exc.value) == ("validation sample 5: encoding is not "
+                                  "finite (the projection of its features "
+                                  "overflows)")
 
 
 class TestTrainReport:
