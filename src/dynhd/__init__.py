@@ -19,7 +19,6 @@ from .encoder import (encode, encode_batch, init_encoder, reencode_dims,
 from .inference import perturb_model, score_queries, topk_accuracy
 from .model import (REGEN_STRATEGIES, TRAIN_STRATEGIES, ClassModel, Dataset,
                     EncoderState, RegenPlan, load_model, save_model)
-from .rng import UniformStream
 from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __all__ = [
     "ClassModel", "Dataset", "EncoderState",
     "NormalizationStats", "REGEN_STRATEGIES",
     "RegenPlan", "SyntheticSpec", "TRAIN_STRATEGIES",
-    "TrainConfig", "UniformStream",
+    "TrainConfig",
     "apply_normalizer",
     "domain_models", "domain_variance", "encode", "encode_batch",
     "fit_normalizer", "init_encoder",

@@ -146,9 +146,10 @@ def load_csv(path: str, label_column: str = "label",
              domain_column: Optional[str] = None) -> Dataset:
     """Parse a headered CSV, which must have data rows, into a Dataset.
 
-    The header is read with ``csv``.  The body is read by one
-    ``np.loadtxt`` call into one record per row, with one float64 field per
-    run of adjacent feature columns and one str field per name column.
+    The header is read with ``csv`` and must name each column once.  The
+    body is read by one ``np.loadtxt`` call into one record per row, with
+    one float64 field per run of adjacent feature columns and one str field
+    per name column.
     numpy splits fields as ``csv.reader`` does: a quoted field may hold
     commas, doubled quotes and line breaks; blank lines are skipped; and
     ``#`` is an ordinary character.  A feature cell must be a finite number
@@ -165,6 +166,12 @@ def load_csv(path: str, label_column: str = "label",
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file; a header row is required")
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[:i])
+            at = ", ".join(str(i + 1) for i, h in enumerate(header)
+                           if h == name)
+            raise ValueError(f"{path}: header names column {name!r} more "
+                             f"than once, at columns {at}")
         if label_column not in header:
             raise ValueError(f"{path}: label column {label_column!r} "
                              f"not in header {header}")

@@ -26,14 +26,15 @@ one machine agree bit for bit; across CPUs the bits move along the same
 dispatch axis as the log1p that draws the bases (see :mod:`dynhd.rng`).
 
 Regeneration redraws the base rows and phases of selected dimensions from the
-encoder's continuing uniform stream (see :mod:`dynhd.rng`), leaving all other
-rows bit-identical.  An encoder is therefore a pure function of its seed, its
+seed's stream at the encoder's ``draw_counter``, the position that its shape
+and history fix (see :mod:`dynhd.rng`), leaving all other rows
+bit-identical.  An encoder is therefore a pure function of its seed, its
 shape and the ordered index sets regenerated so far: ``replay_encoder``
 rebuilds it from them, which is how a model file stores it.  The replay
 transforms only the rows that survive: a dimension's redraw is computed in
 the last round that regenerates it, and the earlier rounds' draws for it are
 passed over by stream position.  That is exact because ``paired_normals``
-works row by row and a stream can start at any position.
+works row by row and a draw is a pure function of its seed and position.
 
 A single sample is a batch of one: ``encode`` and a 1-D ``reencode_dims``
 run it as row 0 of the batch paths, whose one input check, and whose check
@@ -41,10 +42,11 @@ for a projection that overflows (tan(inf) is NaN), name the offending row.
 
 Every encode runs through one block loop, ``encode_blocks``, whose kernel
 projects at most ``BLOCK_ROWS`` samples and applies the tangent in place.  It
-writes the blocks into ``encode_batch``'s (N, D) output, or into one reused
-(BLOCK_ROWS, D) buffer for a caller that needs each block only once: eval's
-scoring, and ``reencode_dims``, which encodes the planned rows as an
-encoder of their own and puts each block into the cached encodings.
+writes the blocks into ``encode_batch``'s (N, D) output, or into one buffer
+of at most ``BLOCK_ROWS`` rows that it allocates and reuses for a caller that
+needs each block only once: eval's and validation's scoring, and
+``reencode_dims``, which encodes the planned rows as an encoder of their
+own and puts each block into the cached encodings.
 Each projection x_i = f.B_i is the left-to-right sum
 ((f_0 B_i0 + f_1 B_i1) + f_2 B_i2) + ..., one multiply and one add per
 term, whatever else the call projects: a block encodes each row as it
@@ -63,13 +65,13 @@ feature is added into them.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .model import EncoderState, RegenPlan, check_index_set
-from .rng import (TWO_PI, UniformStream, check_integer, normal_uniforms,
-                  paired_normals)
+from .rng import (TWO_PI, check_integer, check_seed, normal_uniforms,
+                  paired_normals, uniforms)
 
 # Rows per kernel call: bounds the kernel's temporaries to a few blocks of
 # (BLOCK_ROWS, D) floats whatever the number of samples.
@@ -130,6 +132,8 @@ def _encode_block(rows: np.ndarray, bases_t: np.ndarray,
 
 def _check_batch(samples, n: int) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
+    if arr.shape == (0,):  # [] is the empty batch
+        arr = arr.reshape(0, n)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise ValueError(f"batch must have shape (N, {n}), got {arr.shape}")
     bad = ~np.isfinite(arr).all(axis=1)
@@ -150,13 +154,13 @@ def init_encoder(seed: int, n: int, dim: int) -> EncoderState:
     """Draw a fresh encoder: ``dim`` standard-normal base rows of length
     ``n`` (row-major draw order), then ``dim`` phases uniform on [0, 2*pi).
     """
-    stream = UniformStream(seed)  # checks the seed
+    seed = check_seed(seed)
     n, dim = check_integer(n, "n"), check_integer(dim, "dim")
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be at least 1")
-    bases = stream.normals(dim * n).reshape(dim, n)
-    phases = stream.phases(dim)
-    return EncoderState(bases, phases, stream.seed, [])
+    u = uniforms(seed, 0, normal_uniforms(dim * n) + dim)
+    bases = paired_normals(u[:-dim])[:dim * n].reshape(dim, n)
+    return EncoderState(bases, TWO_PI * u[-dim:], seed, [])
 
 
 def encode(e: EncoderState, f) -> np.ndarray:
@@ -168,30 +172,26 @@ def encode(e: EncoderState, f) -> np.ndarray:
 def encode_batch(e: EncoderState, samples: Sequence) -> np.ndarray:
     """Encode a sequence of samples; row i equals encode(e, samples[i]).
 
-    Returns an (N, D) array; empty input yields shape (0, D).
+    Returns an (N, D) array; ``[]`` or an (0, n) input yields shape (0, D).
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.shape[:1] == (0,):
-        return np.empty((0, e.dim))
-    arr = _check_batch(arr, e.n_features)
+    arr = _check_batch(samples, e.n_features)
     out = np.empty((arr.shape[0], e.dim))
     for _ in encode_blocks(e, arr, out):
         pass
     return out
 
 
-def encode_blocks(e: EncoderState, samples,
-                  out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def encode_blocks(e: EncoderState, samples, out: Optional[np.ndarray] = None
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
     """Encode (N, n) ``samples`` block by block, yielding ``(rows, h)`` per
     block of at most ``BLOCK_ROWS`` samples: ``rows`` slices the samples
     and ``h`` holds their encodings, bit-identical to those rows of
     ``encode_batch``.
 
-    ``h`` is a view of ``out``: ``out[rows]`` when ``out`` is an (N, D)
-    array of more than ``BLOCK_ROWS`` rows, which ends up holding every
-    encoding; otherwise the leading rows of ``out``, a buffer that each
-    block overwrites.  An overflow names its sample by its index in
-    ``samples``.
+    ``h`` is ``out[rows]`` when the (N, D) ``out`` is given, which ends up
+    holding every encoding.  Without ``out``, ``h`` is the leading rows of
+    one (min(N, BLOCK_ROWS), D) buffer that each block overwrites.  An
+    overflow names its sample by its index in ``samples``.
     """
     arr = _check_batch(samples, e.n_features)
     bases_t = np.ascontiguousarray(e.bases.T)
@@ -199,10 +199,11 @@ def encode_blocks(e: EncoderState, samples,
     # as a block computes it, so a zero row encodes to +0.0
     s_phases = _half_sine(half_phases.copy(), np.empty(e.dim))
     square = np.empty((min(arr.shape[0], BLOCK_ROWS), e.dim))
+    buffer = np.empty_like(square) if out is None else None
     for start in range(0, arr.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = arr[rows]
-        h = out[rows] if out.shape[0] > BLOCK_ROWS else out[:len(block)]
+        h = buffer[:len(block)] if out is None else out[rows]
         yield rows, _encode_block(block, bases_t, half_phases, s_phases,
                                   start, h, square[:len(block)])
 
@@ -234,7 +235,7 @@ def _redraw(bases: np.ndarray, phases: np.ndarray, seed: int,
     n = bases.shape[1]
     per_dim = normal_uniforms(n) + 1  # a row's normals, then its phase
     if keep.any():  # paired_normals works row by row: drop the rest first
-        u = UniformStream(seed, position).uniforms(idx.size * per_dim)
+        u = uniforms(seed, position, idx.size * per_dim)
         u = u.reshape(idx.size, per_dim)[keep]
         bases[idx[keep]] = paired_normals(u[:, :-1])[:, :n]
         phases[idx[keep]] = TWO_PI * u[:, -1]
@@ -296,6 +297,6 @@ def reencode_dims(e: EncoderState, f, h, plan: RegenPlan,
         encodings = np.atleast_2d(out)
         offsets = (np.arange(min(BLOCK_ROWS, rows.shape[0]))[:, None] * e.dim
                    + idx)
-        for block, x in encode_blocks(planned, rows, np.empty(offsets.shape)):
+        for block, x in encode_blocks(planned, rows):
             np.put(encodings[block], offsets[:x.shape[0]], x)
     return out

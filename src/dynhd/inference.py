@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoder import BLOCK_ROWS, encode_blocks
+from .encoder import encode_blocks
 from .model import ClassModel, Dataset, EncoderState
 from .rng import check_seed
 
@@ -73,10 +73,9 @@ def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
         _check_k(m, k)
     class_norms = row_norms(m.classes)
     scores = np.empty((len(test), m.n_classes))
-    buffer = np.empty((min(len(test), BLOCK_ROWS), m.dim))
     encode_s = score_s = 0.0
     t0 = time.perf_counter()
-    for rows, h in encode_blocks(e, test.features, buffer):
+    for rows, h in encode_blocks(e, test.features):
         t1 = time.perf_counter()
         scores[rows] = model_scores(m.classes, class_norms, h,
                                     row_norms(h)[:, None])

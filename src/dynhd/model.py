@@ -349,11 +349,9 @@ def load_model(path: str, n_features: Optional[int] = None):
             from .data import NormalizationStats  # deferred: data imports model
 
             norm = doc["normalizer"]
-            # any length: check(n) below names a wrong feature count
             normalizer = NormalizationStats(
-                *(_unpack(f"normalizer.{key}", norm[key])
+                *(_unpack(f"normalizer.{key}", norm[key], n)
                   for key in ("mean", "std")))
-            normalizer.check(n)
         from .encoder import replay_encoder  # deferred: encoder imports model
 
         check_json_kind("regen_history", doc["regen_history"], "array")
@@ -381,14 +379,10 @@ def _pack(array) -> str:
     return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode()
 
 
-def _unpack(name: str, text, count: Optional[int] = None) -> np.ndarray:
-    """The 1-D float64 array a ``_pack`` string holds: ``count`` values, or
-    any whole number of them when ``count`` is None."""
+def _unpack(name: str, text, count: int) -> np.ndarray:
+    """The 1-D float64 array of ``count`` values a ``_pack`` string holds."""
     raw = _b64decode(name, text)
-    if count is None and len(raw) % 8:
-        raise ValueError(f"{name} must hold whole float64 values, got "
-                         f"{len(raw)} bytes")
-    if count is not None and len(raw) != 8 * count:
+    if len(raw) != 8 * count:
         raise ValueError(f"{name} must hold {count} float64 values "
                          f"({8 * count} bytes), got {len(raw)} bytes")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -8,14 +8,16 @@ stretch of draws can be replayed from ``(seed, position)`` alone:
   right by 11 bits and scaled by 2**-53, giving values in [0, 1);
 - standard normals come from uniform pairs ``(u1, u2)`` via the paired
   transform ``r = sqrt(-2*log1p(-u1))``, ``z0 = r*cos(2*pi*u2)``,
-  ``z1 = r*sin(2*pi*u2)``; a request for ``k`` normals consumes
-  ``2*ceil(k/2)`` uniforms and discards the trailing normal when k is odd.
+  ``z1 = r*sin(2*pi*u2)``; ``k`` normals take ``2*ceil(k/2)`` uniforms
+  (``normal_uniforms``), and the trailing normal is discarded when k is odd.
   log1p/sqrt/cos/sin are numpy's float64 kernels (numpy's log1p can differ
   from C libm's by one ulp, so a bit-exact port must match numpy here).
 
-Positions count consumed uniforms.  numpy's ``Philox.advance`` moves the
-counter in 4-output blocks, so repositioning advances whole blocks and burns
-the remainder.
+``uniforms(seed, position, count)`` returns draws ``position`` to
+``position + count - 1``: positions count uniforms from the start of the
+stream, and the caller says where a draw starts (the encoder's
+``draw_counter``).  numpy's ``Philox.advance`` moves the counter in 4-output
+blocks, so a draw advances whole blocks and burns the remainder.
 """
 
 from __future__ import annotations
@@ -54,13 +56,18 @@ def normal_uniforms(count: int) -> int:
     return 2 * ((count + 1) // 2)
 
 
-def _generator_at(seed: int, position: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=seed)
+def uniforms(seed: int, position: int, count: int) -> np.ndarray:
+    """``count`` uniforms of the seed's stream from ``position`` (see the
+    module docstring)."""
+    bitgen = np.random.Philox(key=check_seed(seed))
+    if position < 0:
+        raise ValueError("stream position must be non-negative")
+    if count < 0:
+        raise ValueError("count must be non-negative")
     bitgen.advance(position // 4)
     gen = np.random.Generator(bitgen)
-    if position % 4:
-        gen.random(position % 4)  # burn within-block offset
-    return gen
+    gen.random(position % 4)  # burn the within-block offset
+    return gen.random(count)
 
 
 def paired_normals(u: np.ndarray) -> np.ndarray:
@@ -78,35 +85,3 @@ def paired_normals(u: np.ndarray) -> np.ndarray:
     z[..., 1::2] = r * np.sin(theta)
     return z
 
-
-class UniformStream:
-    """Resumable uniform stream with an explicit draw position.
-
-    ``UniformStream(seed, p).uniforms(k)`` returns draws ``p .. p+k-1`` of the
-    seed's stream, regardless of how the stream previously reached ``p``.
-    """
-
-    def __init__(self, seed: int, position: int = 0):
-        self.seed = check_seed(seed)
-        if position < 0:
-            raise ValueError("stream position must be non-negative")
-        self.position = int(position)
-        self._gen = _generator_at(self.seed, self.position)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniform doubles in [0, 1)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        out = self._gen.random(count)
-        self.position += count
-        return out
-
-    def normals(self, count: int) -> np.ndarray:
-        """Next ``count`` standard normals via the paired transform."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return paired_normals(self.uniforms(normal_uniforms(count)))[:count]
-
-    def phases(self, count: int) -> np.ndarray:
-        """Next ``count`` phase offsets, uniform on [0, 2*pi)."""
-        return TWO_PI * self.uniforms(count)

@@ -618,7 +618,8 @@ class TestEval:
     # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
         ({"mean": [0.0] * 5, "std": [1.0] * 5},
-         "normalizer has 5 features, expected 6"),
+         "normalizer.mean must hold 6 float64 values (48 bytes), got 40 "
+         "bytes"),
         ({"std": [1.0] * 5 + [float("nan")]}, NORMALIZER_RANGE),
         ({"std": [1.0] * 5 + [0.0]}, NORMALIZER_RANGE),
         ({"std": [1.0] * 5 + [1e-320]}, NORMALIZER_RANGE),
@@ -757,6 +758,19 @@ class TestEval:
         assert code == 2
         assert records == []
         assert err.splitlines() == [f"error: {empty}: no data rows"]
+
+    def test_repeated_header_name_rejected(self, workdir, tmp_path):
+        lines = workdir["data_csv"].read_text().splitlines(keepends=True)
+        assert lines[0] == "f0,f1,f2,f3,f4,f5,label\n"
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("f0,f1,f2,f3,f4,f1,label\n" + "".join(lines[1:]))
+        code, records, err = run(["eval", "--model", str(workdir["model"]),
+                                  "--data", str(repeated)])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: {repeated}: header names column 'f1' more than once, "
+            "at columns 2, 6"]
 
 
 class TestAnalyze:

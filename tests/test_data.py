@@ -85,6 +85,21 @@ class TestLoadCsv:
             load_csv(str(path))
         assert str(exc.value) == f"{path}: no feature columns in header"
 
+    @pytest.mark.parametrize("header, name, columns", [
+        ("f0,f0,label", "f0", "1, 2"),
+        ("label,f0,label", "label", "1, 3"),
+        ("f0,site,f1,site,label,site", "site", "2, 4, 6"),
+        ("f0,,label,", "", "2, 4")])
+    def test_repeated_header_name_rejected(self, tmp_path, header, name,
+                                           columns):
+        path = tmp_path / "repeated.csv"
+        # the body is malformed too: the header is rejected before it
+        path.write_text(header + "\n1,a,b,c,d,e\nx\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path), domain_column="site")
+        assert str(exc.value) == (f"{path}: header names column {name!r} "
+                                  f"more than once, at columns {columns}")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

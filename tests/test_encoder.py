@@ -16,7 +16,7 @@ from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch,
                            regenerate_dims, replay_encoder)
 from dynhd.model import (REPR_CHARS, ClassModel, EncoderState, RegenPlan,
                          load_model, save_model)
-from dynhd.rng import TWO_PI, UniformStream, paired_normals
+from dynhd.rng import TWO_PI, normal_uniforms, paired_normals, uniforms
 
 
 def fold_projection(feats, bases):
@@ -50,11 +50,13 @@ def _reference_regenerate(bases, phases, seed, position, indices):
     ``regenerate_dims`` must equal it bit for bit.  Returns (bases, phases,
     stream position)."""
     bases, phases = bases.copy(), phases.copy()
-    stream = UniformStream(seed, position)
+    n = bases.shape[1]
     for i in indices:
-        bases[i] = stream.normals(bases.shape[1])
-        phases[i] = stream.phases(1)[0]
-    return bases, phases, stream.position
+        u = uniforms(seed, position, normal_uniforms(n) + 1)
+        position += u.size
+        bases[i] = paired_normals(u[:-1])[:n]
+        phases[i] = TWO_PI * u[-1]
+    return bases, phases, position
 
 
 def plan_for(e, indices):
@@ -78,11 +80,11 @@ class TestInitEncoder:
 
     def test_draw_order_is_bases_then_phases(self):
         e = init_encoder(11, 3, 5)
-        stream = UniformStream(11)
-        np.testing.assert_array_equal(e.bases,
-                                      stream.normals(15).reshape(5, 3))
-        np.testing.assert_array_equal(e.phases, stream.phases(5))
-        assert e.draw_counter == stream.position
+        # 15 normals take 16 uniforms; the 5 phases follow them
+        normals = paired_normals(uniforms(11, 0, 16))[:15]
+        np.testing.assert_array_equal(e.bases, normals.reshape(5, 3))
+        np.testing.assert_array_equal(e.phases, TWO_PI * uniforms(11, 16, 5))
+        assert e.draw_counter == 16 + 5
 
     def test_phases_in_range(self):
         e = init_encoder(3, 2, 1000)
@@ -311,6 +313,15 @@ class TestEncodeBatch:
         out = encode_batch(e, np.empty((0, 4)))
         assert out.shape == (0, 32)
 
+    def test_empty_list_is_the_empty_batch(self):
+        assert encode_batch(init_encoder(1, 5, 300), []).shape == (0, 300)
+
+    @pytest.mark.parametrize("shape", [(0, 9), (0, 5, 2), (0, 0)])
+    def test_empty_batch_of_another_width_rejected(self, shape):
+        with pytest.raises(ValueError) as exc:
+            encode_batch(init_encoder(1, 5, 300), np.empty(shape))
+        assert str(exc.value) == f"batch must have shape (N, 5), got {shape}"
+
     def test_error_carries_sample_index(self):
         e = init_encoder(2, 2, 8)
         bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
@@ -337,13 +348,18 @@ class TestEncodeBatch:
         samples = np.random.Generator(
             np.random.Philox(key=10)).standard_normal((2 * BLOCK_ROWS + 3, 3))
         batch = encode_batch(e, samples)
-        buffer = np.empty((BLOCK_ROWS, 16))
-        starts = []
-        for rows, h in encode_blocks(e, samples, buffer):
-            assert np.shares_memory(h, buffer)
+        buffers, starts = [], []
+        for rows, h in encode_blocks(e, samples):
+            buffers.append(h.base)
             assert h.tobytes() == batch[rows].tobytes()
             starts.append(rows.start)
         assert starts == [0, BLOCK_ROWS, 2 * BLOCK_ROWS]
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (BLOCK_ROWS, 16)
+        # a batch shorter than a block gets a buffer of its own length
+        (rows, h), = encode_blocks(e, samples[:3])
+        assert h.base.shape == (3, 16)
+        assert h.tobytes() == batch[:3].tobytes()
 
 
 class TestRegenerateDims:
@@ -376,11 +392,13 @@ class TestRegenerateDims:
     def test_draws_continue_the_seed_stream(self):
         e = init_encoder(21, 3, 4)
         e2 = regenerate_dims(e, plan_for(e, [1, 3]))
-        stream = UniformStream(21, position=e.draw_counter)
-        for i in (1, 3):
-            np.testing.assert_array_equal(e2.bases[i], stream.normals(3))
-            np.testing.assert_array_equal(e2.phases[i:i + 1],
-                                          stream.phases(1))
+        position = e.draw_counter
+        for i in (1, 3):  # 3 normals take 4 uniforms; the phase follows
+            np.testing.assert_array_equal(
+                e2.bases[i], paired_normals(uniforms(21, position, 4))[:3])
+            assert e2.phases[i] == TWO_PI * uniforms(21, position + 4, 1)[0]
+            position += 5
+        assert e2.draw_counter == position
 
     def test_replay_from_serialized_state(self, tmp_path):
         e = init_encoder(5, 4, 8)
@@ -464,7 +482,7 @@ class TestReplayEncoder:
         transformed = []
 
         def counting(u):
-            transformed.append(u.shape[0])
+            transformed.append(u.shape)
             return paired_normals(u)
 
         monkeypatch.setattr(dynhd.encoder, "paired_normals", counting)
@@ -476,7 +494,9 @@ class TestReplayEncoder:
             200 + 40 + 10 * len(indices) * 7)
         assert ([idx.tolist() for idx in replayed.regen_history]
                 == [indices] * 10)
-        assert transformed == [len(indices)]
+        # init_encoder's one transform of 200 normals, then only the last
+        # round's rows, of 6 uniforms each
+        assert transformed == [(200,), (len(indices), 6)]
 
     def test_empty_history_is_a_fresh_encoder(self):
         replayed = replay_encoder(8, 5, 40, [])

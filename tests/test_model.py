@@ -482,11 +482,14 @@ class TestModelFile:
     # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
         ({"mean": [0.0, 1.0], "std": [1.0, 1.0]},
-         "normalizer has 2 features, expected 3"),
+         "normalizer.mean must hold 3 float64 values (24 bytes), got 16 "
+         "bytes"),
         ({"mean": [0.0] * 4, "std": [1.0] * 4},
-         "normalizer has 4 features, expected 3"),
+         "normalizer.mean must hold 3 float64 values (24 bytes), got 32 "
+         "bytes"),
         ({"std": [1.0, 2.0]},
-         "mean and std must be 1-D arrays of equal length"),
+         "normalizer.std must hold 3 float64 values (24 bytes), got 16 "
+         "bytes"),
         ({"mean": [0.0, float("nan"), 1.0]}, NORMALIZER_RANGE),
         ({"std": [1.0, float("inf"), 1.0]}, NORMALIZER_RANGE),
         ({"std": [1.0, 0.0, 1.0]}, NORMALIZER_RANGE),
@@ -538,7 +541,7 @@ class TestModelFile:
         ("AAAAAAAAAAA=\n", "is not base64: "),
         ("AAAAAAAAAAA", "is not base64: "),
         ("AAAA\u00e9AAA", "is not base64: "),
-        ("AAAAAAAAAAAAAAAA", None),  # 12 bytes, not whole float64 values
+        ("AAAAAAAAAAAAAAAA", None),  # 12 bytes, not the field's count
     ], ids=["number", "space", "line-break", "padding", "non-ascii",
             "byte-count"])
     def test_corrupt_packed_array_rejected(self, tmp_path, field, text,
@@ -546,7 +549,7 @@ class TestModelFile:
         if problem is None:
             problem = ("must hold 32 float64 values (256 bytes), got 12 "
                        "bytes" if field == "classes" else
-                       "must hold whole float64 values, got 12 bytes")
+                       "must hold 3 float64 values (24 bytes), got 12 bytes")
         path = self.edited(tmp_path, field,
                            lambda node, leaf: node.update({leaf: text}))
         with pytest.raises(ValueError) as exc:

@@ -38,7 +38,7 @@ from dynhd.encoder import (BLOCK_ROWS, encode, encode_batch, init_encoder,
 from dynhd.inference import (model_scores, ranked_classes, row_norms,
                              topk_accuracy)
 from dynhd.model import ClassModel, Dataset, RegenPlan, load_model, save_model
-from dynhd.rng import UniformStream
+from dynhd.rng import TWO_PI, normal_uniforms, paired_normals
 from dynhd.trainer import TrainConfig
 from test_encoder import fold_encode, fold_projection, plan_for
 from test_trainer import assert_pass_exact
@@ -318,20 +318,30 @@ def test_draw_counter_is_the_stream_position(seed, dim, n, plan_seed, rounds):
     regenerated dimension's row and phase in turn; empty plans included."""
     pick = make_rng(plan_seed)
     e = init_encoder(seed, n, dim)
-    stream = UniformStream(seed)
-    np.testing.assert_array_equal(e.bases,
-                                  stream.normals(dim * n).reshape(dim, n))
-    np.testing.assert_array_equal(e.phases, stream.phases(dim))
-    assert e.draw_counter == stream.position
+    stream, position = make_rng(seed), 0
+
+    def normals(count):
+        nonlocal position
+        position += normal_uniforms(count)
+        return paired_normals(stream.random(normal_uniforms(count)))[:count]
+
+    def phases(count):
+        nonlocal position
+        position += count
+        return TWO_PI * stream.random(count)
+
+    np.testing.assert_array_equal(e.bases, normals(dim * n).reshape(dim, n))
+    np.testing.assert_array_equal(e.phases, phases(dim))
+    assert e.draw_counter == position
     for _ in range(rounds):
         count = int(pick.integers(0, dim + 1))
         indices = np.sort(pick.choice(dim, size=count, replace=False))
         e = regenerate_dims(e, RegenPlan(indices, np.zeros(dim),
                                          "insignificant", count / dim))
         for i in indices:
-            np.testing.assert_array_equal(e.bases[i], stream.normals(n))
-            assert e.phases[i] == stream.phases(1)[0]
-        assert e.draw_counter == stream.position
+            np.testing.assert_array_equal(e.bases[i], normals(n))
+            assert e.phases[i] == phases(1)[0]
+        assert e.draw_counter == position
     replayed = replay_encoder(seed, n, dim, e.regen_history)
     assert replayed.draw_counter == e.draw_counter
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dynhd.rng import MAX_SEED, TWO_PI, UniformStream, check_seed
+from dynhd.rng import (MAX_SEED, TWO_PI, check_seed, normal_uniforms,
+                       paired_normals, uniforms)
 
 # Pinned first draws for seed=123, derived in test_matches_raw_bit_outputs
 # below; they guard against silent changes to the stream definition.
@@ -22,7 +23,7 @@ def test_matches_raw_bit_outputs():
     # scaled to [0, 1).
     raw = np.random.Philox(key=123).random_raw(6)
     expect = np.array([(int(r) >> 11) * 2.0 ** -53 for r in raw])
-    got = UniformStream(123).uniforms(6)
+    got = uniforms(123, 0, 6)
     np.testing.assert_array_equal(got, expect)
     np.testing.assert_array_equal(got, np.array(SEED123_UNIFORMS))
 
@@ -35,55 +36,38 @@ def test_normals_match_scalar_paired_transform():
         r = np.sqrt(-2.0 * np.log1p(-u[i]))
         expect.append(r * np.cos(TWO_PI * u[i + 1]))
         expect.append(r * np.sin(TWO_PI * u[i + 1]))
-    got = UniformStream(123).normals(4)
+    got = paired_normals(uniforms(123, 0, normal_uniforms(4)))
     np.testing.assert_array_equal(got, np.array(expect))
     np.testing.assert_array_equal(got, np.array(SEED123_NORMALS))
 
 
 def test_odd_normal_count_consumes_full_pair():
-    a = UniformStream(7)
-    a.normals(3)
-    assert a.position == 4
-    # the continuation must match a clean stream offset by 4 uniforms
-    b = UniformStream(7)
-    b.uniforms(4)
-    np.testing.assert_array_equal(a.uniforms(5), b.uniforms(5))
+    # the draw after k normals starts at normal_uniforms(k)
+    assert [normal_uniforms(k) for k in range(6)] == [0, 2, 2, 4, 4, 6]
 
 
 @pytest.mark.parametrize("position", [0, 1, 2, 3, 4, 5, 7, 8, 13, 100])
 def test_replay_from_any_position(position):
-    full = UniformStream(99).uniforms(position + 16)
-    resumed = UniformStream(99, position=position)
-    np.testing.assert_array_equal(resumed.uniforms(16), full[position:])
-
-
-def test_position_tracks_consumption():
-    s = UniformStream(1)
-    s.uniforms(3)
-    s.normals(4)
-    s.phases(2)
-    assert s.position == 3 + 4 + 2
+    full = uniforms(99, 0, position + 16)
+    np.testing.assert_array_equal(uniforms(99, position, 16), full[position:])
 
 
 def test_phases_are_scaled_uniforms_in_range():
-    s = UniformStream(42)
-    expect = TWO_PI * UniformStream(42).uniforms(1000)
-    got = s.phases(1000)
-    np.testing.assert_array_equal(got, expect)
+    got = TWO_PI * uniforms(42, 0, 1000)
     assert np.all(got >= 0.0) and np.all(got < TWO_PI)
 
 
 def test_same_seed_same_stream_different_seed_differs():
-    a = UniformStream(5).uniforms(32)
-    b = UniformStream(5).uniforms(32)
-    c = UniformStream(6).uniforms(32)
+    a = uniforms(5, 0, 32)
+    b = uniforms(5, 0, 32)
+    c = uniforms(6, 0, 32)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_max_seed_accepted():
     assert check_seed(MAX_SEED) == MAX_SEED
-    UniformStream(MAX_SEED).uniforms(4)
+    assert uniforms(MAX_SEED, 0, 4).shape == (4,)
 
 
 @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
@@ -108,10 +92,15 @@ def test_numpy_integer_seed_is_returned_as_int(seed):
 
 
 def test_negative_position_and_counts_rejected():
-    with pytest.raises(ValueError):
-        UniformStream(0, position=-1)
-    s = UniformStream(0)
-    with pytest.raises(ValueError):
-        s.uniforms(-1)
-    with pytest.raises(ValueError):
-        s.normals(-2)
+    with pytest.raises(ValueError) as exc:
+        uniforms(0, -1, 4)
+    assert str(exc.value) == "stream position must be non-negative"
+    with pytest.raises(ValueError) as exc:
+        uniforms(0, 0, -1)
+    assert str(exc.value) == "count must be non-negative"
+
+
+@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 2.0, True])
+def test_uniforms_check_the_seed(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        uniforms(seed, 0, 4)

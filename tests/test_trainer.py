@@ -809,7 +809,7 @@ class TestValidationIsStreamed:
         assert len(valid_ds) > BLOCK_ROWS
         cfg = TrainConfig(dim=64, eta=0.5, epochs_per_round=2, rounds=4,
                           regen_rate=rate, strategy="insignificant", seed=5)
-        encoded, queried, buffers = [], [], []
+        encoded, queried, outs, buffers = [], [], [], []
 
         def encoding(e, samples):
             encoded.append(len(samples))
@@ -819,9 +819,12 @@ class TestValidationIsStreamed:
             queried.append(test)
             return score_queries(m, e, test, ks)
 
-        def blocks(e, samples, out):
-            buffers.append(out.shape)
-            return encode_blocks(e, samples, out)
+        def blocks(e, samples, out=None):
+            outs.append(out)
+            buffers.append([])
+            for rows, h in encode_blocks(e, samples, out):
+                buffers[-1].append(h.base)
+                yield rows, h
 
         monkeypatch.setattr(dynhd.trainer, "encode_batch", encoding)
         monkeypatch.setattr(dynhd.trainer, "score_queries", querying)
@@ -841,7 +844,12 @@ class TestValidationIsStreamed:
                                                  for s in stale]
         assert len(queried) == sum(stale)
         assert all(q.features is valid_ds.features for q in queried)
-        assert buffers == [(BLOCK_ROWS, cfg.dim)] * sum(stale)
+        # no output array: each call's blocks share one buffer of its own
+        assert outs == [None] * sum(stale)
+        assert all(len(call) > 1 and all(b is call[0] for b in call)
+                   for call in buffers)
+        assert ([call[0].shape for call in buffers]
+                == [(BLOCK_ROWS, cfg.dim)] * sum(stale))
 
     def test_overflowing_validation_row_is_named_as_one(self):
         data = blob_data(seed=21, classes=3, n=4, per=50, separation=2.0)
