@@ -30,7 +30,7 @@ from .data import (SyntheticSpec, apply_normalizer, fit_normalizer, load_csv,
                    make_blobs, remap_labels, split, write_csv)
 from .encoder import encode_batch
 from .inference import (model_scores, perturb_model, ranked_classes,
-                        row_norms, score_queries, topk_accuracy, topk_hits)
+                        row_norms, score_queries, topk_hits)
 from .model import Dataset, check_json_kind, load_model, save_model
 from .rng import MAX_SEED, check_seed
 from .trainer import TrainConfig, train
@@ -176,6 +176,16 @@ def _load_queries(cfg: dict):
     return enc, model, ds, load_s
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work, not after it, when ``path`` cannot be written:
+    its directory is missing, or it is itself a directory."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output {path} is a directory")
+
+
 # --------------------------------------------------------------------------
 # train
 
@@ -206,9 +216,7 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
     vf = merged["valid_fraction"]
     if not 0.0 < vf < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
-    out_dir = os.path.dirname(os.path.abspath(merged["out"]))
-    if not os.path.isdir(out_dir):  # fail now, not after training
-        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+    _check_out(merged["out"])
     ds, merged["data"] = _load_train_data(merged["data"])
 
     train_ds, valid_ds = split(ds, [1.0 - vf, vf], merged["split_seed"])
@@ -246,7 +254,7 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
     scores, encode_s, score_s = score_queries(model, enc, ds, k_list)
     for k in k_list:
         t0 = time.perf_counter()
-        acc = topk_accuracy(model, enc, ds, k, scores=scores)
+        acc = topk_hits(scores, ds.labels, k) / len(ds)
         emitter.record({
             "experiment": "eval", "metric": f"top{k}_accuracy",
             "value": acc, "k": k, "n_samples": len(ds), "D": model.dim,
@@ -371,6 +379,7 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
 def cmd_synth(merged: dict, emitter: Emitter) -> int:
     """emit a synthetic blob dataset as CSV"""
     spec = _construct(SyntheticSpec, merged)
+    _check_out(merged["out"])
     ds = make_blobs(spec)
     if spec.domains == 1:
         # a constant domain column would force --domain-column downstream

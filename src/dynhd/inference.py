@@ -4,6 +4,9 @@ hardware-noise perturbation harness.
 ``model_scores`` is the one scorer: training, validation, eval, the sweeps
 and the misleading detector call it on one encoding or on a batch, and a
 batch scores bit-identically to its rows scored one at a time.
+``topk_accuracy`` is the one accuracy path: ``score_queries`` scores a query
+set block by block, then ``topk_hits`` counts.  Train's validation calls it;
+``dynhd eval`` calls the two parts itself, so several k share one encode.
 
 Conventions shared across the package:
 
@@ -17,7 +20,7 @@ Conventions shared across the package:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,11 +56,6 @@ def topk_hits(scores: np.ndarray, labels: np.ndarray, k: int) -> int:
                                 == labels[:, None]))
 
 
-def _check_k(m: ClassModel, k: int) -> None:
-    if not 1 <= k <= m.n_classes:
-        raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
-
-
 def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
                   ks: Sequence[int] = ()) -> tuple[np.ndarray, float, float]:
     """Check the query set and every k in ``ks``, then encode and score the
@@ -70,7 +68,8 @@ def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
     if list(test.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
     for k in ks:
-        _check_k(m, k)
+        if not 1 <= k <= m.n_classes:
+            raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
     class_norms = row_norms(m.classes)
     scores = np.empty((len(test), m.n_classes))
     encode_s = score_s = 0.0
@@ -86,22 +85,12 @@ def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
     return scores, encode_s, score_s
 
 
-def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset, k: int,
-                  scores: Optional[np.ndarray] = None) -> float:
-    """Fraction of samples whose true label is among the top-k classes.
-
-    Pass the scores ``score_queries`` returned for ``test`` to rank several
-    k from one encode of the query set.
-    """
-    if scores is None:
-        scores = score_queries(m, e, test, (k,))[0]
-    else:
-        if len(test) == 0:
-            raise ValueError("test dataset must be non-empty")
-        _check_k(m, k)
-        if np.shape(scores) != (len(test), m.n_classes):
-            raise ValueError(f"scores has shape {np.shape(scores)}, "
-                             f"expected {(len(test), m.n_classes)}")
+def topk_accuracy(m: ClassModel, e: EncoderState, test: Dataset,
+                  k: int) -> float:
+    """Fraction of samples whose true label is among the top-k classes:
+    ``score_queries`` then ``topk_hits``.  To rank several k from one encode
+    of the query set, call the two directly, as ``dynhd eval`` does."""
+    scores = score_queries(m, e, test, (k,))[0]
     return topk_hits(scores, test.labels, k) / len(test)
 
 

@@ -312,8 +312,11 @@ def save_model(path: str, encoder: EncoderState, model: ClassModel,
 def load_model(path: str, n_features: Optional[int] = None):
     """Read a model file; returns (EncoderState, ClassModel, normalizer).
 
-    Only version 4 is read, and a key outside ``MODEL_FILE_KEYS`` is
-    rejected.  Each ``regen_history`` entry must be a base64 string of
+    The file must be a JSON object.  Only version 4 is read (an older file
+    is named by its version before its keys are checked); every key of
+    ``MODEL_FILE_KEYS`` but ``normalizer`` is required and no other is
+    allowed, and ``normalizer`` is an object with exactly ``mean`` and
+    ``std``.  Each ``regen_history`` entry must be a base64 string of
     exactly ceil(D/8) bytes whose mask sets at least one bit and none at D
     or above; its set bits, ascending, are the round's indices, which are
     replayed.  ``normalizer`` is a NormalizationStats or None.  Any
@@ -325,14 +328,15 @@ def load_model(path: str, n_features: Optional[int] = None):
     with open(path, "r", encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh)
     with _malformed(path):
-        version = doc["version"]
-        check_json_kind("version", version, "integer")
-        if version != MODEL_FILE_VERSION:
-            raise ValueError(f"unsupported model file version {version}")
-        unknown = sorted(set(doc) - set(MODEL_FILE_KEYS))
-        if unknown:
-            raise ValueError(f"unknown key(s) {unknown}; expected a subset "
-                             f"of {sorted(MODEL_FILE_KEYS)}")
+        if isinstance(doc, dict) and "version" in doc:  # whatever its keys
+            version = doc["version"]
+            check_json_kind("version", version, "integer")
+            if version != MODEL_FILE_VERSION:
+                raise ValueError(f"unsupported model file version {version}")
+        _check_keys(doc, MODEL_FILE_KEYS, optional=("normalizer",))
+        if "normalizer" in doc:
+            _check_keys(doc["normalizer"], ("mean", "std"),
+                        prefix="normalizer.")
         for key in ("n", "D", "seed"):
             check_json_kind(key, doc[key], "integer")
     n, dim = doc["n"], doc["D"]
@@ -348,9 +352,8 @@ def load_model(path: str, n_features: Optional[int] = None):
         if "normalizer" in doc:
             from .data import NormalizationStats  # deferred: data imports model
 
-            norm = doc["normalizer"]
             normalizer = NormalizationStats(
-                *(_unpack(f"normalizer.{key}", norm[key], n)
+                *(_unpack(f"normalizer.{key}", doc["normalizer"][key], n)
                   for key in ("mean", "std")))
         from .encoder import replay_encoder  # deferred: encoder imports model
 
@@ -363,6 +366,21 @@ def load_model(path: str, n_features: Optional[int] = None):
             raise ValueError(f"n={n} and D={dim} need more memory than is "
                              "available") from None
     return encoder, model, normalizer
+
+
+def _check_keys(obj, keys, optional=(), prefix: str = "") -> None:
+    """The key rule of a model file's objects: ``obj`` is a JSON object
+    with every key of ``keys`` but those in ``optional``, and no other key.
+    Errors name keys as ``prefix + key``."""
+    check_json_kind(prefix[:-1] or "model file", obj, "object")
+    unknown = sorted(prefix + key for key in set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown}; expected a subset of "
+                         f"{sorted(prefix + key for key in keys)}")
+    missing = [prefix + key for key in keys
+               if key not in obj and key not in optional]
+    if missing:
+        raise ValueError(f"missing key(s) {missing}")
 
 
 def _b64decode(name: str, text) -> bytes:

@@ -7,10 +7,10 @@ dimensions to regenerate, the encoder redraws them, the class entries at
 those dimensions are reset to zero (their old values describe the discarded
 bases), and the cached training encodings are refreshed in place via
 reencode_dims.  Only the training rows are cached: validation runs through
-``inference.score_queries``, block by block as eval does.  An encoding that
-overflows raises ValueError naming its row: a training row when the rows
-are first encoded, a validation row ("validation sample i") at the end of
-the first segment.
+``inference.topk_accuracy``, so through ``score_queries`` block by block as
+eval does.  An encoding that overflows raises ValueError naming its row: a
+training row when the rows are first encoded, a validation row ("validation
+sample i") at the end of the first segment.
 
 Updates are mispredict-only and similarity-weighted: for a sample of class y
 encoded as H with scores delta and top-1 prediction p != y,
@@ -52,7 +52,7 @@ from .analysis import _accumulate, plan_regeneration, plan_size
 from .data import remap_labels
 from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
-from .inference import model_scores, row_norms, score_queries, topk_hits
+from .inference import model_scores, row_norms, topk_accuracy
 from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
 from .rng import check_integer, check_seed
 
@@ -171,11 +171,9 @@ def train(cfg: TrainConfig, train_ds: Dataset,
         scored = 0
         if not valid_fresh:  # else val_acc stands from the last validation
             try:
-                valid_scores = score_queries(model, enc, valid_ds)[0]
+                val_acc = topk_accuracy(model, enc, valid_ds, 1)
             except ValueError as exc:  # an overflow, naming a validation row
                 raise ValueError(f"validation {exc}") from None
-            val_acc = (topk_hits(valid_scores, valid_ds.labels, 1)
-                       / len(valid_ds))
             scored, valid_fresh = len(valid_ds), True
         if val_acc > best_val + EARLY_STOP_MIN_DELTA:
             best_val = val_acc

@@ -415,6 +415,29 @@ class TestTrain:
         assert records == [] and not absent.exists()
         assert err == f"I/O error: output directory {absent} does not exist\n"
 
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("case", ["missing_directory", "directory"])
+    def test_unwritable_output_fails_before_any_work(
+            self, workdir, tmp_path, capsys, monkeypatch, command, case):
+        def never(*args, **kwargs):
+            raise AssertionError("the data was read or made")
+
+        monkeypatch.setattr(dynhd.cli, "load_csv", never)
+        monkeypatch.setattr(dynhd.cli, "make_blobs", never)
+        absent = tmp_path / "absent"
+        out = absent / "out.csv" if case == "missing_directory" else tmp_path
+        argv = (["train", "--config", str(workdir["config"])]
+                if command == "train" else
+                ["synth", "--n", "3", "--classes", "2", "--samples", "5"])
+        code = main(argv + ["--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 3
+        assert stdout == "" and not absent.exists()
+        assert err == ("I/O error: " + (
+            f"output directory {absent} does not exist\n"
+            if case == "missing_directory" else
+            f"output {tmp_path} is a directory\n"))
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 72.8 TiB"),
          "error: train: out of memory (Unable to allocate 72.8 TiB)"),
@@ -584,6 +607,19 @@ class TestEval:
         assert err.startswith(f"error: malformed model file {edited}: "
                               "unknown key(s) ['bases']; ")
         assert len(err.splitlines()) == 1
+
+    def test_normalizer_missing_key_exits_two(self, workdir, tmp_path):
+        doc = json.loads(workdir["model"].read_text())
+        del doc["normalizer"]["std"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        code, records, err = run(["eval", "--model", str(edited),
+                                  "--data", str(workdir["data_csv"])])
+        assert code == 2
+        assert records == []
+        assert err.splitlines() == [
+            f"error: malformed model file {edited}: missing key(s) "
+            "['normalizer.std']"]
 
     def test_list_valued_classes_echo_is_short(self, workdir, tmp_path):
         """A v2-style class list of 768 numbers prints one short line that

@@ -479,6 +479,63 @@ class TestModelFile:
                 f"malformed model file {path}: unsupported model file "
                 f"version {version}")
 
+    @pytest.mark.parametrize("doc", [[1, 2], None, "model", 4])
+    def test_document_not_an_object_rejected(self, tmp_path, doc):
+        _, _, path, _ = self.roundtrip(tmp_path)
+        atomic_write_text(path, json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: model file "
+                                  f"must be a JSON object, got {doc!r}")
+
+    @pytest.mark.parametrize("key", ["version", "n", "D", "seed",
+                                     "regen_history", "labels", "classes"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = self.edited(tmp_path, key, lambda node, leaf: node.pop(leaf))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: missing "
+                                  f"key(s) [{key!r}]")
+
+    def test_old_version_is_named_before_its_keys(self, tmp_path):
+        def retire(node, leaf):  # a v1 file stored bases, not the history
+            node.update(version=1, bases=[])
+            del node["regen_history"]
+
+        path = self.edited(tmp_path, "version", retire)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: unsupported "
+                                  "model file version 1")
+
+    @pytest.mark.parametrize("value", [[1, 2], None, "mean"])
+    def test_normalizer_not_an_object_rejected(self, tmp_path, value):
+        path = self.edited(tmp_path, "normalizer",
+                           lambda node, leaf: node.update({leaf: value}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: normalizer "
+                                  f"must be a JSON object, got {value!r}")
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    def test_normalizer_missing_key_rejected(self, tmp_path, key):
+        path = self.edited(tmp_path, f"normalizer.{key}",
+                           lambda node, leaf: node.pop(leaf))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"malformed model file {path}: missing "
+                                  f"key(s) ['normalizer.{key}']")
+
+    def test_normalizer_unknown_key_rejected(self, tmp_path):
+        path = self.edited(tmp_path, "normalizer.extra",
+                           lambda node, leaf: node.update({leaf: 1}))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"malformed model file {path}: unknown key(s) "
+            "['normalizer.extra']; expected a subset of ['normalizer.mean', "
+            "'normalizer.std']")
+
     # Each edit is (arrays to pack into the normalizer, the check's message).
     @pytest.mark.parametrize("edit", [
         ({"mean": [0.0, 1.0], "std": [1.0, 1.0]},

@@ -797,8 +797,9 @@ class TestDomainModels:
 
 class TestValidationIsStreamed:
     """train encodes and caches only the training rows; the validation rows
-    are encoded and scored by score_queries, one block buffer at a time,
-    whenever an update or a regeneration has made them stale."""
+    are encoded and scored by score_queries (through topk_accuracy), one
+    block buffer at a time, whenever an update or a regeneration has made
+    them stale."""
 
     # seed 21: segments 0-2 update and 3-4 do not; at rate 0.1 each of the
     # last two follows a non-empty regeneration
@@ -827,7 +828,7 @@ class TestValidationIsStreamed:
                 yield rows, h
 
         monkeypatch.setattr(dynhd.trainer, "encode_batch", encoding)
-        monkeypatch.setattr(dynhd.trainer, "score_queries", querying)
+        monkeypatch.setattr(dynhd.inference, "score_queries", querying)
         monkeypatch.setattr(dynhd.inference, "encode_blocks", blocks)
         _, _, records = train(cfg, train_ds, valid_ds)
         assert encoded == [len(train_ds)]
