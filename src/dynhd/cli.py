@@ -6,8 +6,10 @@ each command's settings once: their defaults, their flags and the JSON kind
 every value is checked against.  The fully materialized settings, defaults
 included, are echoed into each emitted record, so any record can be
 reproduced by feeding its config echo back.  Every flag but --config and
---quiet sets a declared setting.  Records are JSON-lines on stdout only;
-diagnostics go to stderr.
+--quiet sets a declared setting.  Each command is a generator of its
+records (dicts) and diagnostics (strings), in order; main alone writes
+them, each record as one JSON line on stdout and each diagnostic to stderr
+unless --quiet.
 
 Exit codes: 0 ok, 2 config or validation error (settings that run out of
 memory included), 3 I/O error, 4 numeric error.
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,21 +43,6 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 DROP_ORDERS = ("lowest", "highest", "both")
-
-
-class Emitter:
-    """Prints JSON records to stdout and routes diagnostics to stderr
-    (silenced by --quiet)."""
-
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def record(self, obj: dict) -> None:
-        print(json.dumps(obj))
-
-    def diag(self, msg: str) -> None:
-        if not self.quiet:
-            print(msg, file=sys.stderr)
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -133,7 +120,8 @@ def _materialize(command: str, settings: dict, config: dict, args=None,
     unknown = sorted(prefix + k for k in set(config) - set(settings))
     if unknown:
         raise ValueError(f"{command}: unknown config key(s) {unknown}; "
-                         f"expected a subset of {sorted(settings)}")
+                         f"expected a subset of "
+                         f"{sorted(prefix + k for k in settings)}")
     merged = {key: default for key, (default, _) in settings.items()}
     merged.update(config)
     merged.update({key: getattr(args, key) for key in settings
@@ -207,7 +195,7 @@ def _load_train_data(data_cfg) -> tuple[Dataset, dict]:
     return make_blobs(_construct(SyntheticSpec, sub)), {"synthetic": sub}
 
 
-def cmd_train(merged: dict, emitter: Emitter) -> int:
+def cmd_train(merged: dict) -> Iterator[dict | str]:
     """train a model from a JSON config"""
     cfg = _construct(TrainConfig, merged)
     if merged["split_seed"] is None:
@@ -229,22 +217,20 @@ def cmd_train(merged: dict, emitter: Emitter) -> int:
         train_ds = apply_normalizer(stats, train_ds)
         valid_ds = apply_normalizer(stats, valid_ds)
 
-    emitter.record({"type": "config", "command": "train", "config": merged})
-    emitter.diag(f"training on {len(train_ds)} samples, "
-                 f"validating on {len(valid_ds)}")
+    yield {"type": "config", "command": "train", "config": merged}
+    yield (f"training on {len(train_ds)} samples, "
+           f"validating on {len(valid_ds)}")
     enc, model, records = train(cfg, train_ds, valid_ds)
-    for rec in records:
-        emitter.record(rec)
+    yield from records
     save_model(merged["out"], enc, model, normalizer=stats)
-    emitter.diag(f"wrote model to {merged['out']}")
-    return EXIT_OK
+    yield f"wrote model to {merged['out']}"
 
 
 # --------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(merged: dict, emitter: Emitter) -> int:
+def cmd_eval(merged: dict) -> Iterator[dict | str]:
     """top-k accuracy of a model on a CSV"""
     enc, model, ds, load_s = _load_queries(merged)
     k_list = merged["k_list"]
@@ -255,22 +241,21 @@ def cmd_eval(merged: dict, emitter: Emitter) -> int:
     for k in k_list:
         t0 = time.perf_counter()
         acc = topk_hits(scores, ds.labels, k) / len(ds)
-        emitter.record({
+        yield {
             "experiment": "eval", "metric": f"top{k}_accuracy",
             "value": acc, "k": k, "n_samples": len(ds), "D": model.dim,
             "seed": enc.seed, "load_ms": load_s * 1e3,
             "encode_ms": encode_s * 1e3,
             "score_ms": score_s * 1e3,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "config": merged})
-    return EXIT_OK
+            "config": merged}
 
 
 # --------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(merged: dict, emitter: Emitter) -> int:
+def cmd_analyze(merged: dict) -> Iterator[dict | str]:
     """score dimensions and list the regeneration candidates"""
     strategy, rate = merged["strategy"], merged["rate"]
     if strategy in ("misleading", "domain_variant") and merged["data"] is None:
@@ -286,7 +271,7 @@ def cmd_analyze(merged: dict, emitter: Emitter) -> int:
     plan = plan_regeneration(strategy, rate, model, enc, ds)
     # insignificant plans score by negated variance; report the variances
     scores = -plan.scores if strategy == "insignificant" else plan.scores
-    emitter.record({
+    yield {
         "experiment": "analyze", "strategy": strategy, "R": rate,
         "selected_indices": plan.indices.tolist(),
         "score_summary": {"min": float(scores.min()),
@@ -294,15 +279,14 @@ def cmd_analyze(merged: dict, emitter: Emitter) -> int:
                           "mean": float(scores.mean())},
         "D": model.dim, "seed": enc.seed,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
-        "config": merged})
-    return EXIT_OK
+        "config": merged}
 
 
 # --------------------------------------------------------------------------
 # dropsweep
 
 
-def cmd_dropsweep(merged: dict, emitter: Emitter) -> int:
+def cmd_dropsweep(merged: dict) -> Iterator[dict | str]:
     """accuracy after zeroing dimension fractions by variance order"""
     if merged["order"] not in DROP_ORDERS:
         raise ValueError(f"order must be one of {DROP_ORDERS}")
@@ -330,21 +314,20 @@ def cmd_dropsweep(merged: dict, emitter: Emitter) -> int:
             scores = model_scores(classes, row_norms(classes), queries,
                                   row_norms(queries)[:, None])
             acc = topk_hits(scores, ds.labels, 1) / len(ds)
-            emitter.record({
+            yield {
                 "experiment": "dropsweep", "order": order,
                 "fraction": fraction, "dropped": count,
                 "metric": "top1_accuracy", "value": acc,
                 "n_samples": len(ds), "D": dim, "seed": enc.seed,
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
-                "config": merged})
-    return EXIT_OK
+                "config": merged}
 
 
 # --------------------------------------------------------------------------
 # noisesweep
 
 
-def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
+def cmd_noisesweep(merged: dict) -> Iterator[dict | str]:
     """accuracy after seeded noise on model entries"""
     q_list, magnitude = merged["q_list"], merged["magnitude"]
     base_seed = merged["seed"]
@@ -362,21 +345,20 @@ def cmd_noisesweep(merged: dict, emitter: Emitter) -> int:
         scores = model_scores(noisy.classes, row_norms(noisy.classes),
                               encodings, query_norms)
         acc = topk_hits(scores, ds.labels, 1) / len(ds)
-        emitter.record({
+        yield {
             "experiment": "noisesweep", "q": q, "magnitude": magnitude,
             "noise_seed": base_seed + i, "metric": "top1_accuracy",
             "value": acc, "n_samples": len(ds), "D": model.dim,
             "seed": enc.seed,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "config": merged})
-    return EXIT_OK
+            "config": merged}
 
 
 # --------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(merged: dict, emitter: Emitter) -> int:
+def cmd_synth(merged: dict) -> Iterator[dict | str]:
     """emit a synthetic blob dataset as CSV"""
     spec = _construct(SyntheticSpec, merged)
     _check_out(merged["out"])
@@ -385,12 +367,11 @@ def cmd_synth(merged: dict, emitter: Emitter) -> int:
         # a constant domain column would force --domain-column downstream
         ds = Dataset(ds.features, ds.labels, list(ds.label_names))
     write_csv(merged["out"], ds)
-    emitter.record({
+    yield {
         "experiment": "synth", "path": merged["out"], "samples": len(ds),
         "n": ds.n, "classes": ds.n_classes, "domains": spec.domains,
-        "seed": spec.seed, "config": merged})
-    emitter.diag(f"wrote {len(ds)} samples to {merged['out']}")
-    return EXIT_OK
+        "seed": spec.seed, "config": merged}
+    yield f"wrote {len(ds)} samples to {merged['out']}"
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    emitter = Emitter(args.quiet)
     try:
         merged = _materialize(args.command, SETTINGS[args.command],
                               _read_config(args.config), args)
@@ -447,7 +427,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (exit 4), so numpy's floating-point warnings would only repeat
         # them on stderr.
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](merged, emitter)
+            for item in COMMANDS[args.command](merged):
+                if isinstance(item, dict):
+                    print(json.dumps(item))
+                elif not args.quiet:
+                    print(item, file=sys.stderr)
+        return EXIT_OK
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

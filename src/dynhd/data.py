@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import Dataset, atomic_write_text
-from .rng import check_integer, check_seed, is_integer
+from .rng import check_integer, check_real, check_seed, is_integer
 
 STD_FLOOR = 1e-12
 
@@ -106,7 +106,7 @@ class SyntheticSpec:
             if check_integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("separation", "intra_std", "domain_offset_std"):
-            value = getattr(self, name)
+            value = check_real(getattr(self, name), name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative")
         check_seed(self.seed)

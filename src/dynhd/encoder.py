@@ -98,29 +98,26 @@ def _project(rows: np.ndarray, bases_t: np.ndarray,
     return x
 
 
-def _half_sine(a: np.ndarray, square: np.ndarray) -> np.ndarray:
+def _half_sine(a: np.ndarray) -> np.ndarray:
     """S(a) = t / (1 + t*t) with t = tan(a), in place in the contiguous
-    ``a`` (see the module docstring); ``square`` is scratch of its shape."""
+    ``a`` (see the module docstring)."""
     np.tan(a, out=a)
-    np.multiply(a, a, out=square)
-    square += 1.0
-    a /= square
+    a /= 1.0 + a * a
     return a
 
 
 def _encode_block(rows: np.ndarray, bases_t: np.ndarray,
                   half_phases: np.ndarray, s_phases: np.ndarray, start: int,
-                  x: np.ndarray, square: np.ndarray) -> np.ndarray:
+                  x: np.ndarray) -> np.ndarray:
     """S(x + c/2) - S(c/2) with x = rows @ bases_t, computed in place in
     ``x``; ``bases_t`` is the (n, d) C-contiguous transpose of the bases,
-    ``half_phases`` is c/2, ``s_phases`` is S(c/2) and ``square`` is
-    scratch of ``x``'s shape.  A projection that overflows raises
-    ValueError naming its sample, numbered from ``start`` for the block's
-    first row."""
+    ``half_phases`` is c/2 and ``s_phases`` is S(c/2).  A projection that
+    overflows raises ValueError naming its sample, numbered from ``start``
+    for the block's first row."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         _project(rows, bases_t, x)
         x += half_phases
-        _half_sine(x, square)
+        _half_sine(x)
     # tan is finite on finite input, so an overflow shows only as NaN.
     if np.isnan(x).any():
         bad = int(np.argmax(np.isnan(x).any(axis=1)))
@@ -197,15 +194,15 @@ def encode_blocks(e: EncoderState, samples, out: Optional[np.ndarray] = None
     bases_t = np.ascontiguousarray(e.bases.T)
     half_phases = e.phases * 0.5
     # as a block computes it, so a zero row encodes to +0.0
-    s_phases = _half_sine(half_phases.copy(), np.empty(e.dim))
-    square = np.empty((min(arr.shape[0], BLOCK_ROWS), e.dim))
-    buffer = np.empty_like(square) if out is None else None
+    s_phases = _half_sine(half_phases.copy())
+    buffer = (np.empty((min(arr.shape[0], BLOCK_ROWS), e.dim)) if out is None
+              else None)
     for start in range(0, arr.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = arr[rows]
         h = buffer[:len(block)] if out is None else out[rows]
         yield rows, _encode_block(block, bases_t, half_phases, s_phases,
-                                  start, h, square[:len(block)])
+                                  start, h)
 
 
 def regenerate_dims(e: EncoderState, plan: RegenPlan) -> EncoderState:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoder import encode_blocks
 from .model import ClassModel, Dataset, EncoderState
-from .rng import check_seed
+from .rng import check_integer, check_real, check_seed
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ def score_queries(m: ClassModel, e: EncoderState, test: Dataset,
     if list(test.label_names) != list(m.labels):
         raise ValueError("dataset label set does not match the model")
     for k in ks:
-        if not 1 <= k <= m.n_classes:
+        if not 1 <= check_integer(k, "k") <= m.n_classes:
             raise ValueError(f"k must be in [1, {m.n_classes}], got {k}")
     class_norms = row_norms(m.classes)
     scores = np.empty((len(test), m.n_classes))
@@ -103,9 +103,9 @@ def perturb_model(m: ClassModel, q: float, magnitude: float,
     input model is left untouched.  Noise that leaves a class norm
     non-finite raises ArithmeticError naming ``q`` and ``magnitude``.
     """
-    if not 0.0 <= q <= 1.0:
+    if not 0.0 <= check_real(q, "q") <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if not 0.0 <= magnitude < np.inf:
+    if not 0.0 <= check_real(magnitude, "magnitude") < np.inf:
         raise ValueError("magnitude must be non-negative and finite")
     check_seed(seed)
     out = m.copy()

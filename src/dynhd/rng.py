@@ -22,6 +22,8 @@ blocks, so a draw advances whole blocks and burns the remainder.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -40,6 +42,14 @@ def check_integer(value, name: str) -> int:
     if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str):
+    """``value`` unchanged; ValueError naming it ``name`` unless it is a
+    real number, as ``numbers.Real`` has it (a bool is not one)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

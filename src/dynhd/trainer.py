@@ -54,7 +54,7 @@ from .encoder import (BLOCK_ROWS, encode_batch, init_encoder, reencode_dims,
                       regenerate_dims)
 from .inference import model_scores, row_norms, topk_accuracy
 from .model import ClassModel, Dataset, EncoderState, TRAIN_STRATEGIES
-from .rng import check_integer, check_seed
+from .rng import check_integer, check_real, check_seed
 
 EARLY_STOP_MIN_DELTA = 1e-4
 
@@ -74,13 +74,13 @@ class TrainConfig:
     def __post_init__(self):
         if check_integer(self.dim, "dim") < 1:
             raise ValueError("dim must be at least 1")
-        if not 0.0 < self.eta < np.inf:
+        if not 0.0 < check_real(self.eta, "eta") < np.inf:
             raise ValueError("eta must be positive and finite")
         if check_integer(self.epochs_per_round, "epochs_per_round") < 1:
             raise ValueError("epochs_per_round must be at least 1")
         if check_integer(self.rounds, "rounds") < 0:
             raise ValueError("rounds must be non-negative")
-        if not 0.0 <= self.regen_rate <= 1.0:
+        if not 0.0 <= check_real(self.regen_rate, "regen_rate") <= 1.0:
             raise ValueError("regen_rate must lie in [0, 1]")
         if self.strategy not in TRAIN_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "

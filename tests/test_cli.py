@@ -29,14 +29,19 @@ from test_model import (NORMALIZER_RANGE, REPR_CHARS, b64, edit_field, pack,
                         unpack)
 
 
-def run(argv):
-    """Drive the CLI in-process; returns (exit_code, records, stderr)."""
+def run_raw(argv):
+    """Drive the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    records = [json.loads(line) for line in out.getvalue().splitlines()
-               if line.strip()]
-    return code, records, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv):
+    """Drive the CLI in-process; returns (exit_code, records, stderr)."""
+    code, out, err = run_raw(argv)
+    records = [json.loads(line) for line in out.splitlines() if line.strip()]
+    return code, records, err
 
 
 def count_encoded_rows(monkeypatch):
@@ -294,6 +299,32 @@ class TestTrain:
         code, _, err = run(["train", "--config", str(config)])
         assert code == 2
         assert "learning_rate" in err
+
+    @pytest.mark.parametrize("where, expected", [
+        ("", ["data", "dim", "epochs_per_round", "eta", "normalize", "out",
+              "patience", "regen_rate", "rounds", "seed", "shuffle",
+              "split_seed", "strategy", "valid_fraction"]),
+        ("data.", ["data.csv", "data.domain_column", "data.label_column"]),
+        ("data.synthetic.", [
+            "data.synthetic.classes", "data.synthetic.domain_offset_std",
+            "data.synthetic.domains", "data.synthetic.intra_std",
+            "data.synthetic.n", "data.synthetic.samples_per_class_per_domain",
+            "data.synthetic.seed", "data.synthetic.separation"])])
+    def test_unknown_key_message_prefixes_every_key(self, workdir, tmp_path,
+                                                    where, expected):
+        doc = {"dim": 64, "data": {"csv": str(workdir["data_csv"])}}
+        if where == "data.synthetic.":
+            doc["data"] = {"synthetic": {"n": 4, "classes": 2,
+                                         "samples_per_class_per_domain": 5}}
+        {"": doc, "data.": doc["data"],
+         "data.synthetic.": doc["data"].get("synthetic")}[where]["bogus"] = 1
+        config = tmp_path / "bogus.json"
+        config.write_text(json.dumps(doc))
+        code, records, err = run(["train", "--config", str(config)])
+        assert code == 2 and records == []
+        assert err.splitlines() == [
+            f"error: train: unknown config key(s) ['{where}bogus']; "
+            f"expected a subset of {expected}"]
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, _, _ = run(["train", "--config",
@@ -1274,14 +1305,53 @@ class TestFlags:
 
 
 class TestQuietFlag:
-    def test_quiet_silences_diagnostics(self, workdir, tmp_path):
-        out = tmp_path / "q.csv"
-        _, _, loud = run(["synth", "--n", "2", "--classes", "2",
-                          "--samples", "3", "--out", str(out)])
-        _, _, quiet = run(["synth", "--n", "2", "--classes", "2",
-                           "--samples", "3", "--out", str(out), "--quiet"])
-        assert loud != ""
-        assert quiet == ""
+    """Records go to stdout, one JSON object a line, whatever --quiet says;
+    diagnostics go to stderr unless --quiet."""
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_quiet_silences_diagnostics(self, workdir, tmp_path, command):
+        out = tmp_path / "out"
+        argv, diagnostics = {
+            "train": (["train", "--config", str(workdir["config"])],
+                      ["training on 72 samples, validating on 18",
+                       f"wrote model to {out}"]),
+            "synth": (["synth", "--n", "2", "--classes", "2", "--samples",
+                       "3"], [f"wrote 6 samples to {out}"]),
+        }[command]
+        streams = []
+        for quiet in ([], ["--quiet"]):
+            code, stdout, stderr = run_raw(argv + ["--out", str(out)] + quiet)
+            assert code == 0
+            records = [{k: v for k, v in json.loads(line).items()
+                        if not k.endswith("_ms")}
+                       for line in stdout.splitlines()]
+            streams.append((records, stderr.splitlines()))
+        (loud, loud_err), (quiet, quiet_err) = streams
+        assert loud_err == diagnostics
+        assert quiet_err == []
+        assert loud == quiet and loud
+
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze",
+                                         "dropsweep", "noisesweep", "synth"])
+    def test_every_stdout_line_is_a_json_object(self, workdir, tmp_path,
+                                                command):
+        scored = ["--model", str(workdir["model"]),
+                  "--data", str(workdir["data_csv"])]
+        argv = {
+            "train": ["--config", str(workdir["config"]),
+                      "--out", str(tmp_path / "m.json")],
+            "eval": ["--k", "1,2"] + scored,
+            "analyze": ["--strategy", "misleading", "--rate", "0.1"] + scored,
+            "dropsweep": scored,
+            "noisesweep": scored,
+            "synth": ["--n", "2", "--classes", "2", "--samples", "3",
+                      "--out", str(tmp_path / "s.csv")],
+        }[command]
+        code, stdout, _ = run_raw([command] + argv)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines
+        assert all(isinstance(json.loads(line), dict) for line in lines)
 
 
 class TestConsoleEntry:

@@ -458,6 +458,16 @@ class TestMakeBlobs:
             assert str(exc.value) == (f"{field} must be an integer, "
                                       f"got {value!r}")
 
+    @pytest.mark.parametrize("field", ["separation", "intra_std",
+                                       "domain_offset_std"])
+    @pytest.mark.parametrize("value", [True, "4"])
+    def test_non_real_value_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            SyntheticSpec(n=2, classes=2, domains=1,
+                          samples_per_class_per_domain=1, **{field: value})
+        assert str(exc.value) == (f"{field} must be a real number, "
+                                  f"got {value!r}")
+
     def test_replace_checks_the_rules(self):
         spec = SyntheticSpec(n=2, classes=2, domains=1,
                              samples_per_class_per_domain=1)

@@ -127,6 +127,17 @@ class TestPredictTopk:
         with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
             score_queries(m, e, data, (1, k))
 
+    @pytest.mark.parametrize("k", [True, "1", 1.5, 2.0])
+    def test_non_integer_k_rejected_by_name(self, k):
+        e = init_encoder(1, 2, 8)
+        m = model_from_rows(np.ones((2, 8)))
+        data = Dataset(np.zeros((1, 2)), np.array([0]), ["c0", "c1"])
+        for call in (lambda: topk_accuracy(m, e, data, k),
+                     lambda: score_queries(m, e, data, (1, k))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"k must be an integer, got {k!r}"
+
 
 class TestBatchedScoringIsExact:
     """Batched scoring against per-row references, with no tolerance."""
@@ -271,6 +282,15 @@ class TestPerturbModel:
     def setup_method(self):
         rng = np.random.Generator(np.random.Philox(key=77))
         self.model = model_from_rows(rng.standard_normal((4, 50)))
+
+    @pytest.mark.parametrize("field", ["q", "magnitude"])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_non_real_value_rejected_by_name(self, field, value):
+        args = {"q": 0.5, "magnitude": 1.0, field: value}
+        with pytest.raises(ValueError) as exc:
+            perturb_model(self.model, args["q"], args["magnitude"], seed=1)
+        assert str(exc.value) == (f"{field} must be a real number, "
+                                  f"got {value!r}")
 
     def test_q_zero_is_bit_exact_copy(self):
         out = perturb_model(self.model, 0.0, 5.0, seed=1)

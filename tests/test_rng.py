@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dynhd.rng import (MAX_SEED, TWO_PI, check_seed, normal_uniforms,
-                       paired_normals, uniforms)
+from dynhd.rng import (MAX_SEED, TWO_PI, check_real, check_seed,
+                       normal_uniforms, paired_normals, uniforms)
 
 # Pinned first draws for seed=123, derived in test_matches_raw_bit_outputs
 # below; they guard against silent changes to the stream definition.
@@ -89,6 +89,20 @@ def test_non_integer_seed_rejected_by_name(seed):
 def test_numpy_integer_seed_is_returned_as_int(seed):
     checked = check_seed(seed)
     assert type(checked) is int and checked == seed
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None,
+                                   1j, [0.5]])
+def test_non_real_value_rejected_by_name(value):
+    with pytest.raises(ValueError) as exc:
+        check_real(value, "eta")
+    assert str(exc.value) == f"eta must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.25), np.int64(3),
+                                   float("nan")])
+def test_real_value_is_returned_unchanged(value):
+    assert check_real(value, "eta") is value
 
 
 def test_negative_position_and_counts_rejected():

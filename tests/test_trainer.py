@@ -126,6 +126,14 @@ class TestTrainConfig:
             dataclasses.replace(TrainConfig(dim=8), **{field: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field", ["eta", "regen_rate"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_non_real_value_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(dim=8, **{field: value})
+        assert str(exc.value) == (f"{field} must be a real number, "
+                                  f"got {value!r}")
+
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(dim=np.int64(8), rounds=np.int32(2))
         assert cfg.dim == 8 and cfg.rounds == 2
